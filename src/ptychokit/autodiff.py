@@ -1,8 +1,8 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
-Storage is float32; reductions and convolution inner loops accumulate in
-float64 so finite-difference checks stay tight. No broadcasting beyond
-bias-add over channels.
+Storage is float32. `reduce_mean` and the conv2d bias gradient accumulate in
+float64; the convolution and `separable` products run as float32 einsum/GEMM
+calls. No broadcasting beyond bias-add over channels.
 """
 
 import numpy as np
@@ -206,32 +206,6 @@ def abs_(a):
     return _make(out, (a,), bwd, "abs")
 
 
-_POINTWISE_UNARY = {
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "square": square,
-    "sqrt_eps": sqrt_eps,
-    "abs": abs_,
-}
-_POINTWISE_BINARY = {"add": add, "mul": mul, "sub": sub, "div": div}
-
-
-def pointwise(kind, a, b=None):
-    """Dispatch by name; binary kinds take two same-shape tensors."""
-    if kind in _POINTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"'{kind}' is unary")
-        return _POINTWISE_UNARY[kind](a)
-    if kind in _POINTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"'{kind}' needs two operands")
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-        return _POINTWISE_BINARY[kind](a, b)
-    raise ValueError(f"unknown pointwise kind '{kind}'")
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -307,7 +281,7 @@ def diff_v(x):
 
 
 # ---------------------------------------------------------------------------
-# conv / upsample
+# conv / separable maps
 
 def _gather_cols(xp, k, stride):
     """Strided (N, C, Ho, Wo, k, k) window view of a padded input; no copy."""
@@ -378,24 +352,26 @@ def _upsample_matrix(n):
     return _UP_CACHE[n]
 
 
-def upsample_bilinear2x(x):
-    x4, squeezed = _as_nchw(x.data)
-    n, c, h, w = x4.shape
-    uh, uw = _upsample_matrix(h), _upsample_matrix(w)
-    flat = x4.reshape(n * c, h, w)
-    out = np.matmul(np.matmul(uh, flat), uw.T).reshape(n, c, 2 * h, 2 * w)
-    if squeezed:
-        out = out[0]
+def separable(x, a, b):
+    """A @ X @ B^T over the last two axes of x, for constant matrices a and b.
+
+    One op for every separable linear map of a grid: bilinear upsampling and
+    the valid-mode Gaussian blur of SSIM. The backward is A^T @ G @ B.
+    """
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
+    if a.ndim != 2 or b.ndim != 2 or x.data.shape[-2:] != (a.shape[1], b.shape[1]):
+        raise ValueError(f"matrices {a.shape}, {b.shape} do not fit grids {x.shape}")
+    out = np.matmul(np.matmul(a, x.data), b.T)
 
     def bwd(g):
-        g4, _ = _as_nchw(g)
-        gflat = g4.reshape(n * c, 2 * h, 2 * w).astype(np.float32)
-        dx = np.matmul(np.matmul(uh.T, gflat), uw).reshape(n, c, h, w)
-        if squeezed:
-            dx = dx[0]
-        _accum(x, dx)
+        _accum(x, np.matmul(np.matmul(a.T, g), b))
 
-    return _make(out, (x,), bwd, "upsample_bilinear2x")
+    return _make(out, (x,), bwd, "separable")
+
+
+def upsample_bilinear2x(x):
+    return separable(x, _upsample_matrix(x.shape[-2]), _upsample_matrix(x.shape[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,16 @@ class RunConfig:
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key '{key}'")
         default = DEFAULTS[key]
-        if isinstance(value, str) and not isinstance(default, str):
-            value = type(default)(float(value)) if isinstance(default, (int, float)) else value
-        self.values[key] = type(default)(value) if not isinstance(default, str) else str(value)
+        if isinstance(default, str):
+            value = str(value)
+        elif isinstance(default, int):
+            number = float(value)  # accepts "10" and "1e3"
+            if not number.is_integer():
+                raise ValueError(f"config key '{key}' needs an integer, got '{value}'")
+            value = int(number)
+        else:
+            value = float(value)
+        self.values[key] = value
 
     def __getitem__(self, key):
         return self.values[key]

@@ -82,19 +82,25 @@ def grad_loss(x, xhat):
                   ad.reduce_mean(ad.abs_(ad.diff_v(d))))
 
 
-_GAUSS = None
+_BLUR_CACHE = {}
 
 
-def _gauss_window():
-    global _GAUSS
-    if _GAUSS is None:
+def _blur_matrix(n):
+    """((n - 10) x n) valid-mode blur by the normalised 1-D Gaussian window (11 taps).
+
+    The 2-D window of Wang et al. is the outer product of this one, so the
+    windowed mean of a grid X is B_h @ X @ B_w^T. Every row sums to 1.
+    """
+    if n not in _BLUR_CACHE:
         half = SSIM_WINDOW // 2
         ax = np.arange(-half, half + 1, dtype=np.float64)
-        g1 = np.exp(-ax ** 2 / (2.0 * SSIM_SIGMA ** 2))
-        g2 = np.outer(g1, g1)
-        g2 /= g2.sum()
-        _GAUSS = Tensor(g2[None, None].astype(np.float32))
-    return _GAUSS
+        g = np.exp(-ax ** 2 / (2.0 * SSIM_SIGMA ** 2))
+        g /= g.sum()
+        b = np.zeros((n - 2 * half, n))
+        for i in range(n - 2 * half):
+            b[i, i:i + SSIM_WINDOW] = g
+        _BLUR_CACHE[n] = b
+    return _BLUR_CACHE[n]
 
 
 def ssim_value(x, xhat):
@@ -105,68 +111,52 @@ def ssim_value(x, xhat):
         raise ValueError(f"need matching 2-D grids, got {x.shape} vs {xhat.shape}")
     if min(x.shape) < SSIM_WINDOW:
         raise ValueError("grid smaller than SSIM window")
-    return _ssim_numpy(x, xhat)
+    bh, bw = _blur_matrix(x.shape[0]), _blur_matrix(x.shape[1])
 
+    def blur(v):
+        return bh @ v @ bw.T
 
-def _gauss_window_f64():
-    half = SSIM_WINDOW // 2
-    ax = np.arange(-half, half + 1, dtype=np.float64)
-    g1 = np.exp(-ax ** 2 / (2.0 * SSIM_SIGMA ** 2))
-    g = np.outer(g1, g1)
-    return g / g.sum()
-
-
-def _ssim_numpy(x, xhat):
-    g = _gauss_window_f64()
-    win = np.lib.stride_tricks.sliding_window_view
-    a = win(np.asarray(x, np.float64), (SSIM_WINDOW, SSIM_WINDOW))
-    b = win(np.asarray(xhat, np.float64), (SSIM_WINDOW, SSIM_WINDOW))
-    mu1 = np.einsum("hwij,ij->hw", a, g)
-    mu2 = np.einsum("hwij,ij->hw", b, g)
-    var1 = np.einsum("hwij,ij->hw", a * a, g) - mu1 ** 2
-    var2 = np.einsum("hwij,ij->hw", b * b, g) - mu2 ** 2
-    cov = np.einsum("hwij,ij->hw", a * b, g) - mu1 * mu2
+    mu1, mu2 = blur(x), blur(xhat)
+    var1 = blur(x * x) - mu1 ** 2
+    var2 = blur(xhat * xhat) - mu2 ** 2
+    cov = blur(x * xhat) - mu1 * mu2
     num = (2 * mu1 * mu2 + SSIM_C1) * (2 * cov + SSIM_C2)
     den = (mu1 ** 2 + mu2 ** 2 + SSIM_C1) * (var1 + var2 + SSIM_C2)
     return float(np.mean(num / den))
 
 
 def ssim(x, xhat):
-    """Mean SSIM over valid 11x11 Gaussian windows (no padding), data range 1."""
+    """Mean SSIM over valid 11x11 Gaussian windows (no padding), data range 1.
+
+    Takes H x W grids or any stack of them. Both inputs are shifted by the
+    per-grid mean of x before the window moments are taken, so a flat target
+    does not cancel blur(x^2) - blur(x)^2 to float32 noise; the shift leaves
+    variances and covariance unchanged because the blur rows sum to 1.
+    """
     x, xhat = as_tensor(x), as_tensor(xhat)
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    if x.data.ndim == 2:
-        x, xhat = _lift2d(x), _lift2d(xhat)
-    if x.data.shape[-1] < SSIM_WINDOW or x.data.shape[-2] < SSIM_WINDOW:
-        raise ValueError("grid smaller than SSIM window")
-    w = _gauss_window()
-    mu1 = ad.conv2d(x, w)
-    mu2 = ad.conv2d(xhat, w)
-    mu1sq, mu2sq, mu12 = ad.square(mu1), ad.square(mu2), ad.mul(mu1, mu2)
-    var1 = ad.sub(ad.conv2d(ad.square(x), w), mu1sq)
-    var2 = ad.sub(ad.conv2d(ad.square(xhat), w), mu2sq)
-    cov = ad.sub(ad.conv2d(ad.mul(x, xhat), w), mu12)
-    num = ad.mul(ad.add_const(ad.scale(mu12, 2.0), SSIM_C1),
+    if x.data.ndim < 2 or min(x.shape[-2:]) < SSIM_WINDOW:
+        raise ValueError(f"grid {x.shape} smaller than SSIM window")
+    bh, bw = _blur_matrix(x.shape[-2]), _blur_matrix(x.shape[-1])
+    m = x.data.mean(axis=(-2, -1), keepdims=True, dtype=np.float64)
+    shift = Tensor(np.broadcast_to(-m, x.shape))
+
+    def blur(t):
+        return ad.separable(t, bh, bw)
+
+    xc, xhc = ad.add(x, shift), ad.add(xhat, shift)
+    mu1c, mu2c = blur(xc), blur(xhc)
+    var1 = ad.sub(blur(ad.square(xc)), ad.square(mu1c))
+    var2 = ad.sub(blur(ad.square(xhc)), ad.square(mu2c))
+    cov = ad.sub(blur(ad.mul(xc, xhc)), ad.mul(mu1c, mu2c))
+    unshift = Tensor(np.broadcast_to(m, mu1c.shape))
+    mu1, mu2 = ad.add(mu1c, unshift), ad.add(mu2c, unshift)
+    num = ad.mul(ad.add_const(ad.scale(ad.mul(mu1, mu2), 2.0), SSIM_C1),
                  ad.add_const(ad.scale(cov, 2.0), SSIM_C2))
-    den = ad.mul(ad.add_const(ad.add(mu1sq, mu2sq), SSIM_C1),
+    den = ad.mul(ad.add_const(ad.add(ad.square(mu1), ad.square(mu2)), SSIM_C1),
                  ad.add_const(ad.add(var1, var2), SSIM_C2))
     return ad.reduce_mean(ad.div(num, den))
-
-
-def _lift2d(t):
-    """View a 2-D tensor as 1xHxW while keeping it on the same graph."""
-    if not isinstance(t, Tensor):
-        t = as_tensor(t)
-    if t.data.ndim != 2:
-        return t
-    # reshape via a recorded identity op so gradients flow back
-    out_data = t.data[None]
-
-    def bwd(g):
-        ad._accum(t, np.asarray(g)[0])
-
-    return ad._make(out_data, (t,), bwd, "lift2d")
 
 
 def ssim_loss(x, xhat):
@@ -194,19 +184,6 @@ def consistency_loss(c_hat, s_hat):
     c_hat, s_hat = as_tensor(c_hat), as_tensor(s_hat)
     dev = ad.add_const(ad.add(ad.square(c_hat), ad.square(s_hat)), -1.0)
     return ad.reduce_mean(ad.square(dev))
-
-
-def amp_loss(a, a_hat, weights):
-    return ad.add(ad.scale(grad_loss(a, a_hat), weights.lam_g),
-                  ad.scale(ssim_loss(a, a_hat), weights.lam_s))
-
-
-def phase_loss(c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj, weights):
-    g = ad.add(grad_loss(c, c_hat_pre), grad_loss(s, s_hat_pre))
-    st = ad.add(ssim_loss(c, c_hat_pre), ssim_loss(s, s_hat_pre))
-    circ = circular_loss(c, c_hat_proj, s, s_hat_proj)
-    return ad.add(ad.add(ad.scale(g, weights.lam_g), ad.scale(st, weights.lam_s)),
-                  ad.scale(circ, weights.lam_circ))
 
 
 def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,

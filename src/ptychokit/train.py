@@ -1,6 +1,7 @@
 """Optimization loop: Adam, triangular-2 cyclic learning rate, gradient
 clipping, and validation-based model selection."""
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,8 +28,11 @@ class TrainConfig:
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
 
     def __post_init__(self):
-        if self.eta <= 0 or self.clip_norm <= 0 or self.epochs < 1:
-            raise ValueError("need eta > 0, clip_norm > 0, epochs >= 1")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if (not 0 < self.eta < math.inf or not 0 < self.clip_norm < math.inf
+                or self.epochs < 1 or self.batch_size < 1):
+            raise ValueError("need finite eta > 0, finite clip_norm > 0, epochs >= 1, "
+                             "batch_size >= 1")
 
 
 def cyclic_lr(step, steps_per_half_cycle, eta):

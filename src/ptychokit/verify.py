@@ -49,6 +49,9 @@ def run_gradcheck(verbose=False):
     check("upsample_bilinear2x",
           lambda x: ad.reduce_mean(ad.square(ad.upsample_bilinear2x(x))),
           Tensor(_rand((2, 4, 4), 15), True))
+    sep_a, sep_b = _rand((3, 4), 36), _rand((6, 5), 37)
+    check("separable", lambda x: ad.reduce_mean(ad.square(ad.separable(x, sep_a, sep_b))),
+          Tensor(_rand((2, 4, 5), 38), True))
 
     w = Tensor(_rand((3, 2, 3, 3), 16), True)
     b = Tensor(_rand((3,), 17), True)

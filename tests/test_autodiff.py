@@ -57,21 +57,6 @@ def test_nonfinite_forward_raises():
         ad.div(a, b)
 
 
-def test_pointwise_dispatch():
-    a = Tensor(rand((2, 2), 4))
-    b = Tensor(rand((2, 2), 5) + 2.0)
-    assert np.allclose(ad.pointwise("tanh", a).data, np.tanh(a.data))
-    assert np.allclose(ad.pointwise("mul", a, b).data, a.data * b.data)
-    with pytest.raises(ValueError):
-        ad.pointwise("tanh", a, b)
-    with pytest.raises(ValueError):
-        ad.pointwise("mul", a)
-    with pytest.raises(ValueError):
-        ad.pointwise("nosuch", a)
-    with pytest.raises(ValueError):
-        ad.pointwise("mul", a, Tensor(rand((3, 3), 6)))
-
-
 def test_conv2d_matches_direct_loop():
     x = Tensor(rand((2, 6, 6), 7))
     w = Tensor(rand((3, 2, 3, 3), 8))
@@ -122,6 +107,18 @@ def test_upsample_bilinear_exact_on_linear_ramp():
     interior = out[1:-1, 0]
     expected = (np.arange(1, 2 * n - 1) + 0.5) / 2.0 - 0.5
     assert np.allclose(interior, expected, atol=1e-6)
+
+
+def test_separable_matches_matrix_products():
+    a, b = rand((3, 4), 23), rand((6, 5), 24)
+    x = Tensor(rand((2, 4, 5), 25))
+    out = ad.separable(x, a, b).data
+    ref = np.einsum("ph,nhw,qw->npq", a.astype(np.float64), x.data.astype(np.float64),
+                    b.astype(np.float64))
+    assert out.shape == (2, 3, 6)
+    assert np.allclose(out, ref, atol=1e-5)
+    with pytest.raises(ValueError):
+        ad.separable(x, b, a)  # matrices do not fit the 4 x 5 grid
 
 
 def test_diff_ops():

@@ -70,6 +70,26 @@ def test_hash_mismatch_refused(pipeline, capsys):
     assert err.startswith("error: ") and "mismatch" in err
 
 
+@pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7"])
+def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
+    _, data, _ = pipeline
+    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
+                  + TINY + ["--set", bad])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):
+    _, data, _ = pipeline
+    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
+                  + TINY + ["--set", "eta=1e30"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: non-finite") and "\n" not in err
+
+
 def test_unknown_key_is_one_line_error(capsys, tmp_path):
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--set", "bogus=1"])
     assert rc == 1

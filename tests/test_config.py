@@ -8,6 +8,12 @@ def test_defaults_and_set_coercion():
     assert cfg["step"] == 8
     cfg.set("step", "10")
     assert cfg["step"] == 10 and isinstance(cfg["step"], int)
+    cfg.set("rows", "1e3")
+    assert cfg["rows"] == 1000 and isinstance(cfg["rows"], int)
+    for bad in ("4.7", 4.7, "nan", "inf"):
+        with pytest.raises(ValueError):
+            cfg.set("rows", bad)
+    assert cfg["rows"] == 1000
     cfg.set("eta", "5e-4")
     assert cfg["eta"] == pytest.approx(5e-4)
     cfg.set("variant", "no_skip")

@@ -47,6 +47,17 @@ def test_ssim_autodiff_matches_value_path():
                                                         abs=1e-5)
 
 
+def test_ssim_autodiff_on_flat_target():
+    # cos(phase) near 1: blur(x^2) - blur(x)^2 cancels in float32 unless centred
+    rng = np.random.default_rng(0)
+    phi = rng.normal(0.0, 0.02, (8, 32, 32))
+    c = np.cos(phi).astype(np.float32)
+    c_hat = np.cos(phi + rng.normal(0.0, 0.05, phi.shape)).astype(np.float32)
+    want = np.mean([losses.ssim_value(c[i], c_hat[i]) for i in range(8)])
+    got = losses.ssim(c[:, None], c_hat[:, None]).item()
+    assert abs(got - want) < 1e-5 * (1.0 - want)
+
+
 def test_ssim_identity_and_constant():
     x = rand((16, 16), 1)
     assert losses.ssim_value(x, x) == pytest.approx(1.0, abs=1e-9)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ptychokit
 from ptychokit import dataset, model, physics, train
 from ptychokit.autodiff import Tensor
 
@@ -116,7 +121,44 @@ def test_train_requires_train_split():
 
 
 def test_train_config_validates():
-    with pytest.raises(ValueError):
-        train.TrainConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        train.TrainConfig(clip_norm=0.0)
+    for bad in (dict(eta=0.0), dict(eta=float("nan")), dict(eta=float("inf")),
+                dict(clip_norm=0.0), dict(clip_norm=float("nan")),
+                dict(clip_norm=float("inf")), dict(batch_size=0), dict(epochs=0)):
+        with pytest.raises(ValueError):
+            train.TrainConfig(**bad)
+
+
+_GRAD_HASH = """
+import hashlib
+import numpy as np
+from ptychokit import autodiff as ad, circphase, losses, model
+from ptychokit.autodiff import Tensor
+
+rng = np.random.default_rng(0)
+cfg = model.ModelConfig(n_c=8, i_max=1.0, seed=0)
+params = model.init_params(cfg)
+intensity = rng.uniform(0.0, 1.0, (32, 1, 32, 32)).astype(np.float32)
+a = Tensor(rng.uniform(0.0, 1.0, (32, 1, 32, 32)))
+c, s = (Tensor(v) for v in circphase.embed(rng.uniform(-np.pi, np.pi, (32, 1, 32, 32))))
+with ad.Tape() as tape:
+    out = model.forward(intensity, params, cfg)
+    total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
+                                 out["c_proj"], out["s_proj"])
+    ad.backward(tape, total)
+h = hashlib.sha256()
+for name in sorted(params.tensors):
+    h.update(params.tensors[name].grad.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_gradient_bitwise_equal_across_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptychokit.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _GRAD_HASH], env=env, timeout=300,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
