@@ -215,18 +215,20 @@ def cmd_ablate(args):
     cfg = _build_config(args)
     cfg.set("variant", args.variant)
     frames, patches, _probe, meta = dataset.load_dataset(args.data)
+    _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
+    data_hash = meta.get("config_hash", "")
     os.makedirs(args.out, exist_ok=True)
     result = train_mod.train(frames, patches, cfg.model_cfg(), cfg.train_cfg(),
                              ckpt_dir=os.path.join(args.out, "checkpoint"),
-                             config_hash=meta.get("config_hash", ""),
+                             config_hash=data_hash,
                              log_path=os.path.join(args.out, "loss_log.csv"))
     test_f, test_p = _select_split(frames, patches, "test")
     preds = recon.infer(test_f, result.params, result.cfg)
-    rep = recon.report(test_f, preds, test_p, config_hash=cfg.config_hash())
+    rep = recon.report(test_f, preds, test_p, config_hash=data_hash)
     recon.write_report(args.out, rep)
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump({"variant": args.variant, "best_val": result.best_val,
-                   "config_hash": cfg.config_hash(),
+                   "config_hash": data_hash,
                    "stitched": rep.stitched}, fh, indent=2)
     _persist_config(cfg, args.out)
     print(f"ablate[{args.variant}]: best val {result.best_val:.6g} -> {args.out}")

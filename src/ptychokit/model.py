@@ -2,6 +2,7 @@
 circular phase coordinates, plus the ablation variants."""
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -205,8 +206,10 @@ def save_checkpoint(ckpt_dir, params, cfg, seed=0, epoch=0, val_loss=float("nan"
     os.makedirs(os.path.join(ckpt_dir, "params"), exist_ok=True)
     for name, t in params.named():
         gridio.write_grid(os.path.join(ckpt_dir, "params", name + ".ptg"), t.data)
+    # JSON has no NaN: a non-finite val_loss is written as null
     manifest = {"cfg": asdict(cfg), "seed": seed, "epoch": epoch,
-                "val_loss": val_loss, "config_hash": config_hash,
+                "val_loss": val_loss if math.isfinite(val_loss) else None,
+                "config_hash": config_hash,
                 "param_names": sorted(params.tensors)}
     with open(os.path.join(ckpt_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -215,6 +218,8 @@ def save_checkpoint(ckpt_dir, params, cfg, seed=0, epoch=0, val_loss=float("nan"
 def load_checkpoint(ckpt_dir):
     with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
+    if manifest.get("val_loss") is None:
+        manifest["val_loss"] = float("nan")
     cfg = ModelConfig(**manifest["cfg"])
     tensors = {}
     for name in manifest["param_names"]:

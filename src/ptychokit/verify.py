@@ -59,6 +59,22 @@ def run_gradcheck(verbose=False):
     check("conv2d/input", lambda x: ad.reduce_mean(ad.square(ad.conv2d(x, w, b, 1, 1))), xin)
     check("conv2d/weight", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), w)
     check("conv2d/bias", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), b)
+    # the other conv shapes the model uses: strided encoder convs, decoder convs
+    # with C_out < C_in (taps shifted on the output side, here over a batch),
+    # and the bias-free 1x1 fusion
+    for label, wshape, bias, xshape, stride, pad, seed in (
+            ("strided", (3, 2, 5, 5), True, (2, 7, 7), 2, 2, 39),
+            ("narrow_out", (2, 4, 3, 3), True, (2, 4, 5, 5), 1, 1, 42),
+            ("1x1", (2, 4, 1, 1), False, (4, 3, 3), 1, 0, 45)):
+        wc = Tensor(_rand(wshape, seed), True)
+        bc = Tensor(_rand(wshape[:1], seed + 1), True) if bias else None
+        xc = Tensor(_rand(xshape, seed + 2), True)
+
+        def conv_loss(xv, wv):  # used only within this iteration
+            return ad.reduce_mean(ad.square(ad.conv2d(xv, wv, bc, stride, pad)))
+
+        check(f"conv2d/{label}/input", lambda x: conv_loss(x, wc), xc)
+        check(f"conv2d/{label}/weight", lambda wv: conv_loss(xc, wv), wc)
     other = Tensor(_rand((2, 4, 4), 19))
     check("concat_channels",
           lambda x: ad.reduce_mean(ad.square(ad.concat_channels(x, other))),

@@ -57,20 +57,69 @@ def test_nonfinite_forward_raises():
         ad.div(a, b)
 
 
+# (stride, padding, k, C_in, C_out, bias, batched): input-side taps (C_in <= C_out or
+# stride > 1) and output-side taps (stride 1, C_out < C_in), on 6 x 7 grids
+CONV_CASES = [
+    (1, 1, 3, 2, 3, True, False),
+    (2, 1, 3, 2, 3, True, False),
+    (2, 2, 5, 3, 2, False, True),
+    (3, 0, 2, 2, 2, True, True),
+    (1, 1, 3, 3, 3, False, True),
+    (1, 1, 3, 4, 2, True, True),
+    (1, 0, 3, 4, 2, False, False),
+    (1, 2, 3, 4, 1, False, True),
+    (1, 0, 1, 4, 2, False, True),
+]
+
+
+def _conv_case(stride, padding, k, cin, cout, bias, batched, seed=7):
+    x = Tensor(rand((2, cin, 6, 7) if batched else (cin, 6, 7), seed), requires_grad=True)
+    w = Tensor(rand((cout, cin, k, k), seed + 1), requires_grad=True)
+    b = Tensor(rand((cout,), seed + 2)) if bias else None
+    return x, w, b
+
+
+def _conv_loop(x, w, b, stride, padding):
+    """float64 direct loop over output pixels."""
+    x4 = np.pad(x if x.ndim == 4 else x[None],
+                ((0, 0), (0, 0), (padding, padding), (padding, padding))).astype(np.float64)
+    cout, _, k, _ = w.shape
+    ho = (x4.shape[2] - k) // stride + 1
+    wo = (x4.shape[3] - k) // stride + 1
+    ref = np.zeros((x4.shape[0], cout, ho, wo))
+    for o in range(cout):
+        for i in range(ho):
+            for j in range(wo):
+                patch = x4[:, :, stride * i:stride * i + k, stride * j:stride * j + k]
+                ref[:, o, i, j] = np.sum(patch * w[o].astype(np.float64), axis=(1, 2, 3))
+        if b is not None:
+            ref[:, o] += b[o]
+    return ref if x.ndim == 4 else ref[0]
+
+
 def test_conv2d_matches_direct_loop():
-    x = Tensor(rand((2, 6, 6), 7))
-    w = Tensor(rand((3, 2, 3, 3), 8))
-    b = Tensor(rand((3,), 9))
-    out = ad.conv2d(x, w, b, stride=2, padding=1).data
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1))).astype(np.float64)
-    ref = np.zeros((3, 3, 3))
-    for o in range(3):
-        for i in range(3):
-            for j in range(3):
-                patch = xp[:, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-                ref[o, i, j] = np.sum(patch * w.data[o].astype(np.float64)) + b.data[o]
-    assert out.shape == (3, 3, 3)
-    assert np.allclose(out, ref, atol=1e-4)
+    for case in CONV_CASES:
+        stride, padding = case[:2]
+        x, w, b = _conv_case(*case)
+        out = ad.conv2d(x, w, b, stride=stride, padding=padding).data
+        ref = _conv_loop(x.data, w.data, None if b is None else b.data, stride, padding)
+        assert out.shape == ref.shape, case
+        assert np.allclose(out, ref, atol=1e-5), case
+
+
+@pytest.mark.parametrize("case", [c for c in CONV_CASES if not c[5]])
+def test_conv2d_backward_is_adjoint(case):
+    # conv is linear in x and in w: <conv(x, w), g> = <x, dx> = <w, dw>
+    stride, padding = case[:2]
+    x, w, _ = _conv_case(*case)
+    with Tape() as tape:
+        y = ad.conv2d(x, w, stride=stride, padding=padding)
+        g = Tensor(rand(y.shape, 30))
+        backward(tape, ad.reduce_mean(ad.mul(y, g)))
+    inner = np.sum(y.data.astype(np.float64) * g.data)
+    for t in (x, w):
+        dual = np.sum(t.data.astype(np.float64) * t.grad) * y.size
+        assert dual == pytest.approx(inner, rel=1e-5, abs=1e-5), case
 
 
 def test_conv2d_validates_shapes():

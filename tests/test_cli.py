@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,19 @@ def test_hash_mismatch_refused(pipeline, capsys):
     assert err.startswith("error: ") and "mismatch" in err
 
 
+def test_ablate_checks_and_records_dataset_hash(pipeline, capsys, tmp_path):
+    _, data, _ = pipeline
+    args = ["ablate", "--variant", "no_skip", "--data", data] + TINY
+    rc = cli.main(args + ["--out", str(tmp_path / "a"), "--seed", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mismatch" in err
+    assert cli.main(args + ["--out", str(tmp_path / "b"), "--seed", "1"]) == 0
+    meta = json.load(open(os.path.join(data, "meta.json")))
+    recorded = json.load(open(tmp_path / "b" / "ablation.json"))
+    assert recorded["config_hash"] == meta["config_hash"]
+
+
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     _, data, _ = pipeline
@@ -80,14 +95,22 @@ def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     assert err.startswith("error:") and "\n" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):
     _, data, _ = pipeline
-    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
-                  + TINY + ["--set", "eta=1e30"])
+    args = ["train", "--data", data, "--seed", "1"] + TINY + ["--set", "eta=1e30"]
+    rc = cli.main(args + ["--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: non-finite") and "\n" not in err
+    # the whole stderr of the command, numpy warnings included, is that one line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-m", "ptychokit.cli"] + args
+                         + ["--out", str(tmp_path / "run2")],
+                         env=dict(os.environ, PYTHONPATH=path), timeout=300,
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: non-finite") and run.stderr.count("\n") == 1
 
 
 def test_unknown_key_is_one_line_error(capsys, tmp_path):

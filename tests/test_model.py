@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert c2 == c
     for name, t in params.named():
         assert np.array_equal(t.data, p2.tensors[name].data)
+
+
+def test_checkpoint_manifest_is_strict_json(tmp_path):
+    c = cfg(seed=3)
+    model.save_checkpoint(tmp_path, model.init_params(c), c)  # val_loss defaults to NaN
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = open(tmp_path / "manifest.json").read()
+    assert json.loads(text, parse_constant=reject)["val_loss"] is None
+    _, _, manifest = model.load_checkpoint(tmp_path)
+    assert np.isnan(manifest["val_loss"])
