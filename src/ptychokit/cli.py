@@ -1,5 +1,10 @@
 """Command-line pipeline: simulate, train, infer, stitch, evaluate, spectrum,
-epie, gradcheck, ablate. Stages chain through files and carry the config hash."""
+epie, gradcheck, ablate. Stages chain through files and carry the config hash.
+
+Every stage is deterministic. Matrix products may run on several BLAS threads
+(OpenBLAS), yet results are bitwise reproducible: the test suite checks that a
+training gradient is identical under OPENBLAS_NUM_THREADS=1 and 2.
+"""
 
 import argparse
 import csv
@@ -12,19 +17,6 @@ import numpy as np
 from . import dataset, epie as epie_mod, gridio, model, recon, train as train_mod, verify
 from .autodiff import NonFiniteError
 from .config import RunConfig
-
-DETERMINISTIC_ENV = "PTYCHOKIT_DETERMINISTIC"
-
-
-def deterministic_mode():
-    """Deterministic mode is the default and currently the only mode.
-
-    Matrix products may run on several BLAS threads (OpenBLAS), yet results
-    are bitwise reproducible: the test suite checks that a training gradient
-    is identical under OPENBLAS_NUM_THREADS=1 and 2. The variable exists so
-    callers can request the guarantee explicitly.
-    """
-    return os.environ.get(DETERMINISTIC_ENV, "1") != "0"
 
 
 def _build_config(args):
@@ -88,16 +80,18 @@ def cmd_train(args):
 
 
 def _load_ckpt_and_data(args):
+    """The checkpoint and the frames of `args.split`; only those frames are read."""
     params, mcfg, manifest = model.load_checkpoint(args.ckpt)
-    frames, patches, probe, meta = dataset.load_dataset(args.data)
+    split = None if args.split == "all" else args.split
+    frames, patches, probe, meta = dataset.load_dataset(args.data, split=split)
     _check_hash(manifest.get("config_hash"), meta.get("config_hash"),
                 args.force, "checkpoint vs dataset")
+    if not frames:
+        raise ValueError(f"no frames in split '{args.split}'")
     return params, mcfg, manifest, frames, patches, probe, meta
 
 
 def _select_split(frames, patches, split):
-    if split == "all":
-        return frames, patches
     pairs = [(f, p) for f, p in zip(frames, patches) if f.split == split]
     if not pairs:
         raise ValueError(f"no frames in split '{split}'")
@@ -106,7 +100,6 @@ def _select_split(frames, patches, split):
 
 def cmd_infer(args):
     params, mcfg, manifest, frames, patches, _probe, _meta = _load_ckpt_and_data(args)
-    frames, patches = _select_split(frames, patches, args.split)
     preds = recon.infer(frames, params, mcfg)
     os.makedirs(os.path.join(args.out, "pred"), exist_ok=True)
     rows = []
@@ -159,7 +152,6 @@ def cmd_stitch(args):
 def cmd_evaluate(args):
     cfg = _build_config(args)
     params, mcfg, manifest, frames, patches, _probe, meta = _load_ckpt_and_data(args)
-    frames, patches = _select_split(frames, patches, args.split)
     preds = recon.infer(frames, params, mcfg)
     scfg = recon.StitchConfig(patch=patches[0].amplitude.shape[0], step=cfg["step"],
                               weight_floor=cfg["stitch_weight_floor"])
@@ -186,7 +178,8 @@ def cmd_spectrum(args):
 
 def cmd_epie(args):
     cfg = _build_config(args)
-    frames, _patches, probe, _meta = dataset.load_dataset(args.data)
+    frames, _patches, probe, meta = dataset.load_dataset(args.data)
+    _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
     positions = [(f.y, f.x) for f in frames]
     state = epie_mod.epie_reconstruct(frames, positions, probe,
                                       iters=cfg["epie_iters"], beta=cfg["epie_beta"],
@@ -308,9 +301,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if not deterministic_mode():
-        print("warning: nondeterministic execution is not implemented; "
-              "running deterministically", file=sys.stderr)
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, FloatingPointError, NonFiniteError) as exc:

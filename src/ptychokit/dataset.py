@@ -219,7 +219,8 @@ def save_dataset(outdir, frames, patches, probe, meta):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def load_dataset(indir):
+def load_dataset(indir, split=None):
+    """Frames, patches, probe and meta; with `split`, only that split's rows are read."""
     with open(os.path.join(indir, "meta.json")) as fh:
         meta = json.load(fh)
     probe_grid = gridio.read_complex_grid(os.path.join(indir, "probe.ptg"))
@@ -230,6 +231,8 @@ def load_dataset(indir):
     frames, patches = [], []
     with open(os.path.join(indir, "manifest.csv"), newline="") as fh:
         for row in csv.DictReader(fh):
+            if split is not None and row["split"] != split:
+                continue
             intensity = gridio.read_grid(os.path.join(indir, row["intensity"]))
             amplitude = gridio.read_grid(os.path.join(indir, row["amplitude"]))
             phase = gridio.read_grid(os.path.join(indir, row["phase"]))

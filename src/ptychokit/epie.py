@@ -2,13 +2,23 @@
 
 Serves as a classical reference reconstruction and as a consistency oracle
 for the diffraction forward model. Sequential Fourier-magnitude projection
-with real-space object updates; positions are visited in seeded random order
-each sweep.
+with real-space object updates (ePIE, Maiden & Rodenburg 2009); positions are
+visited in seeded random order each sweep.
+
+Run batching: each sweep's visit order is cut into consecutive runs whose
+p x p windows are pairwise disjoint, and a run is updated in one step (one
+gather, one batched FFT pair, one projection, one scatter). The result is
+bitwise the same as visiting the positions one at a time: a run ends just
+before the first position that overlaps an earlier member, so every window
+is read after all earlier overlapping positions were written, and no member
+reads or writes another member's pixels. The error sums still add the
+per-frame terms in visit order.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import circphase
 
@@ -18,7 +28,6 @@ MAG_GUARD = 1e-12
 @dataclass
 class EpieState:
     object_est: np.ndarray  # complex canvas
-    probe: np.ndarray
     iterations: int
     error_history: list = field(default_factory=list)
 
@@ -34,6 +43,25 @@ def fourier_magnitude_project(psi_f, sqrt_intensity):
     return out
 
 
+def _disjoint_runs(ys, xs, order, p):
+    """Cut `order` into consecutive runs of positions with pairwise disjoint p x p windows.
+
+    A run ends just before the first position that overlaps one of its members.
+    """
+    runs, run = [], []
+    for j in order:
+        y, x = ys[j], xs[j]
+        for k in run:
+            if abs(ys[k] - y) < p and abs(xs[k] - x) < p:
+                runs.append(run)
+                run = []
+                break
+        run.append(j)
+    if run:
+        runs.append(run)
+    return runs
+
+
 def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
                      canvas_shape=None):
     """Object-only updates; object initialized to 1+0i."""
@@ -47,25 +75,39 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
     if canvas_shape is None:
         canvas_shape = (max(y for y, _ in positions) + p,
                         max(x for _, x in positions) + p)
+    ys = [int(y) for y, _ in positions]
+    xs = [int(x) for _, x in positions]
+    if min(ys) < 0 or min(xs) < 0 or max(ys) + p > canvas_shape[0] \
+            or max(xs) + p > canvas_shape[1]:
+        raise ValueError(f"scan windows exceed the canvas {tuple(canvas_shape)}")
     obj = np.ones(canvas_shape, dtype=np.complex128)
     update_gain = beta * np.conj(p_field) / pmax2
 
-    sqrt_i = [np.sqrt(_intensity_of(f)) for f in frames]
-    state = EpieState(object_est=obj, probe=p_field, iterations=0)
     n = len(positions)
+    sqrt_i = np.empty((n, p, p))
+    for j, f in enumerate(frames):
+        np.sqrt(_intensity_of(f), out=sqrt_i[j])
+    err_den_terms = [float(np.sum(s ** 2)) for s in sqrt_i]
+    # windows[y, x] is the p x p window at (y, x); a run's windows are disjoint,
+    # so writing them through this overlapping view is safe
+    windows = sliding_window_view(obj, (p, p), writeable=True)
+    ys_arr, xs_arr = np.array(ys), np.array(xs)
+    state = EpieState(object_est=obj, iterations=0)
     for sweep in range(iters):
-        order = np.random.default_rng([seed, sweep]).permutation(n)
+        order = np.random.default_rng([seed, sweep]).permutation(n).tolist()
         err_num, err_den = 0.0, 0.0
-        for j in order:
-            y, x = positions[j]
-            window = obj[y:y + p, x:x + p]
+        for run in _disjoint_runs(ys, xs, order, p):
+            at = (ys_arr[run], xs_arr[run])
+            window = windows[at]
             psi = p_field * window
             psi_f = np.fft.fft2(psi, norm="ortho")
-            err_num += float(np.sum((sqrt_i[j] - np.abs(psi_f)) ** 2))
-            err_den += float(np.sum(sqrt_i[j] ** 2))
-            psi_f2 = fourier_magnitude_project(psi_f, sqrt_i[j])
-            psi2 = np.fft.ifft2(psi_f2, norm="ortho")
-            obj[y:y + p, x:x + p] = window + update_gain * (psi2 - psi)
+            meas = sqrt_i[run]
+            nums = ((meas - np.abs(psi_f)) ** 2).reshape(len(run), -1).sum(axis=1)
+            for j, num in zip(run, nums.tolist()):
+                err_num += num
+                err_den += err_den_terms[j]
+            psi2 = np.fft.ifft2(fourier_magnitude_project(psi_f, meas), norm="ortho")
+            windows[at] = window + update_gain * (psi2 - psi)
         state.error_history.append(err_num / max(err_den, 1e-300))
         state.iterations = sweep + 1
     return state

@@ -30,8 +30,12 @@ class ReconReport:
     seed: int = 0
 
 
-def infer(frames, params, cfg, batch_size=64):
-    """Per-frame (amplitude, phase) predictions; deterministic."""
+def infer(frames, params, cfg, batch_size=32):
+    """Per-frame (amplitude, phase) predictions; deterministic.
+
+    The default batch is the training batch: at 64 frames the widest decoder
+    convs' im2col blocks outgrow the cache and a frame takes longer.
+    """
     out = []
     for start in range(0, len(frames), batch_size):
         chunk = frames[start:start + batch_size]

@@ -58,10 +58,45 @@ def test_infer_stitch_evaluate_spectrum(pipeline):
 def test_epie_subcommand(pipeline):
     root, data, _ = pipeline
     out = str(root / "epie")
-    assert cli.main(["epie", "--data", data, "--out", out,
-                     "--set", "epie_iters=3"]) == 0
+    assert cli.main(["epie", "--data", data, "--out", out, "--seed", "1"] + TINY
+                    + ["--set", "epie_iters=3"]) == 0
     hist = open(os.path.join(out, "error_history.txt")).read().splitlines()
     assert len(hist) == 3
+
+
+def test_epie_checks_dataset_hash(pipeline, capsys, tmp_path):
+    _, data, _ = pipeline
+    args = ["epie", "--data", data, "--out", str(tmp_path / "e"), "--seed", "2"] + TINY \
+        + ["--set", "epie_iters=1"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "mismatch" in err and "\n" not in err
+    assert cli.main(args + ["--force"]) == 0
+
+
+def test_infer_reads_only_its_split(pipeline, monkeypatch, tmp_path):
+    _, data, run = pipeline
+    ckpt = os.path.join(run, "checkpoint")
+    read = []
+    real_read = gridio.read_grid
+    monkeypatch.setattr(gridio, "read_grid", lambda path: read.append(path) or real_read(path))
+    assert cli.main(["infer", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "p"),
+                     "--split", "test"]) == 0
+    frames = [r for r in read if os.sep + "frames" + os.sep in r]
+    # TINY has 4 test frames, 3 grids each
+    assert len(frames) == 12
+
+
+def test_empty_split_is_one_line_error(pipeline, capsys, tmp_path):
+    _, _, run = pipeline
+    data = str(tmp_path / "d")
+    assert cli.main(["simulate", "--out", data, "--seed", "1"] + TINY
+                    + ["--set", "val_fraction=0"]) == 0
+    rc = cli.main(["infer", "--ckpt", os.path.join(run, "checkpoint"), "--data", data,
+                   "--out", str(tmp_path / "p"), "--split", "val", "--force"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: no frames in split 'val'"
 
 
 def test_hash_mismatch_refused(pipeline, capsys):

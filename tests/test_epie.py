@@ -4,13 +4,80 @@ import pytest
 from ptychokit import circphase, dataset, epie, physics
 
 
-def make_scan(seed=0, rows=8, cols=8, size=110):
+def make_scan(seed=0, rows=8, cols=8, size=110, step=8, jitter=3):
     amp, phase = dataset.gen_object(size, size, seed=seed)
     probe = physics.make_probe()
-    plan = dataset.plan_scan(rows=rows, cols=cols, step=8, jitter_max=3, seed=seed)
+    plan = dataset.plan_scan(rows=rows, cols=cols, step=step, jitter_max=jitter, seed=seed)
     frames, _ = dataset.make_dataset(amp, phase, probe, plan)
     positions = [(f.y, f.x) for f in frames]
     return amp, phase, probe, frames, positions
+
+
+def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
+    """ePIE visiting one position at a time, each window read right after the previous write."""
+    p_field = probe.grid.to_complex()
+    p = p_field.shape[0]
+    obj = np.ones((max(y for y, _ in positions) + p, max(x for _, x in positions) + p),
+                  dtype=np.complex128)
+    gain = beta * np.conj(p_field) / float(np.max(np.abs(p_field) ** 2))
+    sqrt_i = [np.sqrt(f.intensity.astype(np.float64)) for f in frames]
+    history = []
+    for sweep in range(iters):
+        err_num, err_den = 0.0, 0.0
+        for j in np.random.default_rng([seed, sweep]).permutation(len(positions)):
+            y, x = positions[j]
+            window = obj[y:y + p, x:x + p]
+            psi = p_field * window
+            psi_f = np.fft.fft2(psi, norm="ortho")
+            err_num += float(np.sum((sqrt_i[j] - np.abs(psi_f)) ** 2))
+            err_den += float(np.sum(sqrt_i[j] ** 2))
+            psi2 = np.fft.ifft2(epie.fourier_magnitude_project(psi_f, sqrt_i[j]), norm="ortho")
+            obj[y:y + p, x:x + p] = window + gain * (psi2 - psi)
+        history.append(err_num / max(err_den, 1e-300))
+    return obj, history
+
+
+def windows_overlap(a, b, p=physics.PROBE_SIZE):
+    return abs(a[0] - b[0]) < p and abs(a[1] - b[1]) < p
+
+
+@pytest.mark.parametrize("scan, runs_per_sweep", [
+    (dict(seed=8), "some"),                                     # jittered, overlapping (step 8)
+    (dict(seed=9, rows=6, cols=6, step=2), "one per position"),  # every window overlaps the next
+    (dict(seed=10, rows=4, cols=4, size=128, step=32, jitter=0), "one"),  # no windows overlap
+], ids=["step8", "step2", "step32"])
+def test_run_batched_matches_one_at_a_time(scan, runs_per_sweep):
+    _, _, probe, frames, positions = make_scan(**scan)
+    n = len(positions)
+    runs = epie._disjoint_runs([y for y, _ in positions], [x for _, x in positions],
+                               list(range(n)), physics.PROBE_SIZE)
+    assert {"some": 1 < len(runs) < n, "one per position": len(runs) == n,
+            "one": len(runs) == 1}[runs_per_sweep]
+    state = epie.epie_reconstruct(frames, positions, probe, iters=3, seed=4)
+    obj, history = reference_epie(frames, positions, probe, iters=3, seed=4)
+    assert np.array_equal(state.object_est, obj)
+    assert state.error_history == history
+
+
+def test_disjoint_runs_partition_the_order():
+    rng = np.random.default_rng(11)
+    positions = [tuple(int(v) for v in rng.integers(0, 120, 2)) for _ in range(200)]
+    ys, xs = [y for y, _ in positions], [x for _, x in positions]
+    order = rng.permutation(len(positions)).tolist()
+    runs = epie._disjoint_runs(ys, xs, order, physics.PROBE_SIZE)
+    assert [j for run in runs for j in run] == order
+    assert 1 < len(runs) < len(order)
+    for i, run in enumerate(runs):
+        assert all(not windows_overlap(positions[a], positions[b])
+                   for k, a in enumerate(run) for b in run[k + 1:])
+        if i:
+            assert any(windows_overlap(positions[run[0]], positions[b]) for b in runs[i - 1])
+
+
+def test_windows_outside_canvas_rejected():
+    _, _, probe, frames, positions = make_scan(seed=4, rows=2, cols=2)
+    with pytest.raises(ValueError):
+        epie.epie_reconstruct(frames, positions, probe, iters=1, canvas_shape=(40, 40))
 
 
 def test_magnitude_projection():

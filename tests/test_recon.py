@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptychokit import circphase, recon
+from ptychokit import circphase, dataset, model, recon
 
 
 def test_stitch_kernel_shape_and_positivity():
@@ -86,3 +86,18 @@ def test_radial_psd_low_frequency_image():
     smooth = np.sin(yy)[:, None] * np.ones(64)[None, :]
     _, _, bands = recon.radial_psd(smooth)
     assert bands[0] > 95.0
+
+
+def test_infer_does_not_depend_on_batch_size():
+    cfg = model.ModelConfig(n_c=4, seed=3)
+    params = model.init_params(cfg)
+    rng = np.random.default_rng(3)
+    frames = [dataset.DiffractionFrame(intensity=rng.uniform(0, 50, (32, 32)).astype(np.float32),
+                                       row=0, col=i, y=0, x=i) for i in range(70)]
+    want = recon.infer(frames, params, cfg, batch_size=64)
+    for batch_size in (8, 32):
+        got = recon.infer(frames, params, cfg, batch_size=batch_size)
+        assert len(got) == len(want)
+        for (a, phi), (a_ref, phi_ref) in zip(got, want):
+            assert np.allclose(a, a_ref, rtol=0, atol=1e-6)
+            assert np.abs(circphase.wrapped_diff(phi, phi_ref)).max() <= 1e-6
