@@ -1,9 +1,14 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
 Storage is float32. `reduce_mean` and the conv2d bias gradient accumulate in
-float64. A convolution's forward, weight gradient and input gradient are one
+float64. `conv2d`, `separable` and `concat_channels` take activations in one
+layout, (C, H, W, N): channels outermost, batch innermost (a C x H x W map is
+N = 1). A convolution's forward, weight gradient and input gradient are one
 float32 GEMM each, with the k*k kernel taps shifted on whichever side, input
-or output, has fewer channels; `separable` runs as two float32 matrix products.
+or output, has fewer channels; on the output side a tap is a flat shift of
+(i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer. `conv2d(..., upsample=True)`
+is a conv of the bilinearly 2x-upsampled input with its taps mixed at the
+input's resolution. `separable` runs as two batched float32 matrix products.
 Forward results must be finite (`NonFiniteError`). No broadcasting beyond
 bias-add over channels.
 """
@@ -228,32 +233,40 @@ def abs_(a):
 # ---------------------------------------------------------------------------
 # structural ops
 
-def _as_nchw(x):
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected CxHxW or NxCxHxW, got shape {x.shape}")
+@_quiet
+def transpose(x, axes):
+    """x with its axes permuted, e.g. a model head from (1, H, W, N) to N x 1 x H x W."""
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    out = x.data.transpose(axes)
+
+    def bwd(g):
+        _accum(x, g.transpose(inverse))
+
+    return _make(out, (x,), bwd, "transpose")
+
+
+@_quiet
+def reshape(x, shape):
+    out = x.data.reshape(shape)
+
+    def bwd(g):
+        _accum(x, g.reshape(x.shape))
+
+    return _make(out, (x,), bwd, "reshape")
 
 
 @_quiet
 def concat_channels(a, b):
-    xa, squeezed_a = _as_nchw(a.data)
-    xb, squeezed_b = _as_nchw(b.data)
-    if squeezed_a != squeezed_b or xa.shape[2:] != xb.shape[2:] or xa.shape[0] != xb.shape[0]:
+    """Concatenation along axis 0, the channel axis of (C, H, W, N) and C x H x W maps."""
+    if a.data.ndim != b.data.ndim or a.shape[1:] != b.shape[1:]:
         raise ValueError(f"spatial/batch mismatch {a.shape} vs {b.shape}")
-    c1 = xa.shape[1]
-    out = np.concatenate([xa, xb], axis=1)
-    if squeezed_a:
-        out = out[0]
+    c1 = a.shape[0]
+    out = np.concatenate([a.data, b.data], axis=0)
 
     def bwd(g):
-        g4, _ = _as_nchw(g)
-        ga, gb = g4[:, :c1], g4[:, c1:]
-        if squeezed_a:
-            ga, gb = ga[0], gb[0]
-        _accum(a, ga)
-        _accum(b, gb)
+        _accum(a, g[:c1])
+        _accum(b, g[c1:])
 
     return _make(out, (a, b), bwd, "concat_channels")
 
@@ -304,7 +317,33 @@ def diff_v(x):
 
 
 # ---------------------------------------------------------------------------
-# conv / separable maps
+# conv / separable maps, on (C, H, W, N) arrays
+
+def _as_chwn(x, what):
+    """A (C, H, W, N) view of a 4-D array, or of a C x H x W map as N = 1."""
+    if x.ndim not in (3, 4):
+        raise ValueError(f"{what} expects (C, H, W, N) or C x H x W, got shape {x.shape}")
+    return x.reshape(*x.shape[:3], -1)
+
+
+def _pad(x, padding):
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n), np.float32)
+    xp[:, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _separable(x, a, b):
+    """A along axis 1 and B along axis 2 of a (C, H, W, N) array: one batched
+    GEMM per step, the W-step a single GEMM when N = 1."""
+    c, h, w, n = x.shape
+    y = np.matmul(a, x.reshape(c, h, w * n))
+    if n == 1:
+        y = y.reshape(-1, w) @ b.T
+    else:
+        y = np.matmul(b, y.reshape(-1, w, n))
+    return y.reshape(c, a.shape[0], b.shape[0], n)
+
 
 def _conv_cols(xp, k, stride, ho, wo):
     """(C*k*k, Ho*Wo*N) im2col columns, rows ordered (c, i, j), of a padded
@@ -318,111 +357,127 @@ def _conv_cols(xp, k, stride, ho, wo):
     return cols.reshape(c * k * k, -1)
 
 
-def _conv_input_side(x4, w, stride, padding, ho, wo):
+def _conv_input_side(x, w, stride, padding, ho, wo):
     """Taps gathered on the input side: Y = Wm @ cols, dW = G @ cols^T and
     dcols = Wm^T @ G, scattered back by k*k strided adds."""
-    n, cin, h, wd = x4.shape
+    cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
-    xp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
-    xp[:, padding:padding + h, padding:padding + wd] = x4.transpose(1, 2, 3, 0)
+    xp = _pad(x, padding)
     wm = w.reshape(cout, -1)
-    y = wm @ _conv_cols(xp, k, stride, ho, wo)
-    out = y.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
+    out = (wm @ _conv_cols(xp, k, stride, ho, wo)).reshape(cout, ho, wo, n)
 
-    def grads(g4):
-        gm = np.ascontiguousarray(g4.transpose(1, 2, 3, 0)).reshape(cout, -1)
+    def grads(g):
+        gm = g.reshape(cout, -1)
         dw = (gm @ _conv_cols(xp, k, stride, ho, wo).T).reshape(w.shape)
         dcols = (wm.T @ gm).reshape(cin, k, k, ho, wo, n)
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
                 dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-        dx = dxp[:, padding:padding + h, padding:padding + wd]
-        return dx.transpose(3, 0, 1, 2), dw
+        return dxp[:, padding:padding + h, padding:padding + wd], dw
 
     return out, grads
 
 
-def _conv_output_side(x4, w, padding, ho, wo):
+def _conv_output_side(x, w, padding, ho, wo, upsample):
     """Stride 1, taps shifted on the output side: Z = Ws @ X, and Y is the sum
     of Z's k*k row blocks, each shifted by its tap offset. The backward shifts
-    G once into Gs; dX = Ws^T @ Gs and dWs = Gs @ X^T."""
-    n, cin, h, wd = x4.shape
+    G once into Gs; dX = Ws^T @ Gs and dWs = Gs @ X^T.
+
+    With upsample, X is the input before bilinear 2x upsampling: both maps are
+    linear, so Z is taken at the input's resolution and its k*k*C_out maps are
+    upsampled and padded before the shift-add (the backward upsamples Gs's
+    adjoint back down)."""
+    cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    # (C, N, Hp, Wp): the transposes from and to NCHW move whole images
-    xp = np.zeros((cin, n, hp, wp), np.float32)
-    xp[:, :, padding:padding + h, padding:padding + wd] = x4.transpose(1, 0, 2, 3)
-    xm = xp.reshape(cin, -1)
-    size = xm.shape[1]
-    # Tap (i, j) reads i*Wp + j further along the flattened grids. Shifts cross
-    # into the next row or image only at positions outside the Ho x Wo output.
-    offsets = [i * wp + j for i in range(k) for j in range(k)]
-    valid = size - offsets[-1]
     ws = w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-    z = (ws @ xm).reshape(k * k, cout, size)
+    if upsample:
+        a, b = _upsample_matrix(h), _upsample_matrix(wd)
+        xm = x.reshape(cin, -1)
+        z = _pad(_separable((ws @ xm).reshape(-1, h, wd, n), a, b), padding)
+        h, wd = 2 * h, 2 * wd
+    else:
+        xm = _pad(x, padding).reshape(cin, -1)
+        z = ws @ xm
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    # Tap (i, j) reads (i*Wp + j)*N further along the flattened (Hp, Wp, N)
+    # grids: the same image, crossing into the next row only outside Ho x Wo.
+    offsets = [(i * wp + j) * n for i in range(k) for j in range(k)]
+    size = hp * wp * n
+    valid = size - offsets[-1]
+    z = z.reshape(k * k, cout, size)
     y = z[0]
     for t in range(1, k * k):
         y[:, :valid] += z[t, :, offsets[t]:offsets[t] + valid]
-    out = y.reshape(cout, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    out = y.reshape(cout, hp, wp, n)[:, :ho, :wo]
 
-    def grads(g4):
-        gp = np.zeros((cout, n, hp, wp), np.float32)
-        gp[:, :, :ho, :wo] = g4.transpose(1, 0, 2, 3)
+    def grads(g):
+        gp = np.zeros((cout, hp, wp, n), np.float32)
+        gp[:, :ho, :wo] = g
         gm = gp.reshape(cout, size)
         gs = np.zeros((k * k, cout, size), np.float32)
         for t, off in enumerate(offsets):
             gs[t, :, off:] = gm[:, :size - off]
-        gs = gs.reshape(k * k * cout, size)
-        dx = (ws.T @ gs).reshape(cin, n, hp, wp)[:, :, padding:padding + h, padding:padding + wd]
+        gs = gs.reshape(-1, hp, wp, n)
+        if upsample:  # the adjoint of padding and upsampling
+            gs = _separable(gs[:, padding:padding + h, padding:padding + wd], a.T, b.T)
+        grid = gs.shape[1:]
+        gs = gs.reshape(k * k * cout, -1)
+        dx = (ws.T @ gs).reshape((cin,) + grid)
+        if not upsample:
+            dx = dx[:, padding:padding + h, padding:padding + wd]
         dw = (gs @ xm.T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
-        return dx.transpose(1, 0, 2, 3), dw
+        return dx, dw
 
     return out, grads
 
 
 @_quiet
-def conv2d(x, w, b=None, stride=1, padding=0):
-    """Direct cross-correlation (no kernel flip), zero padding.
+def conv2d(x, w, b=None, stride=1, padding=0, upsample=False):
+    """Direct cross-correlation (no kernel flip), zero padding, of a (C, H, W, N)
+    batch or one C x H x W map.
 
     Forward, dW and dX are one GEMM each. The k*k taps are shifted on the
     side with fewer channels: the output side for stride-1 convs with
     C_out < C_in, the input side otherwise (measured faster at C_out == C_in).
+    upsample=True gives conv2d(upsample_bilinear2x(x)) with the output side's
+    taps mixed at x's resolution (stride 1 only).
     """
-    x4, squeezed = _as_nchw(x.data)
+    x4 = _as_chwn(x.data, "conv2d")
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ValueError(f"weight must be Cout x Cin x k x k, got {w.shape}")
     cout, cin, k, _ = w.data.shape
-    if x4.shape[1] != cin:
-        raise ValueError(f"input channels {x4.shape[1]} != weight Cin {cin}")
+    if x4.shape[0] != cin:
+        raise ValueError(f"input channels {x4.shape[0]} != weight Cin {cin}")
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"bias shape {b.shape} != ({cout},)")
-    _, _, h, wd = x4.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
+    if upsample and stride != 1:
+        raise ValueError("upsample needs stride 1")
+    scale = 2 if upsample else 1
+    _, h, wd, _ = x4.shape
+    ho = (scale * h + 2 * padding - k) // stride + 1
+    wo = (scale * wd + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("kernel larger than padded input")
 
-    if stride == 1 and cout < cin:
-        out, grads = _conv_output_side(x4, w.data, padding, ho, wo)
+    if upsample or (stride == 1 and cout < cin):
+        out, grads = _conv_output_side(x4, w.data, padding, ho, wo, upsample)
     else:
         out, grads = _conv_input_side(x4, w.data, stride, padding, ho, wo)
     out = np.ascontiguousarray(out)
     if b is not None:
-        out += b.data[:, None, None]
-    if squeezed:
-        out = out[0]
+        out += b.data[:, None, None, None]
     inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        g4, _ = _as_nchw(np.asarray(g, dtype=np.float32))
+        g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
         dx, dw = grads(g4)
         _accum(w, dw)
         if b is not None:
-            _accum(b, g4.sum(axis=(0, 2, 3), dtype=np.float64))
-        _accum(x, dx[0] if squeezed else dx)
+            _accum(b, g4.sum(axis=(1, 2, 3), dtype=np.float64))
+        _accum(x, dx.reshape(x.shape))
 
-    return _make(out, inputs, bwd, "conv2d")
+    return _make(out.reshape(out.shape[:3] + x.shape[3:]), inputs, bwd, "conv2d")
 
 
 _UP_CACHE = {}
@@ -445,25 +500,29 @@ def _upsample_matrix(n):
 
 @_quiet
 def separable(x, a, b):
-    """A @ X @ B^T over the last two axes of x, for constant matrices a and b.
+    """A along axis 1 and B along axis 2 of x, for constant matrices a and b:
+    Y[c] = A @ X[c] @ B^T for each channel c and each batch entry n of a
+    (C, H, W, N) array or a C x H x W map.
 
     One op for every separable linear map of a grid: bilinear upsampling and
     the valid-mode Gaussian blur of SSIM. The backward is A^T @ G @ B.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2 or x.data.shape[-2:] != (a.shape[1], b.shape[1]):
+    x4 = _as_chwn(x.data, "separable")
+    if a.ndim != 2 or b.ndim != 2 or x4.shape[1:3] != (a.shape[1], b.shape[1]):
         raise ValueError(f"matrices {a.shape}, {b.shape} do not fit grids {x.shape}")
-    out = np.matmul(np.matmul(a, x.data), b.T)
+    out = _separable(x4, a, b)
 
     def bwd(g):
-        _accum(x, np.matmul(np.matmul(a.T, g), b))
+        g4 = _as_chwn(np.asarray(g, dtype=np.float32), "separable")
+        _accum(x, _separable(g4, a.T, b.T).reshape(x.shape))
 
-    return _make(out, (x,), bwd, "separable")
+    return _make(out.reshape(out.shape[:3] + x.shape[3:]), (x,), bwd, "separable")
 
 
 def upsample_bilinear2x(x):
-    return separable(x, _upsample_matrix(x.shape[-2]), _upsample_matrix(x.shape[-1]))
+    return separable(x, _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2]))
 
 
 # ---------------------------------------------------------------------------

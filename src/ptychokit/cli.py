@@ -32,7 +32,11 @@ def _build_config(args):
 
 
 def _check_hash(expected, found, force, what):
-    if expected and found and expected != found and not force:
+    if force:
+        return
+    if not expected or not found:
+        raise ValueError(f"config hash missing for {what} (use --force to override)")
+    if expected != found:
         raise ValueError(f"config hash mismatch for {what}: {expected} != {found} "
                          "(use --force to override)")
 
@@ -178,7 +182,7 @@ def cmd_spectrum(args):
 
 def cmd_epie(args):
     cfg = _build_config(args)
-    frames, _patches, probe, meta = dataset.load_dataset(args.data)
+    frames, probe, meta = dataset.load_frames(args.data)
     _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
     positions = [(f.y, f.x) for f in frames]
     state = epie_mod.epie_reconstruct(frames, positions, probe,

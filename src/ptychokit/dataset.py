@@ -219,8 +219,8 @@ def save_dataset(outdir, frames, patches, probe, meta):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def load_dataset(indir, split=None):
-    """Frames, patches, probe and meta; with `split`, only that split's rows are read."""
+def _read_frames(indir, split):
+    """Frames (intensity grids only), probe, meta and the manifest rows read."""
     with open(os.path.join(indir, "meta.json")) as fh:
         meta = json.load(fh)
     probe_grid = gridio.read_complex_grid(os.path.join(indir, "probe.ptg"))
@@ -228,17 +228,26 @@ def load_dataset(indir, split=None):
                           radius=meta.get("probe_radius", physics.PROBE_RADIUS),
                           sigma=meta.get("probe_sigma", physics.PROBE_SIGMA),
                           curvature=meta.get("probe_curvature", physics.PROBE_CURVATURE))
-    frames, patches = [], []
     with open(os.path.join(indir, "manifest.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            if split is not None and row["split"] != split:
-                continue
-            intensity = gridio.read_grid(os.path.join(indir, row["intensity"]))
-            amplitude = gridio.read_grid(os.path.join(indir, row["amplitude"]))
-            phase = gridio.read_grid(os.path.join(indir, row["phase"]))
-            frames.append(DiffractionFrame(
-                intensity=intensity, row=int(row["row"]), col=int(row["col"]),
-                y=int(row["y"]), x=int(row["x"]), noisy=bool(int(row["noisy"])),
-                split=row["split"]))
-            patches.append(ObjectPatch.from_window(amplitude, phase))
+        rows = [row for row in csv.DictReader(fh) if split is None or row["split"] == split]
+    frames = [DiffractionFrame(
+        intensity=gridio.read_grid(os.path.join(indir, row["intensity"])),
+        row=int(row["row"]), col=int(row["col"]), y=int(row["y"]), x=int(row["x"]),
+        noisy=bool(int(row["noisy"])), split=row["split"]) for row in rows]
+    return frames, probe, meta, rows
+
+
+def load_frames(indir, split=None):
+    """Frames, probe and meta, without the ground truth; with `split`, only
+    that split's rows are read."""
+    frames, probe, meta, _ = _read_frames(indir, split)
+    return frames, probe, meta
+
+
+def load_dataset(indir, split=None):
+    """Frames, patches, probe and meta; with `split`, only that split's rows are read."""
+    frames, probe, meta, rows = _read_frames(indir, split)
+    patches = [ObjectPatch.from_window(gridio.read_grid(os.path.join(indir, row["amplitude"])),
+                                       gridio.read_grid(os.path.join(indir, row["phase"])))
+               for row in rows]
     return frames, patches, probe, meta

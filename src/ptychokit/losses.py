@@ -128,18 +128,21 @@ def ssim_value(x, xhat):
 def ssim(x, xhat):
     """Mean SSIM over valid 11x11 Gaussian windows (no padding), data range 1.
 
-    Takes H x W grids or any stack of them. Both inputs are shifted by the
-    per-grid mean of x before the window moments are taken, so a flat target
-    does not cancel blur(x^2) - blur(x)^2 to float32 noise; the shift leaves
-    variances and covariance unchanged because the blur rows sum to 1.
+    Takes H x W grids or any stack of them, blurred as a free (stack, H, W, 1)
+    view. Both inputs are shifted by the per-grid mean of x before the window
+    moments are taken, so a flat target does not cancel blur(x^2) - blur(x)^2
+    to float32 noise; the shift leaves variances and covariance unchanged
+    because the blur rows sum to 1.
     """
     x, xhat = as_tensor(x), as_tensor(xhat)
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
     if x.data.ndim < 2 or min(x.shape[-2:]) < SSIM_WINDOW:
         raise ValueError(f"grid {x.shape} smaller than SSIM window")
-    bh, bw = _blur_matrix(x.shape[-2]), _blur_matrix(x.shape[-1])
-    m = x.data.mean(axis=(-2, -1), keepdims=True, dtype=np.float64)
+    h, w = x.shape[-2:]
+    x, xhat = ad.reshape(x, (-1, h, w, 1)), ad.reshape(xhat, (-1, h, w, 1))
+    bh, bw = _blur_matrix(h), _blur_matrix(w)
+    m = x.data.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
     shift = Tensor(np.broadcast_to(-m, x.shape))
 
     def blur(t):

@@ -1,5 +1,13 @@
 """Dual-gain dual-encoder network with three decoders for amplitude and
-circular phase coordinates, plus the ablation variants."""
+circular phase coordinates, plus the ablation variants.
+
+Inside `forward` every activation is (C, H, W, N), the layout `autodiff`'s
+conv, separable and concat ops take: the input batch is transposed into it
+once, and each head out of it once, so callers see N x 1 x H x W. Each
+decoder's tail, a 3x3 conv to one channel of the bilinearly upsampled
+2*n_c-channel map, runs as `conv2d(..., upsample=True)`: the 9 taps are mixed
+before upsampling (at 16x16 for 32x32 frames) and only those 9 maps are
+upsampled."""
 
 import json
 import math
@@ -120,9 +128,10 @@ def init_params(cfg):
     return ModelParams(tensors=tensors)
 
 
-def _conv(params, name, x, stride=1, padding=1):
+def _conv(params, name, x, stride=1, padding=1, upsample=False):
     t = params.tensors
-    return ad.conv2d(x, t[name + ".w"], t.get(name + ".b"), stride=stride, padding=padding)
+    return ad.conv2d(x, t[name + ".w"], t.get(name + ".b"), stride=stride, padding=padding,
+                     upsample=upsample)
 
 
 def _encode(params, branch, x):
@@ -143,11 +152,12 @@ def _decode(params, d, z, skip):
     h = ad.upsample_bilinear2x(h)
     h = ad.relu(_conv(params, f"dec_{d}_b3c1", h))
     h = ad.relu(_conv(params, f"dec_{d}_b3c2", h))
-    h = ad.upsample_bilinear2x(h)
-    return _conv(params, f"dec_{d}_out", h)
+    # conv of the upsampled map, (1, H, W, N) -> N x 1 x H x W
+    return ad.transpose(_conv(params, f"dec_{d}_out", h, upsample=True), (3, 0, 1, 2))
 
 
 def _prep_input(intensity):
+    """Raw intensity as a (1, H, W, N) float64 batch."""
     arr = np.asarray(intensity, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, None]
@@ -155,7 +165,7 @@ def _prep_input(intensity):
         arr = arr[:, None]
     elif arr.ndim != 4:
         raise ValueError(f"bad input shape {arr.shape}")
-    return arr
+    return arr.transpose(1, 2, 3, 0)
 
 
 def forward(intensity, params, cfg):

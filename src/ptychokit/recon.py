@@ -26,6 +26,7 @@ class ReconReport:
     per_sample: dict
     stitched: dict
     bands: dict
+    fields: dict  # stitched grids: amp_hat, phase_hat, amp_gt, phase_gt, mask
     config_hash: str = ""
     seed: int = 0
 
@@ -206,11 +207,10 @@ def report(frames, predictions, gt_patches, stitch_cfg=None, canvas_shape=None,
         _, _, b = radial_psd(crop[:side, :side])
         bands[kind] = b
 
-    rep = ReconReport(per_sample=per, stitched=stitched, bands=bands,
-                      config_hash=config_hash, seed=seed)
-    rep.fields = {"amp_hat": amp_hat_full, "phase_hat": phi_hat_full,
-                  "amp_gt": amp_gt_full, "phase_gt": phi_gt_full, "mask": mask}
-    return rep
+    fields = {"amp_hat": amp_hat_full, "phase_hat": phi_hat_full,
+              "amp_gt": amp_gt_full, "phase_gt": phi_gt_full, "mask": mask}
+    return ReconReport(per_sample=per, stitched=stitched, bands=bands, fields=fields,
+                       config_hash=config_hash, seed=seed)
 
 
 def write_report(outdir, rep):
@@ -239,14 +239,13 @@ def write_report(outdir, rep):
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
         fh.write("\n".join(csv_rows) + "\n")
-    if hasattr(rep, "fields"):
-        for name in ("amp_hat", "phase_hat", "amp_gt", "phase_gt"):
-            gridio.write_grid(os.path.join(outdir, name + ".ptg"),
-                              rep.fields[name].astype(np.float32))
-        for kind, arr in (("amplitude", rep.fields["amp_hat"]),
-                          ("phase", rep.fields["phase_hat"])):
-            side = min(arr.shape)
-            radii, curve, _ = radial_psd(arr[:side, :side])
-            with open(os.path.join(outdir, f"psd_{kind}.txt"), "w") as fh:
-                for rbin, val in zip(radii, curve):
-                    fh.write(f"{rbin} {val:.10g}\n")
+    for name in ("amp_hat", "phase_hat", "amp_gt", "phase_gt"):
+        gridio.write_grid(os.path.join(outdir, name + ".ptg"),
+                          rep.fields[name].astype(np.float32))
+    for kind, arr in (("amplitude", rep.fields["amp_hat"]),
+                      ("phase", rep.fields["phase_hat"])):
+        side = min(arr.shape)
+        radii, curve, _ = radial_psd(arr[:side, :side])
+        with open(os.path.join(outdir, f"psd_{kind}.txt"), "w") as fh:
+            for rbin, val in zip(radii, curve):
+                fh.write(f"{rbin} {val:.10g}\n")

@@ -60,18 +60,20 @@ def run_gradcheck(verbose=False):
     check("conv2d/weight", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), w)
     check("conv2d/bias", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), b)
     # the other conv shapes the model uses: strided encoder convs, decoder convs
-    # with C_out < C_in (taps shifted on the output side, here over a batch),
-    # and the bias-free 1x1 fusion
-    for label, wshape, bias, xshape, stride, pad, seed in (
-            ("strided", (3, 2, 5, 5), True, (2, 7, 7), 2, 2, 39),
-            ("narrow_out", (2, 4, 3, 3), True, (2, 4, 5, 5), 1, 1, 42),
-            ("1x1", (2, 4, 1, 1), False, (4, 3, 3), 1, 0, 45)):
+    # with C_out < C_in (taps shifted on the output side, here over a (C, H, W, N)
+    # batch), the bias-free 1x1 fusion, and the decoder tail (a conv of the
+    # upsampled map, taps mixed before upsampling)
+    for label, wshape, bias, xshape, stride, pad, up, seed in (
+            ("strided", (3, 2, 5, 5), True, (2, 7, 7), 2, 2, False, 39),
+            ("narrow_out", (2, 4, 3, 3), True, (4, 5, 5, 2), 1, 1, False, 42),
+            ("1x1", (2, 4, 1, 1), False, (4, 3, 3), 1, 0, False, 45),
+            ("upsample", (1, 4, 3, 3), True, (4, 3, 4, 2), 1, 1, True, 48)):
         wc = Tensor(_rand(wshape, seed), True)
         bc = Tensor(_rand(wshape[:1], seed + 1), True) if bias else None
         xc = Tensor(_rand(xshape, seed + 2), True)
 
         def conv_loss(xv, wv):  # used only within this iteration
-            return ad.reduce_mean(ad.square(ad.conv2d(xv, wv, bc, stride, pad)))
+            return ad.reduce_mean(ad.square(ad.conv2d(xv, wv, bc, stride, pad, up)))
 
         check(f"conv2d/{label}/input", lambda x: conv_loss(x, wc), xc)
         check(f"conv2d/{label}/weight", lambda wv: conv_loss(xc, wv), wc)
@@ -148,8 +150,31 @@ def model_gradcheck(n_c=4, n_indices=16, verbose=False):
         t = params.tensors[pname]
         idx = rng.choice(t.size, size=min(n_indices, t.size), replace=False)
         err = finite_diff_check(full_loss, t, step=STEP, indices=[int(i) for i in idx])
-        ok = err < MODEL_TOL
-        results.append((f"model/{pname}", err, MODEL_TOL, ok))
-        if verbose:
-            print(f"  {'pass' if ok else 'FAIL'}  model/{pname}: {err:.2e} (tol {MODEL_TOL:g})")
+        results.append((f"model/{pname}", err, MODEL_TOL, err < MODEL_TOL))
+    # The checks above are absolute for weight gradients far below 1; along the
+    # gradient's own direction the error is relative to its norm.
+    for pname in ("enc0_c1.w", "dec_cos_b3c2.w", "dec_cos_out.w"):
+        err = _directional_error(full_loss, params.tensors[pname])
+        results.append((f"model/{pname}/direction", err, MODEL_TOL, err < MODEL_TOL))
+    if verbose:
+        for name, err, tol, ok in results:
+            print(f"  {'pass' if ok else 'FAIL'}  {name}: {err:.2e} (tol {tol:g})")
     return results
+
+
+def _directional_error(f, x, step=STEP):
+    """|‖g‖ - D| / ‖g‖, with g the analytic gradient of scalar f at x and D the
+    central difference of f along g / ‖g‖."""
+    x.zero_grad()
+    with ad.Tape() as tape:
+        ad.backward(tape, f(x))
+    g = x.grad.astype(np.float64)
+    norm = np.linalg.norm(g)
+    u = (g / norm).astype(np.float32)
+    orig = x.data.copy()
+    x.data[...] = orig + np.float32(step) * u
+    fp = f(x).item()
+    x.data[...] = orig - np.float32(step) * u
+    fm = f(x).item()
+    x.data[...] = orig
+    return abs((fp - fm) / (2.0 * step) - norm) / norm

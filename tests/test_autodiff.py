@@ -58,7 +58,8 @@ def test_nonfinite_forward_raises():
 
 
 # (stride, padding, k, C_in, C_out, bias, batched): input-side taps (C_in <= C_out or
-# stride > 1) and output-side taps (stride 1, C_out < C_in), on 6 x 7 grids
+# stride > 1) and output-side taps (stride 1, C_out < C_in), on 6 x 7 grids; a
+# batched input is (C, H, W, N) with N = 2
 CONV_CASES = [
     (1, 1, 3, 2, 3, True, False),
     (2, 1, 3, 2, 3, True, False),
@@ -73,15 +74,15 @@ CONV_CASES = [
 
 
 def _conv_case(stride, padding, k, cin, cout, bias, batched, seed=7):
-    x = Tensor(rand((2, cin, 6, 7) if batched else (cin, 6, 7), seed), requires_grad=True)
+    x = Tensor(rand((cin, 6, 7, 2) if batched else (cin, 6, 7), seed), requires_grad=True)
     w = Tensor(rand((cout, cin, k, k), seed + 1), requires_grad=True)
     b = Tensor(rand((cout,), seed + 2)) if bias else None
     return x, w, b
 
 
 def _conv_loop(x, w, b, stride, padding):
-    """float64 direct loop over output pixels."""
-    x4 = np.pad(x if x.ndim == 4 else x[None],
+    """float64 direct loop over output pixels, of a (C, H, W, N) or C x H x W input."""
+    x4 = np.pad(x.transpose(3, 0, 1, 2) if x.ndim == 4 else x[None],
                 ((0, 0), (0, 0), (padding, padding), (padding, padding))).astype(np.float64)
     cout, _, k, _ = w.shape
     ho = (x4.shape[2] - k) // stride + 1
@@ -94,7 +95,7 @@ def _conv_loop(x, w, b, stride, padding):
                 ref[:, o, i, j] = np.sum(patch * w[o].astype(np.float64), axis=(1, 2, 3))
         if b is not None:
             ref[:, o] += b[o]
-    return ref if x.ndim == 4 else ref[0]
+    return ref.transpose(1, 2, 3, 0) if x.ndim == 4 else ref[0]
 
 
 def test_conv2d_matches_direct_loop():
@@ -122,6 +123,29 @@ def test_conv2d_backward_is_adjoint(case):
         assert dual == pytest.approx(inner, rel=1e-5, abs=1e-5), case
 
 
+@pytest.mark.parametrize("n_c", [4, 32])
+def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
+    # the decoder tail: 3x3 conv to one channel of a 2*n_c-channel map upsampled
+    # from 16 x 16, with the taps mixed before upsampling
+    results = []
+    for fused in (True, False):
+        x = Tensor(rand((2 * n_c, 16, 16, 3), 40), requires_grad=True)
+        w = Tensor(rand((1, 2 * n_c, 3, 3), 41), requires_grad=True)
+        b = Tensor(rand((1,), 42), requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                y = ad.conv2d(x, w, b, padding=1, upsample=True)
+            else:
+                y = ad.conv2d(ad.upsample_bilinear2x(x), w, b, padding=1)
+            g = Tensor(rand(y.shape, 43))
+            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+        results.append((y.data, x.grad, w.grad, b.grad))
+    assert results[0][0].shape == (1, 32, 32, 3)
+    for fused, plain in zip(*results):
+        scale = np.abs(plain).max()
+        assert np.allclose(fused, plain, rtol=0, atol=1e-5 * scale)
+
+
 def test_conv2d_validates_shapes():
     x = Tensor(rand((2, 6, 6), 10))
     with pytest.raises(ValueError):
@@ -132,6 +156,8 @@ def test_conv2d_validates_shapes():
         ad.conv2d(x, Tensor(rand((3, 2, 3, 3), 13)), Tensor(rand((4,), 14)))
     with pytest.raises(ValueError):
         ad.conv2d(Tensor(rand((2, 2, 2), 15)), Tensor(rand((1, 2, 5, 5), 16)))
+    with pytest.raises(ValueError):
+        ad.conv2d(x, Tensor(rand((3, 2, 3, 3), 13)), stride=2, upsample=True)
 
 
 def test_concat_channels_and_grad_split():
@@ -168,6 +194,22 @@ def test_separable_matches_matrix_products():
     assert np.allclose(out, ref, atol=1e-5)
     with pytest.raises(ValueError):
         ad.separable(x, b, a)  # matrices do not fit the 4 x 5 grid
+    # (C, H, W, N): A along axis 1, B along axis 2, for every channel and batch entry
+    x4 = Tensor(rand((2, 4, 5, 3), 26))
+    ref = np.einsum("ph,chwn,qw->cpqn", a.astype(np.float64), x4.data.astype(np.float64),
+                    b.astype(np.float64))
+    assert np.allclose(ad.separable(x4, a, b).data, ref, atol=1e-5)
+
+
+def test_transpose_and_reshape_route_gradients():
+    x = Tensor(rand((2, 3, 4, 5), 27), requires_grad=True)
+    g = rand((5, 2, 3, 4), 28)
+    with Tape() as tape:
+        y = ad.transpose(x, (3, 0, 1, 2))
+        z = ad.reshape(y, (5, 24))
+        backward(tape, ad.reduce_mean(ad.mul(z, Tensor(g.reshape(5, 24)))))
+    assert np.array_equal(y.data, x.data.transpose(3, 0, 1, 2))
+    assert np.allclose(x.grad, g.transpose(1, 2, 3, 0) / g.size, atol=1e-9)
 
 
 def test_diff_ops():

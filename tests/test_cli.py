@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -105,6 +106,46 @@ def test_hash_mismatch_refused(pipeline, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mismatch" in err
+
+
+def test_dataset_without_hash_refused(pipeline, capsys, tmp_path):
+    _, data, _ = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    meta = json.load(open(copy / "meta.json"))
+    del meta["config_hash"]
+    json.dump(meta, open(copy / "meta.json", "w"))
+    args = ["train", "--data", str(copy), "--out", str(tmp_path / "run"), "--seed", "1"] + TINY
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "missing" in err and "\n" not in err
+    assert cli.main(args + ["--force"]) == 0
+
+
+def test_checkpoint_without_hash_refused(pipeline, capsys, tmp_path):
+    _, data, run = pipeline
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(os.path.join(run, "checkpoint"), ckpt)
+    manifest = json.load(open(ckpt / "manifest.json"))
+    manifest["config_hash"] = ""
+    json.dump(manifest, open(ckpt / "manifest.json", "w"))
+    args = ["infer", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "p")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "missing" in err and "\n" not in err
+    assert cli.main(args + ["--force"]) == 0
+
+
+def test_epie_reads_only_intensities(pipeline, monkeypatch, tmp_path):
+    _, data, _ = pipeline
+    read = []
+    real_read = gridio.read_grid
+    monkeypatch.setattr(gridio, "read_grid", lambda path: read.append(path) or real_read(path))
+    assert cli.main(["epie", "--data", data, "--out", str(tmp_path / "e"), "--seed", "1"]
+                    + TINY + ["--set", "epie_iters=1"]) == 0
+    frames = [r for r in read if os.sep + "frames" + os.sep in r]
+    # TINY has 16 frames: one intensity grid each, no ground truth
+    assert len(frames) == 16 and all(r.endswith("_intensity.ptg") for r in frames)
 
 
 def test_ablate_checks_and_records_dataset_hash(pipeline, capsys, tmp_path):

@@ -132,6 +132,16 @@ def test_variant_forward_smoke():
         assert out["amp"].data.shape == (1, 1, 32, 32)
 
 
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_forward_heads_are_n_by_1_by_h_by_w(variant):
+    c = cfg(variant=variant)
+    x = np.random.default_rng(3).uniform(0, 1, (3, 32, 32))
+    out = model.forward(x, model.init_params(c), c)
+    for key, head in out.items():
+        assert head.data.shape == (3, 1, 32, 32), key
+        assert head.data.flags.c_contiguous, key
+
+
 def test_init_deterministic_in_seed():
     p1 = model.init_params(cfg(seed=5))
     p2 = model.init_params(cfg(seed=5))
