@@ -237,10 +237,9 @@ def _read_frames(indir, split):
     return frames, probe, meta, rows
 
 
-def load_frames(indir, split=None):
-    """Frames, probe and meta, without the ground truth; with `split`, only
-    that split's rows are read."""
-    frames, probe, meta, _ = _read_frames(indir, split)
+def load_frames(indir):
+    """Frames, probe and meta, without the ground truth."""
+    frames, probe, meta, _ = _read_frames(indir, None)
     return frames, probe, meta
 
 

@@ -52,6 +52,16 @@ def run_gradcheck(verbose=False):
     sep_a, sep_b = _rand((3, 4), 36), _rand((6, 5), 37)
     check("separable", lambda x: ad.reduce_mean(ad.square(ad.separable(x, sep_a, sep_b))),
           Tensor(_rand((2, 4, 5), 38), True))
+    # a fixed non-uniform weight on the result, so a wrong inverse permutation
+    # or a reshape back to the wrong layout shows in the gradient
+    perm_w = Tensor(_rand((5, 2, 3, 4), 51))
+    check("transpose",
+          lambda x: ad.reduce_mean(ad.mul(ad.square(ad.transpose(x, (3, 0, 1, 2))), perm_w)),
+          Tensor(_rand((2, 3, 4, 5), 52), True))
+    flat_w = Tensor(_rand((5, 24), 53))
+    check("reshape",
+          lambda x: ad.reduce_mean(ad.mul(ad.square(ad.reshape(x, (5, 24))), flat_w)),
+          Tensor(_rand((2, 3, 4, 5), 54), True))
 
     w = Tensor(_rand((3, 2, 3, 3), 16), True)
     b = Tensor(_rand((3,), 17), True)
