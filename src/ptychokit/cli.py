@@ -83,27 +83,22 @@ def cmd_train(args):
     return 0
 
 
-def _load_ckpt_and_data(args):
-    """The checkpoint and the frames of `args.split`; only those frames are read."""
+def _load_ckpt_and_data(args, load):
+    """The checkpoint and what `load` returns for `args.split` (frames first, meta
+    last); only that split's files are read."""
     params, mcfg, manifest = model.load_checkpoint(args.ckpt)
-    split = None if args.split == "all" else args.split
-    frames, patches, probe, meta = dataset.load_dataset(args.data, split=split)
+    data = load(args.data, split=None if args.split == "all" else args.split)
+    frames, meta = data[0], data[-1]
     _check_hash(manifest.get("config_hash"), meta.get("config_hash"),
                 args.force, "checkpoint vs dataset")
     if not frames:
         raise ValueError(f"no frames in split '{args.split}'")
-    return params, mcfg, manifest, frames, patches, probe, meta
-
-
-def _select_split(frames, patches, split):
-    pairs = [(f, p) for f, p in zip(frames, patches) if f.split == split]
-    if not pairs:
-        raise ValueError(f"no frames in split '{split}'")
-    return [f for f, _ in pairs], [p for _, p in pairs]
+    return params, mcfg, manifest, data
 
 
 def cmd_infer(args):
-    params, mcfg, manifest, frames, patches, _probe, _meta = _load_ckpt_and_data(args)
+    params, mcfg, manifest, (frames, _probe, _meta) = _load_ckpt_and_data(
+        args, dataset.load_frames)
     preds = recon.infer(frames, params, mcfg)
     os.makedirs(os.path.join(args.out, "pred"), exist_ok=True)
     rows = []
@@ -140,11 +135,10 @@ def cmd_stitch(args):
     cfg = _build_config(args)
     preds, positions = _load_predictions(args.pred)
     patch = preds[0][0].shape[0]
-    scfg = recon.StitchConfig(patch=patch, step=cfg["step"],
-                              weight_floor=cfg["stitch_weight_floor"])
+    floor = cfg["stitch_weight_floor"]
     canvas = (max(y for y, _ in positions) + patch, max(x for _, x in positions) + patch)
-    amp, mask = recon.stitch([a for a, _ in preds], positions, canvas, scfg)
-    phase, _ = recon.stitch_phase([p for _, p in preds], positions, canvas, scfg)
+    amp, mask = recon.stitch([a for a, _ in preds], positions, canvas, floor)
+    phase, _ = recon.stitch_phase([p for _, p in preds], positions, canvas, floor)
     os.makedirs(args.out, exist_ok=True)
     gridio.write_grid(os.path.join(args.out, "stitched_amp.ptg"), amp.astype(np.float32))
     gridio.write_grid(os.path.join(args.out, "stitched_phase.ptg"), phase.astype(np.float32))
@@ -155,11 +149,10 @@ def cmd_stitch(args):
 
 def cmd_evaluate(args):
     cfg = _build_config(args)
-    params, mcfg, manifest, frames, patches, _probe, meta = _load_ckpt_and_data(args)
+    params, mcfg, _, (frames, patches, _probe, meta) = _load_ckpt_and_data(
+        args, dataset.load_dataset)
     preds = recon.infer(frames, params, mcfg)
-    scfg = recon.StitchConfig(patch=patches[0].amplitude.shape[0], step=cfg["step"],
-                              weight_floor=cfg["stitch_weight_floor"])
-    rep = recon.report(frames, preds, patches, stitch_cfg=scfg,
+    rep = recon.report(frames, preds, patches, weight_floor=cfg["stitch_weight_floor"],
                        config_hash=meta.get("config_hash", ""), seed=args.seed or 0)
     recon.write_report(args.out, rep)
     print(f"evaluate: {len(frames)} frames ({args.split}) -> {args.out}/report.txt")
@@ -219,9 +212,13 @@ def cmd_ablate(args):
                              ckpt_dir=os.path.join(args.out, "checkpoint"),
                              config_hash=data_hash,
                              log_path=os.path.join(args.out, "loss_log.csv"))
-    test_f, test_p = _select_split(frames, patches, "test")
+    test_f = [f for f in frames if f.split == "test"]
+    test_p = [p for f, p in zip(frames, patches) if f.split == "test"]
+    if not test_f:
+        raise ValueError("no frames in split 'test'")
     preds = recon.infer(test_f, result.params, result.cfg)
-    rep = recon.report(test_f, preds, test_p, config_hash=data_hash)
+    rep = recon.report(test_f, preds, test_p, weight_floor=cfg["stitch_weight_floor"],
+                       config_hash=data_hash)
     recon.write_report(args.out, rep)
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump({"variant": args.variant, "best_val": result.best_val,

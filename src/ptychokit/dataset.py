@@ -6,8 +6,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import circphase, gridio, physics
+from . import gridio, physics
 
 # Smallest comfortable canvas for the 61x61 / step-8 / probe-32 plan with
 # 3-pixel jitter margin on both sides (needs >= 518).
@@ -22,6 +23,10 @@ PHASE_LEVELS = (-(np.pi - 0.2), -1.2, 0.0, 1.2, np.pi - 0.2)
 BACKGROUND_AMP = 0.55
 BACKGROUND_PHASE = 0.0
 
+# windows per exit_wave/diffract call: a few MB of complex128 per block, where
+# one stack of all 3,721 default windows would double the simulation's peak RSS
+SIM_BLOCK = 256
+
 
 @dataclass
 class ScanPlan:
@@ -33,35 +38,19 @@ class ScanPlan:
     seed: int
     positions: list = field(default_factory=list)  # (row, col, y_px, x_px)
 
-    @property
-    def margin(self):
-        return self.jitter_max
-
     def required_extent(self):
         """(rows, cols) object extent needed for the jittered scan."""
         def need(n):
-            return self.margin + (n - 1) * self.step + self.probe_size + self.jitter_max
+            return (n - 1) * self.step + self.probe_size + 2 * self.jitter_max
         return need(self.rows), need(self.cols)
 
 
 @dataclass
 class ObjectPatch:
-    """Ground truth for one frame: amplitude, phase, and circular coordinates."""
+    """Ground truth for one frame: float32 amplitude and phase windows."""
 
     amplitude: np.ndarray
     phase: np.ndarray
-    cosp: np.ndarray
-    sinp: np.ndarray
-
-    @classmethod
-    def from_window(cls, amplitude, phase):
-        c, s = circphase.embed(phase)
-        return cls(
-            amplitude=np.ascontiguousarray(amplitude, dtype=np.float32),
-            phase=np.ascontiguousarray(phase, dtype=np.float32),
-            cosp=c,
-            sinp=s,
-        )
 
 
 @dataclass
@@ -136,17 +125,21 @@ def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
     rng = np.random.default_rng(seed)
     plan = ScanPlan(rows=rows, cols=cols, step=step, jitter_max=jitter_max,
                     probe_size=probe_size, seed=seed)
-    margin = plan.margin
     for r in range(rows):
         for c in range(cols):
             jy = int(rng.integers(-jitter_max, jitter_max + 1)) if jitter_max else 0
             jx = int(rng.integers(-jitter_max, jitter_max + 1)) if jitter_max else 0
-            plan.positions.append((r, c, margin + r * step + jy, margin + c * step + jx))
+            plan.positions.append((r, c, jitter_max + r * step + jy,
+                                   jitter_max + c * step + jx))
     return plan
 
 
 def make_dataset(amplitude, phase, probe, plan, noise=None):
-    """Extract ground-truth windows at jittered positions and simulate frames."""
+    """Extract ground-truth windows at jittered positions and simulate frames.
+
+    Frames are simulated SIM_BLOCK windows at a time; each frame's intensity
+    is bitwise the same as simulating it alone.
+    """
     amplitude = np.asarray(amplitude, dtype=np.float32)
     phase = np.asarray(phase, dtype=np.float32)
     h, w = amplitude.shape
@@ -156,19 +149,21 @@ def make_dataset(amplitude, phase, probe, plan, noise=None):
         raise ValueError(f"scan extent {(need_h, need_w)} exceeds object {amplitude.shape}")
 
     obj = amplitude.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
-    frames, patches = [], []
-    clean = []
-    for (r, c, y, x) in plan.positions:
-        assert 0 <= y and y + p <= h and 0 <= x and x + p <= w
-        window = physics.ComplexGrid.from_complex(obj[y:y + p, x:x + p])
-        intensity = physics.diffract(physics.exit_wave(window, probe))
-        clean.append(intensity)
-        patches.append(ObjectPatch.from_window(amplitude[y:y + p, x:x + p],
-                                               phase[y:y + p, x:x + p]))
-        frames.append(DiffractionFrame(intensity=intensity, row=r, col=c, y=y, x=x))
+    windows = sliding_window_view(obj, (p, p))  # windows[y, x] is the p x p window at (y, x)
+    ys = np.array([y for _, _, y, _ in plan.positions], dtype=np.intp)
+    xs = np.array([x for _, _, _, x in plan.positions], dtype=np.intp)
+    assert np.all(ys >= 0) and np.all(xs >= 0)  # a negative index would wrap around
+    clean = np.empty((len(ys), p, p), dtype=np.float32)
+    for start in range(0, len(ys), SIM_BLOCK):
+        block = slice(start, start + SIM_BLOCK)
+        clean[block] = physics.diffract(physics.exit_wave(windows[ys[block], xs[block]], probe))
+    frames = [DiffractionFrame(intensity=clean[i], row=r, col=c, y=y, x=x)
+              for i, (r, c, y, x) in enumerate(plan.positions)]
+    patches = [ObjectPatch(amplitude=amplitude[y:y + p, x:x + p], phase=phase[y:y + p, x:x + p])
+               for (_, _, y, x) in plan.positions]
 
     if noise is not None:
-        ref_max = float(max(frame.max() for frame in clean))
+        ref_max = float(clean.max())
         for i, frame in enumerate(frames):
             frame.intensity = physics.add_noise(
                 clean[i], peak_photons=noise.peak_photons, read_sigma=noise.read_sigma,
@@ -214,7 +209,7 @@ def save_dataset(outdir, frames, patches, probe, meta):
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    gridio.write_complex_grid(os.path.join(outdir, "probe.ptg"), probe.grid)
+    gridio.write_complex_grid(os.path.join(outdir, "probe.ptg"), probe)
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
@@ -223,11 +218,7 @@ def _read_frames(indir, split):
     """Frames (intensity grids only), probe, meta and the manifest rows read."""
     with open(os.path.join(indir, "meta.json")) as fh:
         meta = json.load(fh)
-    probe_grid = gridio.read_complex_grid(os.path.join(indir, "probe.ptg"))
-    probe = physics.Probe(grid=probe_grid,
-                          radius=meta.get("probe_radius", physics.PROBE_RADIUS),
-                          sigma=meta.get("probe_sigma", physics.PROBE_SIGMA),
-                          curvature=meta.get("probe_curvature", physics.PROBE_CURVATURE))
+    probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
     with open(os.path.join(indir, "manifest.csv"), newline="") as fh:
         rows = [row for row in csv.DictReader(fh) if split is None or row["split"] == split]
     frames = [DiffractionFrame(
@@ -237,16 +228,16 @@ def _read_frames(indir, split):
     return frames, probe, meta, rows
 
 
-def load_frames(indir):
-    """Frames, probe and meta, without the ground truth."""
-    frames, probe, meta, _ = _read_frames(indir, None)
+def load_frames(indir, split=None):
+    """Frames, probe and meta, without the ground truth; with `split`, only that split's."""
+    frames, probe, meta, _ = _read_frames(indir, split)
     return frames, probe, meta
 
 
 def load_dataset(indir, split=None):
     """Frames, patches, probe and meta; with `split`, only that split's rows are read."""
     frames, probe, meta, rows = _read_frames(indir, split)
-    patches = [ObjectPatch.from_window(gridio.read_grid(os.path.join(indir, row["amplitude"])),
-                                       gridio.read_grid(os.path.join(indir, row["phase"])))
+    patches = [ObjectPatch(amplitude=gridio.read_grid(os.path.join(indir, row["amplitude"])),
+                           phase=gridio.read_grid(os.path.join(indir, row["phase"])))
                for row in rows]
     return frames, patches, probe, meta

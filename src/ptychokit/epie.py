@@ -32,10 +32,6 @@ class EpieState:
     error_history: list = field(default_factory=list)
 
 
-def _intensity_of(frame):
-    return np.asarray(getattr(frame, "intensity", frame), dtype=np.float64)
-
-
 def fourier_magnitude_project(psi_f, sqrt_intensity):
     """Replace Fourier magnitudes by measured ones; tiny-magnitude pixels pass through."""
     mag = np.abs(psi_f)
@@ -67,7 +63,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
     """Object-only updates; object initialized to 1+0i."""
     if not (0 < beta <= 1):
         raise ValueError("beta must be in (0, 1]")
-    p_field = probe.grid.to_complex()
+    p_field = probe.astype(np.complex128)
     p = p_field.shape[0]
     pmax2 = float(np.max(np.abs(p_field) ** 2))
     if pmax2 == 0:
@@ -86,7 +82,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
     n = len(positions)
     sqrt_i = np.empty((n, p, p))
     for j, f in enumerate(frames):
-        np.sqrt(_intensity_of(f), out=sqrt_i[j])
+        np.sqrt(f.intensity.astype(np.float64), out=sqrt_i[j])
     err_den_terms = [float(np.sum(s ** 2)) for s in sqrt_i]
     # windows[y, x] is the p x p window at (y, x); a run's windows are disjoint,
     # so writing them through this overlapping view is safe
@@ -115,7 +111,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
 
 def illumination_map(positions, probe, canvas_shape):
     """Accumulated probe intensity over all scan positions."""
-    p_int = np.abs(probe.grid.to_complex()) ** 2
+    p_int = np.abs(probe.astype(np.complex128)) ** 2
     p = p_int.shape[0]
     acc = np.zeros(canvas_shape, dtype=np.float64)
     for y, x in positions:

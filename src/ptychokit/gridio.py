@@ -1,6 +1,10 @@
 """PTGRID v1 file format: one JSON header line + raw little-endian f32 payload.
 
-Complex grids are stored with a trailing dimension of extent 2 (re, im).
+Complex grids are stored with a trailing dimension of extent 2 (re, im), so
+writing one rounds each part to float32, the same rounding as complex64;
+reading one returns a complex64 array. The probe is the one complex grid
+written; the simulation rounds the object window, exit wave and far field to
+complex64 as well (see `physics`).
 """
 
 import json
@@ -49,18 +53,20 @@ def read_grid(path):
         payload = fh.read(count * 4 + 1)
     if len(payload) != count * 4:
         raise GridFormatError(f"{path}: payload size {len(payload)} != {count * 4}")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    if not np.all(np.isfinite(arr)):
+        raise GridFormatError(f"{path}: non-finite values")
+    return arr
 
 
 def write_complex_grid(path, grid):
-    """Store a physics.ComplexGrid as H x W x 2 (re, im)."""
-    write_grid(path, np.stack([grid.re, grid.im], axis=-1))
+    """Store a 2-D complex array as H x W x 2 (re, im)."""
+    write_grid(path, np.stack([grid.real, grid.imag], axis=-1))
 
 
 def read_complex_grid(path):
-    from .physics import ComplexGrid
-
+    """A 2-D complex64 array from an H x W x 2 (re, im) grid."""
     arr = read_grid(path)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise GridFormatError(f"{path}: expected trailing (re, im) dimension")
-    return ComplexGrid(arr[..., 0], arr[..., 1])
+    return arr.view(np.complex64)[..., 0]

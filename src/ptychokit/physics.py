@@ -1,10 +1,14 @@
 """Complex-field forward model: probe, exit wave, far-field intensity, detector noise.
 
-FFTs use the orthonormal convention so Parseval holds exactly (to float
-precision) between real and Fourier space.
+Fields are plain numpy arrays: the probe is a (p, p) complex64 array and the
+simulation works on (N, p, p) stacks of windows. FFTs use the orthonormal
+convention so Parseval holds exactly (to float precision) between real and
+Fourier space. Three fields are rounded to complex64, that is to float32
+(re, im) pairs: the object window, the exit wave and the far field. Each
+product and FFT between them runs in complex128, and the intensity
+re^2 + im^2 of the rounded far field is summed in float64 and stored as
+float32. Dropping any of these roundings changes the dataset bytes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,74 +21,21 @@ NOISE_PEAK_PHOTONS = 1e4
 NOISE_READ_FRACTION = 0.01  # read sigma default, as a fraction of dataset max
 
 
-@dataclass
-class ComplexGrid:
-    """2-D complex field stored as separate f32 re/im buffers."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        self.re = np.ascontiguousarray(self.re, dtype=np.float32)
-        self.im = np.ascontiguousarray(self.im, dtype=np.float32)
-        if self.re.shape != self.im.shape or self.re.ndim != 2:
-            raise ValueError("re/im must be matching 2-D grids")
-        if not (np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im))):
-            raise ValueError("non-finite field values")
-
-    @classmethod
-    def from_complex(cls, z):
-        z = np.asarray(z)
-        return cls(z.real, z.imag)
-
-    def to_complex(self):
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-    def intensity(self):
-        return (self.re.astype(np.float64) ** 2 + self.im.astype(np.float64) ** 2).astype(np.float32)
-
-
-@dataclass
-class Probe:
-    """Apodized circular-aperture probe with optional quadratic phase."""
-
-    grid: ComplexGrid
-    radius: float
-    sigma: float
-    curvature: float
-
-    def __post_init__(self):
-        h, w = self.grid.shape
-        if h != w:
-            raise ValueError("probe grid must be square")
-        if float(np.sum(self.grid.intensity())) <= 0:
-            raise ValueError("probe has zero total intensity")
-
-
-def fft2_ortho(fld, direction="forward"):
-    z = fld.to_complex()
-    if z.size == 0:
-        raise ValueError("zero-sized grid")
-    if direction == "forward":
-        out = np.fft.fft2(z, norm="ortho")
-    elif direction == "inverse":
-        out = np.fft.ifft2(z, norm="ortho")
-    else:
-        raise ValueError(f"unknown direction '{direction}'")
-    return ComplexGrid.from_complex(out)
+def checked_probe(field):
+    """`field` as a probe: a square, finite complex64 grid with non-zero intensity."""
+    field = np.asarray(field, dtype=np.complex64)
+    if field.ndim != 2 or field.shape[0] != field.shape[1]:
+        raise ValueError(f"probe grid must be square, got shape {field.shape}")
+    if not np.all(np.isfinite(field)):
+        raise ValueError("non-finite probe values")
+    if not np.any(field):
+        raise ValueError("probe has zero total intensity")
+    return field
 
 
 def make_probe(size=PROBE_SIZE, radius=PROBE_RADIUS, sigma=PROBE_SIGMA,
-               curvature=PROBE_CURVATURE, seed=0):
-    """Hard aperture x centered Gaussian amplitude, phase = curvature * r^2.
-
-    Deterministic in its parameters; seed is reserved for optional speckle
-    (off by default).
-    """
+               curvature=PROBE_CURVATURE):
+    """Hard aperture x centered Gaussian amplitude, phase = curvature * r^2."""
     if not (0 < radius <= size / 2 * np.sqrt(2)):
         raise ValueError(f"degenerate radius {radius} for size {size}")
     center = (size - 1) / 2.0
@@ -93,21 +44,32 @@ def make_probe(size=PROBE_SIZE, radius=PROBE_RADIUS, sigma=PROBE_SIGMA,
     r = np.sqrt(r2)
     amp = (r <= radius) * np.exp(-r2 / (2.0 * sigma ** 2))
     phase = curvature * r2
-    grid = ComplexGrid.from_complex(amp * np.exp(1j * phase))
-    return Probe(grid=grid, radius=radius, sigma=sigma, curvature=curvature)
+    return checked_probe(amp * np.exp(1j * phase))
 
 
-def exit_wave(object_patch, probe):
-    """Elementwise complex product of object window and probe."""
-    if object_patch.shape != probe.grid.shape:
-        raise ValueError(f"patch {object_patch.shape} != probe {probe.grid.shape}")
-    return ComplexGrid.from_complex(object_patch.to_complex() * probe.grid.to_complex())
+def exit_wave(windows, probe):
+    """Exit waves probe * window of an (N, p, p) stack of object windows.
+
+    The windows are rounded to complex64, multiplied in complex128, and the
+    product is rounded to complex64.
+    """
+    windows = np.asarray(windows)
+    if windows.ndim != 3 or windows.shape[1:] != probe.shape:
+        raise ValueError(f"windows {windows.shape} do not match probe {probe.shape}")
+    w = windows.astype(np.complex64).astype(np.complex128)
+    return (w * probe.astype(np.complex128)).astype(np.complex64)
 
 
-def diffract(exit_field):
-    """Far-field intensity |FFT(psi)|^2 under the orthonormal convention."""
-    far = fft2_ortho(exit_field, "forward")
-    return far.intensity()
+def diffract(psi):
+    """Far-field intensities |FFT(psi)|^2 of an (N, p, p) stack, orthonormal FFT.
+
+    The FFT runs in complex128 and its result is rounded to complex64; the
+    intensity of the rounded field is summed in float64 and cast to float32.
+    """
+    far = np.fft.fft2(np.asarray(psi, dtype=np.complex128), norm="ortho")
+    far = far.astype(np.complex64)
+    re, im = far.real.astype(np.float64), far.imag.astype(np.float64)
+    return (re ** 2 + im ** 2).astype(np.float32)
 
 
 def add_noise(intensity, peak_photons=NOISE_PEAK_PHOTONS, read_sigma=None,

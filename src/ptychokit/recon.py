@@ -8,17 +8,7 @@ import numpy as np
 from . import circphase, gridio, losses, model
 
 PSNR_CAP_DB = 300.0
-
-
-@dataclass
-class StitchConfig:
-    patch: int = 32
-    step: int = 8
-    weight_floor: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.step <= self.patch) or self.weight_floor < 0:
-            raise ValueError("need 0 < step <= patch and weight_floor >= 0")
+WEIGHT_FLOOR = 1e-6
 
 
 @dataclass
@@ -69,16 +59,17 @@ def stitch_kernel(patch, weight_floor):
     return _KERNEL_CACHE[key]
 
 
-def stitch(patches, positions, canvas_shape, cfg=None):
+def stitch(patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
     """Per-pixel weighted mean of overlapping patches; returns (grid, coverage mask)."""
     if not patches:
         raise ValueError("empty patch list")
-    cfg = cfg or StitchConfig(patch=patches[0].shape[0])
-    kernel = stitch_kernel(cfg.patch, cfg.weight_floor)
+    if not weight_floor >= 0:
+        raise ValueError(f"weight_floor must be >= 0, got {weight_floor}")
+    p = patches[0].shape[0]
+    kernel = stitch_kernel(p, weight_floor)
     acc = np.zeros(canvas_shape, dtype=np.float64)
     wacc = np.zeros(canvas_shape, dtype=np.float64)
     for patch, (y, x) in zip(patches, positions):
-        p = patch.shape[0]
         acc[y:y + p, x:x + p] += patch.astype(np.float64) * kernel
         wacc[y:y + p, x:x + p] += kernel
     mask = wacc > 0
@@ -87,12 +78,12 @@ def stitch(patches, positions, canvas_shape, cfg=None):
     return out, mask
 
 
-def stitch_phase(phase_patches, positions, canvas_shape, cfg=None):
+def stitch_phase(phase_patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
     """Circular-mean stitching: blend in (cos, sin) space, recover by atan2."""
     cos_p = [np.cos(np.asarray(p, dtype=np.float64)) for p in phase_patches]
     sin_p = [np.sin(np.asarray(p, dtype=np.float64)) for p in phase_patches]
-    c, mask = stitch(cos_p, positions, canvas_shape, cfg)
-    s, _ = stitch(sin_p, positions, canvas_shape, cfg)
+    c, mask = stitch(cos_p, positions, canvas_shape, weight_floor)
+    s, _ = stitch(sin_p, positions, canvas_shape, weight_floor)
     return circphase.recover_phase(c, s), mask
 
 
@@ -165,7 +156,7 @@ def radial_psd(x):
 METRIC_NAMES = ("mse", "mae", "psnr", "ssim")
 
 
-def report(frames, predictions, gt_patches, stitch_cfg=None, canvas_shape=None,
+def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_shape=None,
            config_hash="", seed=0):
     """Per-sample and stitched metrics plus band energies for amplitude and phase."""
     if len(predictions) != len(frames) or len(gt_patches) != len(frames):
@@ -185,12 +176,11 @@ def report(frames, predictions, gt_patches, stitch_cfg=None, canvas_shape=None,
         p = gt_patches[0].amplitude.shape[0]
         canvas_shape = (max(y for y, _ in positions) + p,
                         max(x for _, x in positions) + p)
-    cfg = stitch_cfg or StitchConfig(patch=gt_patches[0].amplitude.shape[0])
-
-    amp_hat_full, mask = stitch([a for a, _ in predictions], positions, canvas_shape, cfg)
-    phi_hat_full, _ = stitch_phase([p for _, p in predictions], positions, canvas_shape, cfg)
-    amp_gt_full, _ = stitch([p.amplitude for p in gt_patches], positions, canvas_shape, cfg)
-    phi_gt_full, _ = stitch_phase([p.phase for p in gt_patches], positions, canvas_shape, cfg)
+    at = (positions, canvas_shape, weight_floor)
+    amp_hat_full, mask = stitch([a for a, _ in predictions], *at)
+    phi_hat_full, _ = stitch_phase([p for _, p in predictions], *at)
+    amp_gt_full, _ = stitch([p.amplitude for p in gt_patches], *at)
+    phi_gt_full, _ = stitch_phase([p.phase for p in gt_patches], *at)
 
     ys, xs = np.where(mask)
     box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))

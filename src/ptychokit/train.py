@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad, losses, model
+from . import autodiff as ad, circphase, losses, model
 from .autodiff import Tensor
 
 ADAM_BETA1 = 0.9
@@ -100,9 +100,8 @@ class TrainResult:
 def _stack_batch(frames, patches, idx):
     intensity = np.stack([frames[i].intensity for i in idx])[:, None]
     a = np.stack([patches[i].amplitude for i in idx])[:, None]
-    c = np.stack([patches[i].cosp for i in idx])[:, None]
-    s = np.stack([patches[i].sinp for i in idx])[:, None]
     phi = np.stack([patches[i].phase for i in idx])[:, None]
+    c, s = circphase.embed(phi)
     return intensity, a, c, s, phi
 
 

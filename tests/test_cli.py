@@ -84,8 +84,8 @@ def test_infer_reads_only_its_split(pipeline, monkeypatch, tmp_path):
     assert cli.main(["infer", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "p"),
                      "--split", "test"]) == 0
     frames = [r for r in read if os.sep + "frames" + os.sep in r]
-    # TINY has 4 test frames, 3 grids each
-    assert len(frames) == 12
+    # TINY has 4 test frames: one intensity grid each, no ground truth
+    assert len(frames) == 4 and all(r.endswith("_intensity.ptg") for r in frames)
 
 
 def test_empty_split_is_one_line_error(pipeline, capsys, tmp_path):
@@ -134,6 +134,23 @@ def test_checkpoint_without_hash_refused(pipeline, capsys, tmp_path):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "missing" in err and "\n" not in err
     assert cli.main(args + ["--force"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["nan", "non_square", "zero"])
+def test_bad_probe_is_one_line_error(pipeline, capsys, tmp_path, kind):
+    _, data, _ = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    probe = copy / "probe.ptg"
+    shape = (32, 30, 2) if kind == "non_square" else (32, 32, 2)
+    gridio.write_grid(probe, np.zeros(shape) if kind == "zero" else np.ones(shape))
+    if kind == "nan":  # write_grid refuses NaN, so patch the payload
+        probe.write_bytes(probe.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    rc = cli.main(["train", "--data", str(copy), "--out", str(tmp_path / "run"),
+                   "--seed", "1"] + TINY)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "probe" in err and "\n" not in err
 
 
 def test_epie_reads_only_intensities(pipeline, monkeypatch, tmp_path):

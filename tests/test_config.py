@@ -76,4 +76,4 @@ def test_builders():
     assert cfg.noise_cfg().read_sigma is None  # auto
     cfg.set("read_sigma", 0.5)
     assert cfg.noise_cfg().read_sigma == 0.5
-    assert cfg.make_probe().grid.shape == (32, 32)
+    assert cfg.make_probe().shape == (32, 32)

@@ -33,8 +33,8 @@ def test_gen_object_deterministic():
 def test_plan_scan_jitter_bounds():
     plan = small_plan(seed=1)
     for r, c, y, x in plan.positions:
-        assert abs(y - (plan.margin + r * plan.step)) <= plan.jitter_max
-        assert abs(x - (plan.margin + c * plan.step)) <= plan.jitter_max
+        assert abs(y - (plan.jitter_max + r * plan.step)) <= plan.jitter_max
+        assert abs(x - (plan.jitter_max + c * plan.step)) <= plan.jitter_max
     assert len(plan.positions) == 36
     assert plan.required_extent() == (3 + 5 * 8 + 32 + 3,) * 2
 
@@ -49,8 +49,34 @@ def test_make_dataset_shapes_and_gt_alignment():
     assert f.intensity.shape == (32, 32)
     assert np.array_equal(p.amplitude, amp[f.y:f.y + 32, f.x:f.x + 32])
     assert np.array_equal(p.phase, phase[f.y:f.y + 32, f.x:f.x + 32])
-    assert np.allclose(p.cosp ** 2 + p.sinp ** 2, 1.0, atol=1e-5)
     assert not f.noisy
+
+
+def reference_intensity(obj, probe, y, x):
+    """One frame simulated alone, each field kept as float32 (re, im) between steps."""
+    def f32(z):
+        return z.real.astype(np.float32), z.imag.astype(np.float32)
+
+    def c128(re, im):
+        return re.astype(np.complex128) + 1j * im.astype(np.complex128)
+
+    p = probe.shape[0]
+    window = c128(*f32(obj[y:y + p, x:x + p]))
+    psi = c128(*f32(window * c128(*f32(probe))))
+    re, im = f32(np.fft.fft2(psi, norm="ortho"))
+    return (re.astype(np.float64) ** 2 + im.astype(np.float64) ** 2).astype(np.float32)
+
+
+def test_make_dataset_blocks_equal_per_frame_reference():
+    plan = small_plan(seed=3, rows=17, cols=17)
+    n = len(plan.positions)
+    assert n > dataset.SIM_BLOCK and n % dataset.SIM_BLOCK != 0
+    amp, phase = dataset.gen_object(*plan.required_extent(), seed=3)
+    probe = physics.make_probe()
+    frames, _ = dataset.make_dataset(amp, phase, probe, plan)
+    obj = amp.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
+    for f in frames:
+        assert np.array_equal(f.intensity, reference_intensity(obj, probe, f.y, f.x))
 
 
 def test_make_dataset_rejects_small_object():
@@ -95,7 +121,7 @@ def test_save_load_roundtrip(tmp_path):
     dataset.save_dataset(tmp_path, frames, patches, probe, meta)
     f2, p2, probe2, meta2 = dataset.load_dataset(tmp_path)
     assert meta2["config_hash"] == "abc123"
-    assert np.array_equal(probe2.grid.re, probe.grid.re)
+    assert probe2.dtype == np.complex64 and np.array_equal(probe2, probe)
     assert len(f2) == len(frames)
     for a, b in zip(frames, f2):
         assert np.array_equal(a.intensity, b.intensity)

@@ -15,7 +15,7 @@ def make_scan(seed=0, rows=8, cols=8, size=110, step=8, jitter=3):
 
 def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
     """ePIE visiting one position at a time, each window read right after the previous write."""
-    p_field = probe.grid.to_complex()
+    p_field = probe.astype(np.complex128)
     p = p_field.shape[0]
     obj = np.ones((max(y for y, _ in positions) + p, max(x for _, x in positions) + p),
                   dtype=np.complex128)

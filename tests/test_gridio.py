@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptychokit import gridio, physics
+from ptychokit import gridio
 
 
 def test_roundtrip(tmp_path):
@@ -20,17 +20,24 @@ def test_roundtrip_3d(tmp_path):
 
 def test_complex_roundtrip(tmp_path):
     z = np.random.default_rng(2).normal(size=(6, 6)) + 1j * np.ones((6, 6))
-    g = physics.ComplexGrid.from_complex(z)
     path = tmp_path / "c.ptg"
-    gridio.write_complex_grid(path, g)
+    gridio.write_complex_grid(path, z)
     back = gridio.read_complex_grid(path)
-    assert np.array_equal(back.re, g.re)
-    assert np.array_equal(back.im, g.im)
+    assert back.dtype == np.complex64 and back.shape == (6, 6)
+    assert np.array_equal(back, z.astype(np.complex64))
+    # the payload is H x W x 2 (re, im)
+    re_im = np.stack([z.real, z.imag], axis=-1).astype(np.float32)
+    assert np.array_equal(gridio.read_grid(path), re_im)
 
 
 def test_rejects_nonfinite(tmp_path):
     with pytest.raises(ValueError):
         gridio.write_grid(tmp_path / "bad.ptg", np.array([[np.inf]]))
+    path = tmp_path / "nan.ptg"
+    gridio.write_grid(path, np.ones((2, 2), np.float32))
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    with pytest.raises(gridio.GridFormatError):
+        gridio.read_grid(path)
 
 
 def test_malformed_header(tmp_path):

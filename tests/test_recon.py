@@ -23,6 +23,9 @@ def test_stitch_reproduces_ground_truth():
     assert not mask[0, 69]  # pixel beyond every patch stays masked
     with pytest.raises(ValueError):
         recon.stitch([], [], (8, 8))
+    for floor in (-1e-6, np.nan):
+        with pytest.raises(ValueError):
+            recon.stitch(patches, positions, (70, 70), weight_floor=floor)
 
 
 def test_stitch_phase_across_cut():

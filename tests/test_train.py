@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ptychokit
-from ptychokit import dataset, model, physics, train
+from ptychokit import circphase, dataset, model, physics, train
 from ptychokit.autodiff import Tensor
 
 
@@ -79,6 +79,17 @@ def test_compute_i_max_percentile():
     pixels = np.concatenate([f.intensity.ravel() for f in frames])
     assert i_max == pytest.approx(float(np.percentile(pixels, 99.5)))
     assert i_max < pixels.max()
+
+
+def test_stack_batch_embeds_phase_like_each_patch():
+    frames, patches = tiny_data(seed=2)
+    idx = [5, 0, 11]
+    intensity, a, c, s, phi = train._stack_batch(frames, patches, idx)
+    assert intensity.shape == a.shape == c.shape == s.shape == phi.shape == (3, 1, 32, 32)
+    assert c.dtype == s.dtype == np.float32
+    per_patch = [circphase.embed(patches[i].phase) for i in idx]
+    assert np.array_equal(c, np.stack([cp for cp, _ in per_patch])[:, None])
+    assert np.array_equal(s, np.stack([sp for _, sp in per_patch])[:, None])
 
 
 def test_train_smoke_loss_decreases(tmp_path):
