@@ -8,9 +8,16 @@ float32 GEMM each, with the k*k kernel taps shifted on whichever side, input
 or output, has fewer channels; on the output side a tap is a flat shift of
 (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer. `conv2d(..., upsample=True)`
 is a conv of the bilinearly 2x-upsampled input with its taps mixed at the
-input's resolution. `separable` runs as two batched float32 matrix products.
-Forward results must be finite (`NonFiniteError`). No broadcasting beyond
-bias-add over channels.
+input's resolution, and `conv2d(..., relu=True)` applies ReLU in the conv's
+epilogue; its backward masks with the output's sign, so no pre-activation is
+kept. `separable` runs as two batched float32 matrix products. Forward
+results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
+over channels.
+
+The tape keeps only what a backward reads: a conv's closure holds its input,
+not a padded copy, and re-pads it in the backward. `backward` consumes the
+tape, popping each node and freeing its closure and its output's gradient as
+it passes; afterwards only leaf tensors hold gradients.
 """
 
 import numpy as np
@@ -91,13 +98,21 @@ def _make(out_data, inputs, backward, name):
 
 
 def backward(tape, loss):
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Populate .grad on every requires_grad leaf reachable from loss.
+
+    Consumes the tape: each node is popped in reverse order and its output's
+    gradient taken (left None) before its closure runs, so closures, their
+    buffers and intermediate gradients are freed as the backward passes them.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape.nodes):
-        if out.grad is not None:
-            fn(out.grad)
+    nodes = tape.nodes
+    while nodes:
+        out, fn = nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +201,6 @@ def sqrt_eps(a, eps=1e-8):
         _accum(a, g * (0.5 / out))
 
     return _make(out, (a,), bwd, "sqrt_eps")
-
-
-@_quiet
-def relu(a):
-    mask = a.data > 0  # subgradient 0 at x == 0
-    out = a.data * mask
-
-    def bwd(g):
-        _accum(a, g * mask)
-
-    return _make(out, (a,), bwd, "relu")
 
 
 @_quiet
@@ -359,18 +363,18 @@ def _conv_cols(xp, k, stride, ho, wo):
 
 def _conv_input_side(x, w, stride, padding, ho, wo):
     """Taps gathered on the input side: Y = Wm @ cols, dW = G @ cols^T and
-    dcols = Wm^T @ G, scattered back by k*k strided adds."""
+    dcols = Wm^T @ G, scattered back by k*k strided adds. The backward
+    re-pads x rather than keeping the forward's padded copy."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
-    xp = _pad(x, padding)
     wm = w.reshape(cout, -1)
-    out = (wm @ _conv_cols(xp, k, stride, ho, wo)).reshape(cout, ho, wo, n)
+    out = (wm @ _conv_cols(_pad(x, padding), k, stride, ho, wo)).reshape(cout, ho, wo, n)
 
     def grads(g):
         gm = g.reshape(cout, -1)
-        dw = (gm @ _conv_cols(xp, k, stride, ho, wo).T).reshape(w.shape)
+        dw = (gm @ _conv_cols(_pad(x, padding), k, stride, ho, wo).T).reshape(w.shape)
         dcols = (wm.T @ gm).reshape(cin, k, k, ho, wo, n)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
         for i in range(k):
             for j in range(k):
                 dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
@@ -387,18 +391,17 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
     With upsample, X is the input before bilinear 2x upsampling: both maps are
     linear, so Z is taken at the input's resolution and its k*k*C_out maps are
     upsampled and padded before the shift-add (the backward upsamples Gs's
-    adjoint back down)."""
+    adjoint back down). Without upsample, the backward re-pads x for dWs
+    rather than keeping the forward's padded copy."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     ws = w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
     if upsample:
         a, b = _upsample_matrix(h), _upsample_matrix(wd)
-        xm = x.reshape(cin, -1)
-        z = _pad(_separable((ws @ xm).reshape(-1, h, wd, n), a, b), padding)
+        z = _pad(_separable((ws @ x.reshape(cin, -1)).reshape(-1, h, wd, n), a, b), padding)
         h, wd = 2 * h, 2 * wd
     else:
-        xm = _pad(x, padding).reshape(cin, -1)
-        z = ws @ xm
+        z = ws @ _pad(x, padding).reshape(cin, -1)
     hp, wp = h + 2 * padding, wd + 2 * padding
     # Tap (i, j) reads (i*Wp + j)*N further along the flattened (Hp, Wp, N)
     # grids: the same image, crossing into the next row only outside Ho x Wo.
@@ -424,8 +427,11 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
         grid = gs.shape[1:]
         gs = gs.reshape(k * k * cout, -1)
         dx = (ws.T @ gs).reshape((cin,) + grid)
-        if not upsample:
+        if upsample:
+            xm = x.reshape(cin, -1)
+        else:
             dx = dx[:, padding:padding + h, padding:padding + wd]
+            xm = _pad(x, padding).reshape(cin, -1)
         dw = (gs @ xm.T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         return dx, dw
 
@@ -433,7 +439,7 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
 
 
 @_quiet
-def conv2d(x, w, b=None, stride=1, padding=0, upsample=False):
+def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     """Direct cross-correlation (no kernel flip), zero padding, of a (C, H, W, N)
     batch or one C x H x W map.
 
@@ -441,7 +447,9 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False):
     side with fewer channels: the output side for stride-1 convs with
     C_out < C_in, the input side otherwise (measured faster at C_out == C_in).
     upsample=True gives conv2d(upsample_bilinear2x(x)) with the output side's
-    taps mixed at x's resolution (stride 1 only).
+    taps mixed at x's resolution (stride 1 only). relu=True applies
+    y * (y > 0) after the bias add; the backward masks G with the output's
+    own sign (subgradient 0 at 0), so no pre-activation is kept.
     """
     x4 = _as_chwn(x.data, "conv2d")
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
@@ -467,10 +475,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False):
     out = np.ascontiguousarray(out)
     if b is not None:
         out += b.data[:, None, None, None]
+    if relu:
+        out *= out > 0
     inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
+        if relu:
+            g4 = g4 * (out > 0)
         dx, dw = grads(g4)
         _accum(w, dw)
         if b is not None:

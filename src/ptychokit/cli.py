@@ -128,6 +128,8 @@ def _load_predictions(pred_dir):
             phase = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg"))
             preds.append((amp, phase.astype(np.float64)))
             positions.append((int(row["y"]), int(row["x"])))
+    if not preds:
+        raise ValueError(f"no predictions in {pred_dir}/predictions.csv")
     return preds, positions
 
 

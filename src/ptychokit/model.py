@@ -7,7 +7,8 @@ once, and each head out of it once, so callers see N x 1 x H x W. Each
 decoder's tail, a 3x3 conv to one channel of the bilinearly upsampled
 2*n_c-channel map, runs as `conv2d(..., upsample=True)`: the 9 taps are mixed
 before upsampling (at 16x16 for 32x32 frames) and only those 9 maps are
-upsampled."""
+upsampled. Every ReLU is the epilogue of the conv before it,
+`conv2d(..., relu=True)`, so the tape keeps no pre-activation maps."""
 
 import json
 import math
@@ -128,30 +129,30 @@ def init_params(cfg):
     return ModelParams(tensors=tensors)
 
 
-def _conv(params, name, x, stride=1, padding=1, upsample=False):
+def _conv(params, name, x, stride=1, padding=1, upsample=False, relu=False):
     t = params.tensors
     return ad.conv2d(x, t[name + ".w"], t.get(name + ".b"), stride=stride, padding=padding,
-                     upsample=upsample)
+                     upsample=upsample, relu=relu)
 
 
 def _encode(params, branch, x):
-    x = ad.relu(_conv(params, f"{branch}_c1", x, stride=2, padding=2))
-    x = ad.relu(_conv(params, f"{branch}_c2", x, stride=2, padding=2))
-    x = ad.relu(_conv(params, f"{branch}_c3", x, stride=2, padding=2))
+    x = _conv(params, f"{branch}_c1", x, stride=2, padding=2, relu=True)
+    x = _conv(params, f"{branch}_c2", x, stride=2, padding=2, relu=True)
+    x = _conv(params, f"{branch}_c3", x, stride=2, padding=2, relu=True)
     return x
 
 
 def _decode(params, d, z, skip):
-    h = ad.relu(_conv(params, f"dec_{d}_b1c1", z))
-    h = ad.relu(_conv(params, f"dec_{d}_b1c2", h))
+    h = _conv(params, f"dec_{d}_b1c1", z, relu=True)
+    h = _conv(params, f"dec_{d}_b1c2", h, relu=True)
     h = ad.upsample_bilinear2x(h)
     if skip is not None:
         h = ad.concat_channels(h, skip)
-    h = ad.relu(_conv(params, f"dec_{d}_b2c1", h))
-    h = ad.relu(_conv(params, f"dec_{d}_b2c2", h))
+    h = _conv(params, f"dec_{d}_b2c1", h, relu=True)
+    h = _conv(params, f"dec_{d}_b2c2", h, relu=True)
     h = ad.upsample_bilinear2x(h)
-    h = ad.relu(_conv(params, f"dec_{d}_b3c1", h))
-    h = ad.relu(_conv(params, f"dec_{d}_b3c2", h))
+    h = _conv(params, f"dec_{d}_b3c1", h, relu=True)
+    h = _conv(params, f"dec_{d}_b3c2", h, relu=True)
     # conv of the upsampled map, (1, H, W, N) -> N x 1 x H x W
     return ad.transpose(_conv(params, f"dec_{d}_out", h, upsample=True), (3, 0, 1, 2))
 
@@ -182,7 +183,7 @@ def forward(intensity, params, cfg):
     for f in feats[1:]:
         z = ad.concat_channels(z, f)
     if cfg.variant == "deep_fusion":
-        z = ad.relu(_conv(params, "fusion_a", z))
+        z = _conv(params, "fusion_a", z, relu=True)
         z = _conv(params, "fusion_b", z)
     else:
         z = _conv(params, "fusion", z, padding=0)
@@ -190,7 +191,7 @@ def forward(intensity, params, cfg):
     skip = None
     if cfg.variant != "no_skip":
         raw_t = Tensor((raw / max(cfg.i_max, 1e-12)).astype(np.float32))
-        skip = ad.relu(_conv(params, "skip_c1", raw_t, stride=2, padding=1))
+        skip = _conv(params, "skip_c1", raw_t, stride=2, padding=1, relu=True)
         skip = _conv(params, "skip_c2", skip, stride=2, padding=1)
 
     amp = ad.sigmoid(_decode(params, "amp", z, skip))

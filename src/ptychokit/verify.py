@@ -8,6 +8,7 @@ from .autodiff import Tensor, finite_diff_check
 OP_TOL = 1e-3
 MODEL_TOL = 1e-2
 STEP = 1e-3
+RELU_MARGIN = 0.05  # least |pre-activation| in the ReLU checks
 
 
 def _rand(shape, seed, lo=-1.0, hi=1.0):
@@ -34,9 +35,7 @@ def run_gradcheck(verbose=False):
     check("square", lambda x: ad.reduce_mean(ad.square(x)), Tensor(_rand((4, 4), 5), True))
     check("sqrt_eps", lambda x: ad.reduce_mean(ad.sqrt_eps(x)),
           Tensor(_rand((4, 4), 6, 0.2, 2.0), True))
-    # keep relu/abs inputs away from their kinks
-    check("relu", lambda x: ad.reduce_mean(ad.relu(x)),
-          Tensor(_rand((4, 4), 8) + np.float32(0.5), True))
+    # keep abs inputs away from the kink
     check("abs", lambda x: ad.reduce_mean(ad.abs_(x)),
           Tensor(_rand((4, 4), 9) + np.float32(2.0), True))
     check("tanh", lambda x: ad.reduce_mean(ad.tanh(x)), Tensor(_rand((4, 4), 10), True))
@@ -87,6 +86,27 @@ def run_gradcheck(verbose=False):
 
         check(f"conv2d/{label}/input", lambda x: conv_loss(x, wc), xc)
         check(f"conv2d/{label}/weight", lambda wv: conv_loss(xc, wv), wc)
+    # conv2d with the ReLU epilogue, on an input-side and an output-side shape.
+    # Inputs are multiples of 1/2, weights of 1/4 and biases odd multiples of
+    # 1/16, so every pre-activation is an odd multiple of 1/16: a STEP change of
+    # one input or weight cannot carry it across the kink. The result is weighed
+    # linearly (a square would zero the gradient where the ReLU is off anyway).
+    for label, wshape, xshape, seed in (("", (3, 2, 3, 3), (2, 5, 5), 55),
+                                        ("narrow_out/", (2, 4, 3, 3), (4, 5, 5, 2), 58)):
+        rng = np.random.default_rng(seed)
+        wr = Tensor(rng.integers(-2, 3, wshape) / 4.0, True)
+        br = Tensor((2 * rng.integers(-2, 2, wshape[:1]) + 1) / 16.0)
+        xr = Tensor(rng.integers(-2, 3, xshape) / 2.0, True)
+        pre = ad.conv2d(xr, wr, br, 1, 1).data
+        margin = np.abs(pre).min()
+        assert margin >= RELU_MARGIN, f"conv2d/relu/{label}: pre-activation margin {margin}"
+        gr = Tensor(_rand(pre.shape, seed + 1))
+
+        def relu_loss(xv, wv):  # used only within this iteration
+            return ad.reduce_mean(ad.mul(ad.conv2d(xv, wv, br, 1, 1, relu=True), gr))
+
+        check(f"conv2d/relu/{label}input", lambda x: relu_loss(x, wr), xr)
+        check(f"conv2d/relu/{label}weight", lambda wv: relu_loss(xr, wv), wr)
     other = Tensor(_rand((2, 4, 4), 19))
     check("concat_channels",
           lambda x: ad.reduce_mean(ad.square(ad.concat_channels(x, other))),

@@ -26,7 +26,6 @@ def test_elementwise_forward_values():
     assert np.allclose(ad.square(a).data, a.data ** 2)
     assert np.allclose(ad.scale(a, 2.5).data, 2.5 * a.data)
     assert np.allclose(ad.add_const(a, 1.5).data, a.data + 1.5)
-    assert np.allclose(ad.relu(a).data, np.maximum(a.data, 0))
     assert np.allclose(ad.tanh(a).data, np.tanh(a.data))
     assert np.allclose(ad.abs_(a).data, np.abs(a.data))
     assert np.allclose(ad.sigmoid(a).data, 1 / (1 + np.exp(-a.data.astype(np.float64))),
@@ -40,6 +39,24 @@ def test_backward_accumulates_through_reuse():
         y = ad.reduce_mean(ad.add(ad.mul(x, x), x))
         backward(tape, y)
     assert np.allclose(x.grad, (2 * x.data + 1) / 4, atol=1e-6)
+
+
+def test_backward_consumes_tape_and_keeps_leaf_grads():
+    # loss = mean((x*y + x)^2): grad x = 2(xy + x)(y + 1)/n, grad y = 2(xy + x)x/n
+    x = Tensor(rand((3, 4), 4), requires_grad=True)
+    y = Tensor(rand((3, 4), 5), requires_grad=True)
+    with Tape() as tape:
+        a = ad.mul(x, y)
+        b = ad.add(a, x)
+        sq = ad.square(b)
+        loss = ad.reduce_mean(sq)
+        backward(tape, loss)
+    assert tape.nodes == []
+    assert all(t.grad is None for t in (a, b, sq, loss))
+    x64, y64 = x.data.astype(np.float64), y.data.astype(np.float64)
+    r = 2 * (x64 * y64 + x64) / x64.size
+    assert np.allclose(x.grad, r * (y64 + 1), rtol=1e-6, atol=1e-7)
+    assert np.allclose(y.grad, r * x64, rtol=1e-6, atol=1e-7)
 
 
 def test_backward_requires_scalar():
@@ -144,6 +161,44 @@ def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
     for fused, plain in zip(*results):
         scale = np.abs(plain).max()
         assert np.allclose(fused, plain, rtol=0, atol=1e-5 * scale)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+# (stride, padding, upsample, C_in, C_out, input shape): the input-side,
+# output-side, strided and upsample paths
+RELU_CASES = [
+    (1, 1, False, 2, 3, (2, 6, 7, 2)),
+    (1, 1, False, 4, 2, (4, 6, 7, 2)),
+    (2, 2, False, 3, 2, (3, 6, 7)),
+    (1, 1, True, 4, 1, (4, 5, 6, 2)),
+]
+
+
+@pytest.mark.parametrize("case", RELU_CASES)
+def test_conv2d_relu_epilogue_bitwise_equals_conv_then_relu(case):
+    # conv2d(..., relu=True) against conv2d followed by y * (y > 0), whose
+    # backward masks the upstream gradient: values and gradients bit for bit
+    stride, padding, up, cin, cout, xshape = case
+    results = []
+    for fused in (True, False):
+        x = Tensor(rand(xshape, 60), requires_grad=True)
+        w = Tensor(rand((cout, cin, 3, 3), 61), requires_grad=True)
+        b = Tensor(rand((cout,), 62), requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                y = ad.conv2d(x, w, b, stride, padding, up, relu=True)
+            else:
+                pre = ad.conv2d(x, w, b, stride, padding, up)
+                y = ad.mul(pre, Tensor(pre.data > 0))
+            g = Tensor(rand(y.shape, 63))
+            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+        results.append((y.data, x.grad, w.grad, b.grad))
+    assert (results[1][0] < 0).sum() == 0 and (results[1][0] == 0).any(), case
+    for fused, plain in zip(*results):
+        assert np.array_equal(_bits(fused), _bits(plain)), case
 
 
 def test_conv2d_validates_shapes():

@@ -219,6 +219,15 @@ def test_bad_set_syntax(capsys, tmp_path):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_stitch_without_predictions_is_one_line_error(capsys, tmp_path):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "predictions.csv").write_text("index,row,col,y,x,split\n")
+    assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: no predictions in") and "\n" not in err
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     args = ["--seed", "3", "--set", "rows=4", "--set", "cols=4",

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ptychokit
-from ptychokit import circphase, dataset, model, physics, train
+from ptychokit import autodiff as ad, circphase, dataset, losses, model, physics, train
 from ptychokit.autodiff import Tensor
 
 
@@ -137,6 +138,30 @@ def test_train_config_validates():
                 dict(clip_norm=float("inf")), dict(batch_size=0), dict(epochs=0)):
         with pytest.raises(ValueError):
             train.TrainConfig(**bad)
+
+
+def test_backward_frees_tape_memory():
+    # one n_c=8, batch-32 training step: the backward releases each node as it
+    # passes, so it needs little beyond what the forward left on the tape
+    rng = np.random.default_rng(0)
+    cfg = model.ModelConfig(n_c=8, i_max=1.0, seed=0)
+    params = model.init_params(cfg)
+    intensity = rng.uniform(0.0, 1.0, (32, 1, 32, 32)).astype(np.float32)
+    a = Tensor(rng.uniform(0.0, 1.0, (32, 1, 32, 32)))
+    c, s = (Tensor(v) for v in circphase.embed(rng.uniform(-np.pi, np.pi, (32, 1, 32, 32))))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            out = model.forward(intensity, params, cfg)
+            total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
+                                         out["c_proj"], out["s_proj"])
+            after_forward = tracemalloc.get_traced_memory()[0]
+            ad.backward(tape, total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in params.tensors.values())
+    assert peak <= 1.25 * after_forward
 
 
 _GRAD_HASH = """
