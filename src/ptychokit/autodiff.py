@@ -10,9 +10,9 @@ or output, has fewer channels; on the output side a tap is a flat shift of
 is a conv of the bilinearly 2x-upsampled input with its taps mixed at the
 input's resolution, and `conv2d(..., relu=True)` applies ReLU in the conv's
 epilogue; its backward masks with the output's sign, so no pre-activation is
-kept. `separable` runs as two batched float32 matrix products. Forward
-results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
-over channels.
+kept. `separable` runs as two batched float32 matrix products. `scalar_op`
+is a scalar computed off the tape with a closed-form gradient. Forward results
+must be finite (`NonFiniteError`). No broadcasting beyond bias-add over channels.
 
 The tape keeps only what a backward reads: a conv's closure holds its input,
 not a padded copy, and re-pads it in the backward. `backward` consumes the
@@ -251,16 +251,6 @@ def transpose(x, axes):
 
 
 @_quiet
-def reshape(x, shape):
-    out = x.data.reshape(shape)
-
-    def bwd(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _make(out, (x,), bwd, "reshape")
-
-
-@_quiet
 def concat_channels(a, b):
     """Concatenation along axis 0, the channel axis of (C, H, W, N) and C x H x W maps."""
     if a.data.ndim != b.data.ndim or a.shape[1:] != b.shape[1:]:
@@ -273,6 +263,16 @@ def concat_channels(a, b):
         _accum(b, g[c1:])
 
     return _make(out, (a, b), bwd, "concat_channels")
+
+
+@_quiet
+def scalar_op(x, value, grad_fn):
+    """A scalar node whose gradient w.r.t. x is grad_fn(), an array of x's shape
+    computed only when a backward reaches the node (`losses.ssim`)."""
+    def bwd(g):
+        _accum(x, grad_fn() * np.asarray(g).item())
+
+    return _make(np.float32(value), (x,), bwd, "scalar_op")
 
 
 @_quiet
@@ -516,8 +516,8 @@ def separable(x, a, b):
     Y[c] = A @ X[c] @ B^T for each channel c and each batch entry n of a
     (C, H, W, N) array or a C x H x W map.
 
-    One op for every separable linear map of a grid: bilinear upsampling and
-    the valid-mode Gaussian blur of SSIM. The backward is A^T @ G @ B.
+    One op for every separable linear map of a grid, such as bilinear
+    upsampling. The backward is A^T @ G @ B.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)

@@ -1,7 +1,13 @@
 """Composite training objective: pixel fidelity, edge and structure terms,
 circular geodesic loss, and unit-circle consistency. All terms are
-differentiable through the autodiff module."""
+differentiable through the autodiff module.
 
+SSIM is written once, in float64 (`_ssim_terms`): `ssim_value` scores one
+grid for evaluation; the training term `ssim`, 1 - mean SSIM of a stack, is
+one `autodiff.scalar_op` node with a closed-form gradient."""
+
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +33,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("w_b", "w_a", "w_p", "w_c", "lam_circ", "lam_g", "lam_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # False for NaN too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -82,88 +88,75 @@ def grad_loss(x, xhat):
                   ad.reduce_mean(ad.abs_(ad.diff_v(d))))
 
 
-_BLUR_CACHE = {}
-
-
+@functools.cache
 def _blur_matrix(n):
     """((n - 10) x n) valid-mode blur by the normalised 1-D Gaussian window (11 taps).
 
     The 2-D window of Wang et al. is the outer product of this one, so the
     windowed mean of a grid X is B_h @ X @ B_w^T. Every row sums to 1.
     """
-    if n not in _BLUR_CACHE:
-        half = SSIM_WINDOW // 2
-        ax = np.arange(-half, half + 1, dtype=np.float64)
-        g = np.exp(-ax ** 2 / (2.0 * SSIM_SIGMA ** 2))
-        g /= g.sum()
-        b = np.zeros((n - 2 * half, n))
-        for i in range(n - 2 * half):
-            b[i, i:i + SSIM_WINDOW] = g
-        _BLUR_CACHE[n] = b
-    return _BLUR_CACHE[n]
+    half = SSIM_WINDOW // 2
+    g = np.exp(-np.arange(-half, half + 1.0) ** 2 / (2.0 * SSIM_SIGMA ** 2))
+    b = np.zeros((n - 2 * half, n))
+    for i in range(n - 2 * half):
+        b[i, i:i + SSIM_WINDOW] = g / g.sum()
+    return b
+
+
+def _blur(v, bh, bw):
+    """bh @ v[m] @ bw.T for each grid of an (M, H, W) stack: a GEMM along W, then H."""
+    m, h, w = v.shape
+    return np.matmul(bh, (v.reshape(m * h, w) @ bw.T).reshape(m, h, -1))
+
+
+def _ssim_terms(x, y):
+    """SSIM of two (M, H, W) float64 stacks over the valid windows (Wang et al.
+    2004) as (mu_x, mu_y, a1, a2, b1, b2), SSIM = a1 a2 / (b1 b2): a1 = 2 mu_x
+    mu_y + C1, a2 = 2 cov + C2, b1 = mu_x^2 + mu_y^2 + C1, b2 = var_x + var_y + C2."""
+    if min(x.shape[1:]) < SSIM_WINDOW:
+        raise ValueError(f"grid {x.shape[1:]} smaller than SSIM window")
+    bh, bw = _blur_matrix(x.shape[1]), _blur_matrix(x.shape[2])
+    mu_x, mu_y = _blur(x, bh, bw), _blur(y, bh, bw)
+    a1 = 2 * mu_x * mu_y + SSIM_C1
+    a2 = 2 * (_blur(x * y, bh, bw) - mu_x * mu_y) + SSIM_C2
+    b1 = mu_x ** 2 + mu_y ** 2 + SSIM_C1
+    b2 = _blur(x * x, bh, bw) - mu_x ** 2 + _blur(y * y, bh, bw) - mu_y ** 2 + SSIM_C2
+    return mu_x, mu_y, a1, a2, b1, b2
 
 
 def ssim_value(x, xhat):
-    """Double-precision mean SSIM for plain arrays (evaluation path)."""
-    x = np.asarray(x, np.float64)
-    xhat = np.asarray(xhat, np.float64)
+    """Double-precision mean SSIM of two 2-D grids (evaluation path)."""
+    x, xhat = np.asarray(x, np.float64), np.asarray(xhat, np.float64)
     if x.shape != xhat.shape or x.ndim != 2:
         raise ValueError(f"need matching 2-D grids, got {x.shape} vs {xhat.shape}")
-    if min(x.shape) < SSIM_WINDOW:
-        raise ValueError("grid smaller than SSIM window")
-    bh, bw = _blur_matrix(x.shape[0]), _blur_matrix(x.shape[1])
-
-    def blur(v):
-        return bh @ v @ bw.T
-
-    mu1, mu2 = blur(x), blur(xhat)
-    var1 = blur(x * x) - mu1 ** 2
-    var2 = blur(xhat * xhat) - mu2 ** 2
-    cov = blur(x * xhat) - mu1 * mu2
-    num = (2 * mu1 * mu2 + SSIM_C1) * (2 * cov + SSIM_C2)
-    den = (mu1 ** 2 + mu2 ** 2 + SSIM_C1) * (var1 + var2 + SSIM_C2)
-    return float(np.mean(num / den))
+    _, _, a1, a2, b1, b2 = _ssim_terms(x[None], xhat[None])
+    return float(np.mean(a1 * a2 / (b1 * b2)))
 
 
 def ssim(x, xhat):
-    """Mean SSIM over valid 11x11 Gaussian windows (no padding), data range 1.
-
-    Takes H x W grids or any stack of them, blurred as a free (stack, H, W, 1)
-    view. Both inputs are shifted by the per-grid mean of x before the window
-    moments are taken, so a flat target does not cancel blur(x^2) - blur(x)^2
-    to float32 noise; the shift leaves variances and covariance unchanged
-    because the blur rows sum to 1.
-    """
+    """SSIM loss as one tape node: 1 - mean SSIM over valid 11x11 Gaussian windows
+    (data range 1) of H x W grids or a stack, in float64 as mean(((b1 - a1) b2 +
+    a1 (b2 - a2)) / (b1 b2)), precise near SSIM = 1. The target x is constant; the
+    xhat gradient is Wang & Simoncelli's (2008) closed form, taken in the backward."""
     x, xhat = as_tensor(x), as_tensor(xhat)
-    if x.shape != xhat.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    if x.data.ndim < 2 or min(x.shape[-2:]) < SSIM_WINDOW:
-        raise ValueError(f"grid {x.shape} smaller than SSIM window")
-    h, w = x.shape[-2:]
-    x, xhat = ad.reshape(x, (-1, h, w, 1)), ad.reshape(xhat, (-1, h, w, 1))
-    bh, bw = _blur_matrix(h), _blur_matrix(w)
-    m = x.data.mean(axis=(1, 2), keepdims=True, dtype=np.float64)
-    shift = Tensor(np.broadcast_to(-m, x.shape))
+    if x.requires_grad:
+        raise ValueError("ssim takes a constant target x")
+    if x.shape != xhat.shape or x.data.ndim < 2:
+        raise ValueError(f"need matching grids, got {x.shape} vs {xhat.shape}")
+    xs, ys = (t.data.reshape((-1,) + x.shape[-2:]).astype(np.float64) for t in (x, xhat))
+    mu_x, mu_y, a1, a2, b1, b2 = _ssim_terms(xs, ys)
+    den = b1 * b2
 
-    def blur(t):
-        return ad.separable(t, bh, bw)
+    def grad():
+        # -(B^T a + x B^T b + xhat B^T c) / (number of windows), B^T the adjoint blur
+        s, k = a1 * a2 / den, -1.0 / a1.size
+        a = k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2))
+        bh, bw = _blur_matrix(x.shape[-2]).T, _blur_matrix(x.shape[-1]).T
+        g = (_blur(a, bh, bw) + xs * _blur(k * 2 * a1 / den, bh, bw)
+             + ys * _blur(k * -2 * s / b2, bh, bw))
+        return g.reshape(xhat.shape)
 
-    xc, xhc = ad.add(x, shift), ad.add(xhat, shift)
-    mu1c, mu2c = blur(xc), blur(xhc)
-    var1 = ad.sub(blur(ad.square(xc)), ad.square(mu1c))
-    var2 = ad.sub(blur(ad.square(xhc)), ad.square(mu2c))
-    cov = ad.sub(blur(ad.mul(xc, xhc)), ad.mul(mu1c, mu2c))
-    unshift = Tensor(np.broadcast_to(m, mu1c.shape))
-    mu1, mu2 = ad.add(mu1c, unshift), ad.add(mu2c, unshift)
-    num = ad.mul(ad.add_const(ad.scale(ad.mul(mu1, mu2), 2.0), SSIM_C1),
-                 ad.add_const(ad.scale(cov, 2.0), SSIM_C2))
-    den = ad.mul(ad.add_const(ad.add(ad.square(mu1), ad.square(mu2)), SSIM_C1),
-                 ad.add_const(ad.add(var1, var2), SSIM_C2))
-    return ad.reduce_mean(ad.div(num, den))
-
-
-def ssim_loss(x, xhat):
-    return ad.add_const(ad.scale(ssim(x, xhat), -1.0), 1.0)
+    return ad.scalar_op(xhat, np.mean(((b1 - a1) * b2 + a1 * (b2 - a2)) / den), grad)
 
 
 def circular_loss_value(c, c_hat, s, s_hat):
@@ -196,11 +189,11 @@ def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,
     base = base_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre)
 
     g_amp = grad_loss(a, a_hat)
-    s_amp = ssim_loss(a, a_hat)
+    s_amp = ssim(a, a_hat)
     amp = ad.add(ad.scale(g_amp, weights.lam_g), ad.scale(s_amp, weights.lam_s))
 
     g_ph = ad.add(grad_loss(c, c_hat_pre), grad_loss(s, s_hat_pre))
-    s_ph = ad.add(ssim_loss(c, c_hat_pre), ssim_loss(s, s_hat_pre))
+    s_ph = ad.add(ssim(c, c_hat_pre), ssim(s, s_hat_pre))
     circ = circular_loss(c, c_hat_proj, s, s_hat_proj)
     phase = ad.add(ad.add(ad.scale(g_ph, weights.lam_g), ad.scale(s_ph, weights.lam_s)),
                    ad.scale(circ, weights.lam_circ))

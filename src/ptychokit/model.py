@@ -39,8 +39,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant '{self.variant}'")
-        if not (self.g_l < self.g_h) or self.i_sat <= 0 or self.i_max <= 0:
-            raise ValueError("need g_l < g_h, i_sat > 0, i_max > 0")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        for need, ok in (("n_c >= 1", self.n_c >= 1), ("i_max > 0", self.i_max > 0),
+                         ("finite i_sat > 0", 0 < self.i_sat < math.inf),
+                         ("finite alpha > 0", 0 < self.alpha < math.inf),
+                         ("finite g0", -math.inf < self.g0 < math.inf),
+                         ("finite g_l < g_h", -math.inf < self.g_l < self.g_h < math.inf)):
+            if not ok:
+                raise ValueError(f"need {need}")
 
 
 @dataclass

@@ -178,7 +178,8 @@ def test_ablate_checks_and_records_dataset_hash(pipeline, capsys, tmp_path):
     assert recorded["config_hash"] == meta["config_hash"]
 
 
-@pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7"])
+@pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
+                                 "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     _, data, _ = pipeline
     rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
@@ -186,6 +187,7 @@ def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+    assert bad.split("=")[0] in err
 
 
 def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ptychokit import autodiff as ad, circphase, losses
-from ptychokit.autodiff import Tensor
+from ptychokit.autodiff import Tape, Tensor, backward
 
 
 def rand(shape, seed, lo=0.0, hi=1.0):
@@ -43,19 +45,46 @@ def test_ssim_value_matches_brute_force():
 
 def test_ssim_autodiff_matches_value_path():
     x, xhat = rand((20, 20), 50), rand((20, 20), 51)
-    assert losses.ssim(x, xhat).item() == pytest.approx(losses.ssim_value(x, xhat),
+    assert losses.ssim(x, xhat).item() == pytest.approx(1.0 - losses.ssim_value(x, xhat),
                                                         abs=1e-5)
 
 
 def test_ssim_autodiff_on_flat_target():
-    # cos(phase) near 1: blur(x^2) - blur(x)^2 cancels in float32 unless centred
-    rng = np.random.default_rng(0)
-    phi = rng.normal(0.0, 0.02, (8, 32, 32))
-    c = np.cos(phi).astype(np.float32)
-    c_hat = np.cos(phi + rng.normal(0.0, 0.05, phi.shape)).astype(np.float32)
-    want = np.mean([losses.ssim_value(c[i], c_hat[i]) for i in range(8)])
-    got = losses.ssim(c[:, None], c_hat[:, None]).item()
-    assert abs(got - want) < 1e-5 * (1.0 - want)
+    # cos(phase) near 1: 1 - SSIM is small (about 7.8e-4 at noise 0.03) and
+    # must keep its relative precision
+    for noise, seed in itertools.product((0.05, 0.03), range(10)):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(0.0, 0.02, (8, 32, 32))
+        c = np.cos(phi).astype(np.float32)
+        c_hat = np.cos(phi + rng.normal(0.0, noise, phi.shape)).astype(np.float32)
+        want = 1.0 - np.mean([losses.ssim_value(c[i], c_hat[i]) for i in range(8)])
+        got = losses.ssim(c[:, None], c_hat[:, None]).item()
+        assert abs(got - want) < 1e-6 * want
+
+
+def test_ssim_gradient_matches_float64_difference():
+    # the closed-form gradient of 1 - mean SSIM over a stack of non-square grids,
+    # along a random direction, against a central difference of ssim_value
+    x, y = rand((3, 1, 12, 13), 60), rand((3, 1, 12, 13), 61)
+    d = np.random.default_rng(62).normal(size=y.shape)
+    d /= np.linalg.norm(d)
+    yt = Tensor(y, requires_grad=True)
+    with Tape() as tape:
+        backward(tape, losses.ssim(x, yt))
+    analytic = np.sum(yt.grad.astype(np.float64) * d)
+
+    def loss(t):
+        z = y.astype(np.float64) + t * d
+        return 1.0 - np.mean([losses.ssim_value(x[m, 0], z[m, 0]) for m in range(3)])
+
+    h = 1e-4
+    numeric = (loss(h) - loss(-h)) / (2 * h)
+    assert abs(analytic - numeric) < 1e-7 * abs(numeric)
+
+
+def test_ssim_rejects_target_with_gradient():
+    with pytest.raises(ValueError):
+        losses.ssim(Tensor(rand((12, 12), 63), requires_grad=True), rand((12, 12), 64))
 
 
 def test_ssim_identity_and_constant():

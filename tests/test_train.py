@@ -140,6 +140,19 @@ def test_train_config_validates():
             train.TrainConfig(**bad)
 
 
+def test_model_config_and_loss_weights_validate():
+    # each refusal names its key; NaN fails every chained comparison
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(n_c=0), dict(n_c=-2), dict(alpha=nan), dict(alpha=-1.0),
+                dict(alpha=0.0), dict(alpha=inf), dict(i_sat=nan), dict(i_sat=inf),
+                dict(g0=nan), dict(g0=inf), dict(g_l=nan), dict(g_h=-inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            model.ModelConfig(**bad)
+    for bad in (dict(lam_s=nan), dict(w_b=inf), dict(w_p=-0.1), dict(lam_g=-inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            losses.LossWeights(**bad)
+
+
 def test_backward_frees_tape_memory():
     # one n_c=8, batch-32 training step: the backward releases each node as it
     # passes, so it needs little beyond what the forward left on the tape
