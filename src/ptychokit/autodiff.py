@@ -1,23 +1,25 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
 Storage is float32. `reduce_mean` and the conv2d bias gradient accumulate in
-float64. `conv2d`, `separable` and `concat_channels` take activations in one
-layout, (C, H, W, N): channels outermost, batch innermost (a C x H x W map is
-N = 1). A convolution's forward, weight gradient and input gradient are one
-float32 GEMM each, with the k*k kernel taps shifted on whichever side, input
-or output, has fewer channels; on the output side a tap is a flat shift of
-(i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer. `conv2d(..., upsample=True)`
-is a conv of the bilinearly 2x-upsampled input with its taps mixed at the
-input's resolution, and `conv2d(..., relu=True)` applies ReLU in the conv's
-epilogue; its backward masks with the output's sign, so no pre-activation is
-kept. `separable` runs as two batched float32 matrix products. `scalar_op`
-is a scalar computed off the tape with a closed-form gradient. Forward results
-must be finite (`NonFiniteError`). No broadcasting beyond bias-add over channels.
+float64. `conv2d`, `upsample_bilinear2x` and `concat_channels` take
+activations in one layout, (C, H, W, N): channels outermost, batch innermost
+(a C x H x W map is N = 1). A convolution's forward, weight gradient and
+input gradient are one float32 GEMM each, with the k*k kernel taps shifted on
+whichever side, input or output, has fewer channels; on the output side a tap
+is a flat shift of (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer.
+`conv2d(..., upsample=True)` is a conv of the bilinearly 2x-upsampled input
+with its taps mixed at the input's resolution, and `conv2d(..., relu=True)`
+applies ReLU in the conv's epilogue; its backward masks with the output's
+sign, so no pre-activation is kept. `upsample_bilinear2x` runs as two batched
+float32 matrix products. `scalar_op` is a scalar computed off the tape with a
+closed-form gradient. Forward results must be finite (`NonFiniteError`). No
+broadcasting beyond bias-add over channels.
 
 The tape keeps only what a backward reads: a conv's closure holds its input,
 not a padded copy, and re-pads it in the backward. `backward` consumes the
 tape, popping each node and freeing its closure and its output's gradient as
-it passes; afterwards only leaf tensors hold gradients.
+it passes; afterwards only leaf tensors hold gradients. A gradient array an
+op has just made is stored without a copy (`_accum`).
 """
 
 import numpy as np
@@ -73,12 +75,18 @@ class Tape:
 
 
 def _accum(t, g):
+    """Add g into t.grad. A first store keeps a C-contiguous g itself and copies a
+    strided view (a crop of a padded map, a transpose), so a stored gradient is
+    C-ordered and keeps no larger buffer alive. A kept g must be an array no
+    other tensor's gradient holds: `add`, which routes one array to two inputs,
+    gives the second a copy when the first kept it."""
     if not t.requires_grad:
         return
+    g = np.asarray(g, dtype=np.float32)
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float32).copy()
+        t.grad = g if g.flags.c_contiguous else g.copy()
     else:
-        t.grad += np.asarray(g, dtype=np.float32)
+        t.grad += g
 
 
 # Every op computes its forward under this: _make rejects non-finite outputs,
@@ -124,7 +132,7 @@ def add(a, b):
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g.copy() if a.grad is g else g)
 
     return _make(out, (a, b), bwd, "add")
 
@@ -321,7 +329,7 @@ def diff_v(x):
 
 
 # ---------------------------------------------------------------------------
-# conv / separable maps, on (C, H, W, N) arrays
+# conv and upsampling, on (C, H, W, N) arrays
 
 def _as_chwn(x, what):
     """A (C, H, W, N) view of a 4-D array, or of a C x H x W map as N = 1."""
@@ -511,30 +519,19 @@ def _upsample_matrix(n):
 
 
 @_quiet
-def separable(x, a, b):
-    """A along axis 1 and B along axis 2 of x, for constant matrices a and b:
-    Y[c] = A @ X[c] @ B^T for each channel c and each batch entry n of a
-    (C, H, W, N) array or a C x H x W map.
-
-    One op for every separable linear map of a grid, such as bilinear
-    upsampling. The backward is A^T @ G @ B.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    x4 = _as_chwn(x.data, "separable")
-    if a.ndim != 2 or b.ndim != 2 or x4.shape[1:3] != (a.shape[1], b.shape[1]):
-        raise ValueError(f"matrices {a.shape}, {b.shape} do not fit grids {x.shape}")
+def upsample_bilinear2x(x):
+    """Bilinear 2x upsampling of a (C, H, W, N) array or a C x H x W map:
+    Y[c] = U_H @ X[c] @ U_W^T for each channel c and batch entry n, with the
+    (2n x n) matrices of `_upsample_matrix`. The backward is U_H^T @ G @ U_W."""
+    x4 = _as_chwn(x.data, "upsample_bilinear2x")
+    a, b = _upsample_matrix(x4.shape[1]), _upsample_matrix(x4.shape[2])
     out = _separable(x4, a, b)
 
     def bwd(g):
-        g4 = _as_chwn(np.asarray(g, dtype=np.float32), "separable")
+        g4 = _as_chwn(np.asarray(g, dtype=np.float32), "upsample_bilinear2x")
         _accum(x, _separable(g4, a.T, b.T).reshape(x.shape))
 
-    return _make(out.reshape(out.shape[:3] + x.shape[3:]), (x,), bwd, "separable")
-
-
-def upsample_bilinear2x(x):
-    return separable(x, _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2]))
+    return _make(out.reshape(out.shape[:3] + x.shape[3:]), (x,), bwd, "upsample_bilinear2x")
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ def _load_ckpt_and_data(args, load):
     return params, mcfg, manifest, data
 
 
+PRED_FIELDS = ["index", "row", "col", "y", "x", "split"]
+
+
 def cmd_infer(args):
     params, mcfg, manifest, (frames, _probe, _meta) = _load_ckpt_and_data(
         args, dataset.load_frames)
@@ -109,7 +112,7 @@ def cmd_infer(args):
         rows.append({"index": i, "row": frame.row, "col": frame.col,
                      "y": frame.y, "x": frame.x, "split": frame.split})
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["index", "row", "col", "y", "x", "split"])
+        writer = csv.DictWriter(fh, fieldnames=PRED_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     with open(os.path.join(args.out, "pred_meta.json"), "w") as fh:
@@ -121,13 +124,13 @@ def cmd_infer(args):
 
 def _load_predictions(pred_dir):
     preds, positions = [], []
-    with open(os.path.join(pred_dir, "predictions.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            i = int(row["index"])
-            amp = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_amp.ptg"))
-            phase = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg"))
-            preds.append((amp, phase.astype(np.float64)))
-            positions.append((int(row["y"]), int(row["x"])))
+    for row in dataset.read_table(os.path.join(pred_dir, "predictions.csv"), PRED_FIELDS,
+                                  PRED_FIELDS[:-1]):
+        i = row["index"]
+        amp = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_amp.ptg"))
+        phase = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg"))
+        preds.append((amp, phase.astype(np.float64)))
+        positions.append((row["y"], row["x"]))
     if not preds:
         raise ValueError(f"no predictions in {pred_dir}/predictions.csv")
     return preds, positions

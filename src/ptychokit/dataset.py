@@ -192,6 +192,11 @@ def split_rows(frames, rows=DEFAULT_ROWS, train_rows=49, test_rows=12,
 
 MANIFEST_FIELDS = ["index", "intensity", "amplitude", "phase", "row", "col",
                    "y", "x", "noisy", "split"]
+MANIFEST_INT_FIELDS = ("index", "row", "col", "y", "x", "noisy")
+SPLITS = ("train", "val", "test")
+META_TYPES = {"config_hash": str, "rows": int, "cols": int, "step": int, "jitter_max": int,
+              "probe_size": int, "probe_radius": float, "probe_sigma": float,
+              "probe_curvature": float}
 
 
 def save_dataset(outdir, frames, patches, probe, meta):
@@ -214,17 +219,43 @@ def save_dataset(outdir, frames, patches, probe, meta):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def read_table(path, fields, int_fields):
+    """Rows of a CSV table with a split column (manifest.csv, predictions.csv):
+    each has every field in `fields`, the `int_fields` as ints, and a known split."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row:
+                raise ValueError(f"{where}: more fields than the header")
+            missing = [k for k in fields if not row.get(k)]
+            if missing:
+                raise ValueError(f"{where}: missing {', '.join(missing)}")
+            for k in int_fields:
+                try:
+                    row[k] = int(row[k])
+                except ValueError:
+                    raise ValueError(f"{where}: '{k}' must be an integer, "
+                                     f"got '{row[k]}'") from None
+            if row["split"] not in SPLITS:
+                raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
+                                 f"got '{row['split']}'")
+            rows.append(row)
+    return rows
+
+
 def _read_frames(indir, split):
     """Frames (intensity grids only), probe, meta and the manifest rows read."""
-    with open(os.path.join(indir, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
-    with open(os.path.join(indir, "manifest.csv"), newline="") as fh:
-        rows = [row for row in csv.DictReader(fh) if split is None or row["split"] == split]
+    rows = [row for row in read_table(os.path.join(indir, "manifest.csv"), MANIFEST_FIELDS,
+                                      MANIFEST_INT_FIELDS)
+            if split is None or row["split"] == split]
     frames = [DiffractionFrame(
         intensity=gridio.read_grid(os.path.join(indir, row["intensity"])),
-        row=int(row["row"]), col=int(row["col"]), y=int(row["y"]), x=int(row["x"]),
-        noisy=bool(int(row["noisy"])), split=row["split"]) for row in rows]
+        row=row["row"], col=row["col"], y=row["y"], x=row["x"],
+        noisy=bool(row["noisy"]), split=row["split"]) for row in rows]
     return frames, probe, meta, rows
 
 

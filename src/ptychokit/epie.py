@@ -13,6 +13,10 @@ before the first position that overlaps an earlier member, so every window
 is read after all earlier overlapping positions were written, and no member
 reads or writes another member's pixels. The error sums still add the
 per-frame terms in visit order.
+
+Measured amplitudes are streamed: a run's sqrt(I) is taken from its members'
+float32 intensities, widened to float64, when the run is updated, so no
+scan-sized float64 array is kept (the whole default scan's would be 30.5 MB).
 """
 
 from dataclasses import dataclass, field
@@ -80,10 +84,8 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
     update_gain = beta * np.conj(p_field) / pmax2
 
     n = len(positions)
-    sqrt_i = np.empty((n, p, p))
-    for j, f in enumerate(frames):
-        np.sqrt(f.intensity.astype(np.float64), out=sqrt_i[j])
-    err_den_terms = [float(np.sum(s ** 2)) for s in sqrt_i]
+    intensities = [f.intensity for f in frames]
+    err_den_terms = [float(np.sum(np.sqrt(i.astype(np.float64)) ** 2)) for i in intensities]
     # windows[y, x] is the p x p window at (y, x); a run's windows are disjoint,
     # so writing them through this overlapping view is safe
     windows = sliding_window_view(obj, (p, p), writeable=True)
@@ -97,7 +99,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
             window = windows[at]
             psi = p_field * window
             psi_f = np.fft.fft2(psi, norm="ortho")
-            meas = sqrt_i[run]
+            meas = np.sqrt(np.stack([intensities[j] for j in run]).astype(np.float64))
             nums = ((meas - np.abs(psi_f)) ** 2).reshape(len(run), -1).sum(axis=1)
             for j, num in zip(run, nums.tolist()):
                 err_num += num

@@ -1,4 +1,5 @@
-"""PTGRID v1 file format: one JSON header line + raw little-endian f32 payload.
+"""PTGRID v1 file format: one JSON header line + raw little-endian f32 payload,
+and the checked reader of the JSON metadata files beside the grids.
 
 Complex grids are stored with a trailing dimension of extent 2 (re, im), so
 writing one rounds each part to float32, the same rounding as complex64;
@@ -70,3 +71,33 @@ def read_complex_grid(path):
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise GridFormatError(f"{path}: expected trailing (re, im) dimension")
     return arr.view(np.complex64)[..., 0]
+
+
+def _has_type(value, want):
+    """float admits int; bool, a subclass of int, is no number."""
+    return (isinstance(value, (int, float) if want is float else want)
+            and not isinstance(value, bool))
+
+
+def check_fields(obj, types, required, what):
+    """obj must be a JSON object whose keys are all in `types` and hold values of
+    those types (a type or a tuple of types), with every key in `required`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    for key, value in obj.items():
+        if key not in types:
+            raise ValueError(f"{what}: unknown key '{key}'")
+        wants = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if not any(_has_type(value, t) for t in wants):
+            names = " or ".join(t.__name__ for t in wants)
+            raise ValueError(f"{what}: '{key}' must be {names}, got {value!r}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(missing)}")
+    return obj
+
+
+def read_json(path, types, required=()):
+    """A JSON object file, checked with `check_fields`."""
+    with open(path) as fh:
+        return check_fields(json.load(fh), types, required, path)

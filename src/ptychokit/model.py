@@ -2,7 +2,7 @@
 circular phase coordinates, plus the ablation variants.
 
 Inside `forward` every activation is (C, H, W, N), the layout `autodiff`'s
-conv, separable and concat ops take: the input batch is transposed into it
+conv, upsample and concat ops take: the input batch is transposed into it
 once, and each head out of it once, so callers see N x 1 x H x W. Each
 decoder's tail, a 3x3 conv to one channel of the bilinearly upsampled
 2*n_c-channel map, runs as `conv2d(..., upsample=True)`: the 9 taps are mixed
@@ -13,7 +13,7 @@ upsampled. Every ReLU is the epilogue of the conv before it,
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -232,12 +232,19 @@ def save_checkpoint(ckpt_dir, params, cfg, seed=0, epoch=0, val_loss=float("nan"
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+MANIFEST_TYPES = {"cfg": dict, "seed": int, "epoch": int, "val_loss": (float, type(None)),
+                  "config_hash": str, "param_names": list}
+
+
 def load_checkpoint(ckpt_dir):
-    with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    path = os.path.join(ckpt_dir, "manifest.json")
+    manifest = gridio.read_json(path, MANIFEST_TYPES, required=("cfg", "param_names"))
     if manifest.get("val_loss") is None:
         manifest["val_loss"] = float("nan")
-    cfg = ModelConfig(**manifest["cfg"])
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    cfg = ModelConfig(**gridio.check_fields(manifest["cfg"], types, types, f"{path}: cfg"))
+    if not all(isinstance(name, str) for name in manifest["param_names"]):
+        raise ValueError(f"{path}: 'param_names' must be a list of str")
     tensors = {}
     for name in manifest["param_names"]:
         arr = gridio.read_grid(os.path.join(ckpt_dir, "params", name + ".ptg"))

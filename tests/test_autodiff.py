@@ -41,6 +41,19 @@ def test_backward_accumulates_through_reuse():
     assert np.allclose(x.grad, (2 * x.data + 1) / 4, atol=1e-6)
 
 
+def test_add_gradient_is_not_shared_between_inputs():
+    # the outer add hands one array to the inner sum and to a; were it stored
+    # in both without a copy, a's later += would write into b's gradient too
+    a = Tensor(rand((3, 4), 40), requires_grad=True)
+    b = Tensor(rand((3, 4), 41), requires_grad=True)
+    with Tape() as tape:
+        backward(tape, ad.reduce_mean(ad.add(ad.add(a, b), a)))
+    n = a.size
+    assert np.allclose(a.grad, 2 / n, atol=1e-7)
+    assert np.allclose(b.grad, 1 / n, atol=1e-7)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
 def test_backward_consumes_tape_and_keeps_leaf_grads():
     # loss = mean((x*y + x)^2): grad x = 2(xy + x)(y + 1)/n, grad y = 2(xy + x)x/n
     x = Tensor(rand((3, 4), 4), requires_grad=True)
@@ -239,21 +252,19 @@ def test_upsample_bilinear_exact_on_linear_ramp():
     assert np.allclose(interior, expected, atol=1e-6)
 
 
-def test_separable_matches_matrix_products():
-    a, b = rand((3, 4), 23), rand((6, 5), 24)
+def test_upsample_bilinear2x_matches_matrix_products():
+    # Y[c] = U_H @ X[c] @ U_W^T on a non-square grid, for every channel and batch entry
+    a, b = (ad._upsample_matrix(n).astype(np.float64) for n in (4, 5))
     x = Tensor(rand((2, 4, 5), 25))
-    out = ad.separable(x, a, b).data
-    ref = np.einsum("ph,nhw,qw->npq", a.astype(np.float64), x.data.astype(np.float64),
-                    b.astype(np.float64))
-    assert out.shape == (2, 3, 6)
-    assert np.allclose(out, ref, atol=1e-5)
-    with pytest.raises(ValueError):
-        ad.separable(x, b, a)  # matrices do not fit the 4 x 5 grid
-    # (C, H, W, N): A along axis 1, B along axis 2, for every channel and batch entry
+    out = ad.upsample_bilinear2x(x).data
+    ref = np.einsum("ph,nhw,qw->npq", a, x.data.astype(np.float64), b)
+    assert out.shape == (2, 8, 10)
+    assert np.allclose(out, ref, atol=1e-6)
     x4 = Tensor(rand((2, 4, 5, 3), 26))
-    ref = np.einsum("ph,chwn,qw->cpqn", a.astype(np.float64), x4.data.astype(np.float64),
-                    b.astype(np.float64))
-    assert np.allclose(ad.separable(x4, a, b).data, ref, atol=1e-5)
+    ref = np.einsum("ph,chwn,qw->cpqn", a, x4.data.astype(np.float64), b)
+    assert np.allclose(ad.upsample_bilinear2x(x4).data, ref, atol=1e-6)
+    with pytest.raises(ValueError):
+        ad.upsample_bilinear2x(Tensor(rand((4, 5), 27)))  # no channel axis
 
 
 def test_transpose_routes_gradients():

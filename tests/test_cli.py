@@ -190,6 +190,52 @@ def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     assert bad.split("=")[0] in err
 
 
+def _rewrite_json(path, edit):
+    with open(path) as fh:
+        obj = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(edit(obj), fh)
+
+
+def _rewrite_first_row(path, edit):
+    lines = open(path).read().splitlines()
+    lines[1] = edit(lines[1])
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+def _with_cfg(**changes):
+    return lambda m: {**m, "cfg": {**m["cfg"], **changes}}
+
+
+# case -> (file under the copied run, edit of that file)
+MALFORMED = {
+    "cfg_unknown_key": ("checkpoint/manifest.json", _rewrite_json, _with_cfg(bogus=1)),
+    "cfg_n_c_string": ("checkpoint/manifest.json", _rewrite_json, _with_cfg(n_c="8")),
+    "ckpt_manifest_list": ("checkpoint/manifest.json", _rewrite_json, lambda m: [m]),
+    "meta_list": ("data/meta.json", _rewrite_json, lambda m: [m]),
+    "manifest_row_short": ("data/manifest.csv", _rewrite_first_row,
+                           lambda r: r.rsplit(",", 3)[0]),
+    "manifest_split_bogus": ("data/manifest.csv", _rewrite_first_row,
+                             lambda r: r.rsplit(",", 1)[0] + ",bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_one_line_error(pipeline, capsys, tmp_path, case):
+    _, data, run = pipeline
+    shutil.copytree(data, tmp_path / "data")
+    shutil.copytree(os.path.join(run, "checkpoint"), tmp_path / "checkpoint")
+    target, rewrite, edit = MALFORMED[case]
+    rewrite(str(tmp_path / target), edit)
+    rc = cli.main(["infer", "--ckpt", str(tmp_path / "checkpoint"),
+                   "--data", str(tmp_path / "data"), "--out", str(tmp_path / "p"),
+                   "--split", "all"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert os.path.basename(target) in err
+
+
 def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):
     _, data, _ = pipeline
     args = ["train", "--data", data, "--seed", "1"] + TINY + ["--set", "eta=1e30"]
@@ -228,6 +274,18 @@ def test_stitch_without_predictions_is_one_line_error(capsys, tmp_path):
     assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: no predictions in") and "\n" not in err
+
+
+@pytest.mark.parametrize("row", ["0,1", "0,1,2,3,x,test", "0,1,2,3,4,bogus"])
+def test_malformed_predictions_is_one_line_error(capsys, tmp_path, row):
+    pred = tmp_path / "pred"
+    (pred / "pred").mkdir(parents=True)
+    for kind in ("amp", "phase"):
+        gridio.write_grid(pred / "pred" / f"00000_{kind}.ptg", np.zeros((32, 32)))
+    (pred / "predictions.csv").write_text(f"index,row,col,y,x,split\n{row}\n")
+    assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "predictions.csv:2" in err and "\n" not in err
 
 
 def test_simulate_deterministic(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,22 @@ def test_run_batched_matches_one_at_a_time(scan, runs_per_sweep):
     obj, history = reference_epie(frames, positions, probe, iters=3, seed=4)
     assert np.array_equal(state.object_est, obj)
     assert state.error_history == history
+
+
+def test_sweep_keeps_no_scan_sized_float64_array():
+    # sqrt(I) is taken per run: a sweep's traced peak stays below one float32
+    # stack of all intensities plus the complex128 canvas, which a float64
+    # (N, p, p) stack alone would exceed
+    _, _, probe, frames, positions = make_scan(seed=12, rows=20, cols=20, size=200)
+    tracemalloc.start()
+    try:
+        state = epie.epie_reconstruct(frames, positions, probe, iters=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = physics.PROBE_SIZE
+    assert len(frames) == 400
+    assert peak < len(frames) * p * p * 4 + state.object_est.nbytes
 
 
 def test_disjoint_runs_partition_the_order():
