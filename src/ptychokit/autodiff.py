@@ -3,14 +3,20 @@
 Storage is float32. `reduce_mean` and the conv2d bias gradient accumulate in
 float64. `conv2d`, `upsample_bilinear2x` and `concat_channels` take
 activations in one layout, (C, H, W, N): channels outermost, batch innermost
-(a C x H x W map is N = 1). A convolution's forward, weight gradient and
-input gradient are one float32 GEMM each, with the k*k kernel taps shifted on
-whichever side, input or output, has fewer channels; on the output side a tap
-is a flat shift of (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer.
-`conv2d(..., upsample=True)` is a conv of the bilinearly 2x-upsampled input
-with its taps mixed at the input's resolution, and `conv2d(..., relu=True)`
-applies ReLU in the conv's epilogue; its backward masks with the output's
-sign, so no pre-activation is kept. `upsample_bilinear2x` runs as two batched
+(a C x H x W map is N = 1). A convolution shifts its k*k kernel taps on
+whichever side, input or output, has fewer channels. On the input side the
+im2col columns are built in blocks of output rows, each at most
+CONV_BLOCK_BYTES: the forward is one float32 GEMM per block and the weight
+gradient a sum of one GEMM per block. At stride 1 the input gradient is the
+same blocked conv of the output gradient padded by k-1-p, with the flipped,
+transposed kernel; at stride > 1 each block's column gradient is scattered
+back. On the output side the forward, weight gradient and input gradient are
+one GEMM each, and a tap is a flat shift of (i*Wp + j)*N over one padded
+(C, Hp, Wp, N) buffer. `conv2d(..., upsample=True)` is a conv of the
+bilinearly 2x-upsampled input with its taps mixed at the input's resolution,
+and `conv2d(..., relu=True)` applies ReLU in the conv's epilogue; its
+backward masks the output gradient in place with the output's sign, so no
+pre-activation is kept. `upsample_bilinear2x` runs as two batched
 float32 matrix products. `scalar_op` is a scalar computed off the tape with a
 closed-form gradient. Forward results must be finite (`NonFiniteError`). No
 broadcasting beyond bias-add over channels.
@@ -339,6 +345,9 @@ def _as_chwn(x, what):
 
 
 def _pad(x, padding):
+    """x zero-padded by `padding` on each side of H and W; a negative padding crops."""
+    if padding < 0:
+        return x[:, -padding:padding, -padding:padding]
     c, h, w, n = x.shape
     xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n), np.float32)
     xp[:, padding:padding + h, padding:padding + w] = x
@@ -357,36 +366,75 @@ def _separable(x, a, b):
     return y.reshape(c, a.shape[0], b.shape[0], n)
 
 
-def _conv_cols(xp, k, stride, ho, wo):
-    """(C*k*k, Ho*Wo*N) im2col columns, rows ordered (c, i, j), of a padded
-    (C, Hp, Wp, N) input. Batch innermost keeps each tap's strided copy in
-    contiguous runs of N values."""
+# Byte budget of one block of im2col columns. Measured against one GEMM over all
+# columns with dX scattered back (batch 32, conv fwd+bwd, medians of 40
+# interleaved calls on 2 cores): 4 MiB blocks were 3-18% faster on the stride-1
+# 3x3 convs of 16-64 channels at 8 x 8 and 16 x 16, equal at 128 channels at
+# 4 x 4 and 5% slower on the stride-2 5x5 encoder conv; 1 MiB blocks were up to
+# 36% slower (more, thinner GEMMs), and 8 MiB blocks gained at most 6% more for
+# twice the buffer.
+CONV_BLOCK_BYTES = 4 << 20
+
+
+def _col_blocks(xp, k, stride, ho, wo):
+    """im2col columns of a padded (C, Hp, Wp, N) input, in blocks of output rows:
+    yields (r0, r1, cols), cols the (C*k*k, (r1-r0)*Wo*N) columns of output rows
+    r0:r1, rows ordered (c, i, j). A block takes at most CONV_BLOCK_BYTES (but at
+    least one output row), and each block overwrites the last one's buffer.
+    Batch innermost keeps each tap's strided copy in contiguous runs of N values."""
     c, n = xp.shape[0], xp.shape[3]
-    cols = np.empty((c, k, k, ho, wo, n), np.float32)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * k * k, -1)
+    max_rows = max(1, CONV_BLOCK_BYTES // (c * k * k * wo * n * 4))
+    rows = -(-ho // -(-ho // max_rows))  # equal blocks of at most max_rows
+    buf = np.empty(c * k * k * rows * wo * n, np.float32)
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        cols = buf[:c * k * k * (r1 - r0) * wo * n].reshape(c, k, k, r1 - r0, wo, n)
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = xp[:, i + stride * r0:i + stride * r1:stride,
+                                   j:j + stride * wo:stride]
+        yield r0, r1, cols.reshape(c * k * k, -1)
+
+
+def _gathered_conv(xp, wm, k, stride, ho, wo):
+    """Wm @ im2col(xp) into a (C_out, Ho, Wo, N) array, one GEMM per row block."""
+    n = xp.shape[3]
+    out = np.empty((wm.shape[0], ho * wo * n), np.float32)
+    for r0, r1, cols in _col_blocks(xp, k, stride, ho, wo):
+        np.matmul(wm, cols, out=out[:, r0 * wo * n:r1 * wo * n])
+    return out.reshape(-1, ho, wo, n)
 
 
 def _conv_input_side(x, w, stride, padding, ho, wo):
-    """Taps gathered on the input side: Y = Wm @ cols, dW = G @ cols^T and
-    dcols = Wm^T @ G, scattered back by k*k strided adds. The backward
-    re-pads x rather than keeping the forward's padded copy."""
+    """Taps gathered on the input side, block by block of output rows:
+    Y = Wm @ cols and dW = sum of G_b @ cols_b^T. At stride 1, dX is the same
+    gathered conv of G padded by k-1-p, with the flipped, transposed kernel; at
+    stride > 1, each block's dcols = Wm^T @ G_b is scattered back by k*k strided
+    adds. The backward re-pads x rather than keeping the forward's padded copy."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     wm = w.reshape(cout, -1)
-    out = (wm @ _conv_cols(_pad(x, padding), k, stride, ho, wo)).reshape(cout, ho, wo, n)
+    out = _gathered_conv(_pad(x, padding), wm, k, stride, ho, wo)
 
     def grads(g):
-        gm = g.reshape(cout, -1)
-        dw = (gm @ _conv_cols(_pad(x, padding), k, stride, ho, wo).T).reshape(w.shape)
-        dcols = (wm.T @ gm).reshape(cin, k, k, ho, wo, n)
-        dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-        return dxp[:, padding:padding + h, padding:padding + wd], dw
+        if stride == 1:
+            wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            dx = _gathered_conv(_pad(g, k - 1 - padding), wf, k, 1, h, wd)
+        else:
+            dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
+        dw = np.zeros((cout, cin * k * k), np.float32)
+        for r0, r1, cols in _col_blocks(_pad(x, padding), k, stride, ho, wo):
+            gb = g[:, r0:r1].reshape(cout, -1)
+            dw += gb @ cols.T
+            if stride > 1:  # dcols overwrites the block's columns
+                dcols = np.matmul(wm.T, gb, out=cols).reshape(cin, k, k, r1 - r0, wo, n)
+                for i in range(k):
+                    for j in range(k):
+                        dxp[:, i + stride * r0:i + stride * r1:stride,
+                            j:j + stride * wo:stride] += dcols[:, i, j]
+        if stride > 1:
+            dx = dxp[:, padding:padding + h, padding:padding + wd]
+        return dx, dw.reshape(w.shape)
 
     return out, grads
 
@@ -451,13 +499,13 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     """Direct cross-correlation (no kernel flip), zero padding, of a (C, H, W, N)
     batch or one C x H x W map.
 
-    Forward, dW and dX are one GEMM each. The k*k taps are shifted on the
-    side with fewer channels: the output side for stride-1 convs with
-    C_out < C_in, the input side otherwise (measured faster at C_out == C_in).
+    The k*k taps are shifted on the side with fewer channels: the output side
+    for stride-1 convs with C_out < C_in, the input side, in blocks of output
+    rows, otherwise (measured faster at C_out == C_in).
     upsample=True gives conv2d(upsample_bilinear2x(x)) with the output side's
     taps mixed at x's resolution (stride 1 only). relu=True applies
     y * (y > 0) after the bias add; the backward masks G with the output's
-    own sign (subgradient 0 at 0), so no pre-activation is kept.
+    own sign (subgradient 0 at 0), in place, so no pre-activation is kept.
     """
     x4 = _as_chwn(x.data, "conv2d")
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
@@ -490,7 +538,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     def bwd(g):
         g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
         if relu:
-            g4 = g4 * (out > 0)
+            g4 *= out > 0
         dx, dw = grads(g4)
         _accum(w, dw)
         if b is not None:

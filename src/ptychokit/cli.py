@@ -1,9 +1,12 @@
 """Command-line pipeline: simulate, train, infer, stitch, evaluate, spectrum,
 epie, gradcheck, ablate. Stages chain through files and carry the config hash.
 
-Every stage is deterministic. Matrix products may run on several BLAS threads
-(OpenBLAS), yet results are bitwise reproducible: the test suite checks that a
-training gradient is identical under OPENBLAS_NUM_THREADS=1 and 2.
+Every stage is deterministic for a fixed BLAS thread count. Matrix products may
+run on several BLAS threads (OpenBLAS), and results need not be bitwise equal
+across thread counts: the test suite checks that a batch-32 training gradient
+is identical under OPENBLAS_NUM_THREADS=1 and 2, but at other batch sizes,
+such as an epoch's last, partial batch, some weight gradients differ in their
+last bits (at 18 of the sizes 1-32).
 """
 
 import argparse

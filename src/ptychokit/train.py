@@ -49,7 +49,8 @@ def cyclic_lr(step, steps_per_half_cycle, eta):
 
 
 def clip_grad_norm(grads, max_norm=1.0):
-    """Scale all grads by max_norm/norm when the global L2 norm exceeds max_norm."""
+    """Scale all grads in place by max_norm/norm when their global L2 norm exceeds
+    max_norm; returns the same arrays and the norm before clipping."""
     total = 0.0
     for g in grads:
         if not np.all(np.isfinite(g)):
@@ -57,8 +58,9 @@ def clip_grad_norm(grads, max_norm=1.0):
         total += float(np.sum(g.astype(np.float64) ** 2))
     norm = np.sqrt(total)
     if norm > max_norm:
-        scale = max_norm / norm
-        grads = [g * np.float32(scale) for g in grads]
+        scale = np.float32(max_norm / norm)
+        for g in grads:
+            g *= scale
     return grads, norm
 
 
@@ -134,6 +136,24 @@ def _eval_split(frames, patches, idx, params, cfg, weights, batch_size):
     return tot / max(n, 1), ring / max(n, 1)
 
 
+def _train_step(frames, patches, batch, params, model_cfg, train_cfg, state, lr, step):
+    """One Adam step on a batch; its loss breakdown. The gradients are taken off
+    the parameters and die with this call, so none outlives its step."""
+    with ad.Tape() as tape:
+        total, bd, _ = _batch_loss(frames, patches, batch, params,
+                                   model_cfg, train_cfg.weights)
+        if not np.isfinite(total.item()):
+            raise FloatingPointError(f"non-finite loss at step {step}")
+        ad.backward(tape, total)
+    grads = {}
+    for name in sorted(params.tensors):
+        t = params.tensors[name]
+        grads[name], t.grad = t.grad, None
+    clip_grad_norm(list(grads.values()), train_cfg.clip_norm)
+    adam_step(params, grads, state, lr)
+    return bd
+
+
 def compute_i_max(frames, idx=None):
     """99.5th-percentile intensity over the training split, frozen for SADGS."""
     if idx is None:
@@ -150,13 +170,12 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
     if not train_idx:
         raise ValueError("empty training split")
     if not val_idx:
-        # fall back to a slice of train frames so model selection still works
-        val_idx = train_idx[: max(1, len(train_idx) // 20)]
+        raise ValueError("empty validation split: model selection needs val frames "
+                         "(set val_fraction > 0)")
 
     model_cfg.i_max = compute_i_max(frames, train_idx)
     params = model.init_params(model_cfg)
     state = AdamState(params)
-    names = sorted(params.tensors)
 
     steps_per_epoch = (len(train_idx) + train_cfg.batch_size - 1) // train_cfg.batch_size
     half_cycle = train_cfg.half_cycle_epochs * steps_per_epoch
@@ -172,17 +191,8 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             lr = cyclic_lr(step, half_cycle, train_cfg.eta)
-            for t in params.tensors.values():
-                t.zero_grad()
-            with ad.Tape() as tape:
-                total, bd, _ = _batch_loss(frames, patches, batch, params,
-                                           model_cfg, train_cfg.weights)
-                if not np.isfinite(total.item()):
-                    raise FloatingPointError(f"non-finite loss at step {step}")
-                ad.backward(tape, total)
-            grads = [params.tensors[n].grad for n in names]
-            grads, _ = clip_grad_norm(grads, train_cfg.clip_norm)
-            adam_step(params, dict(zip(names, grads)), state, lr)
+            bd = _train_step(frames, patches, batch, params, model_cfg, train_cfg,
+                             state, lr, step)
             log_rows.append([step, lr] + bd.to_row())
             step += 1
 

@@ -100,6 +100,7 @@ CONV_CASES = [
     (1, 0, 3, 4, 2, False, False),
     (1, 2, 3, 4, 1, False, True),
     (1, 0, 1, 4, 2, False, True),
+    (1, 3, 3, 2, 3, False, True),  # padding > k - 1: the stride-1 dX gather crops G
 ]
 
 
@@ -128,29 +129,40 @@ def _conv_loop(x, w, b, stride, padding):
     return ref.transpose(1, 2, 3, 0) if x.ndim == 4 else ref[0]
 
 
-def test_conv2d_matches_direct_loop():
-    for case in CONV_CASES:
-        stride, padding = case[:2]
-        x, w, b = _conv_case(*case)
-        out = ad.conv2d(x, w, b, stride=stride, padding=padding).data
-        ref = _conv_loop(x.data, w.data, None if b is None else b.data, stride, padding)
-        assert out.shape == ref.shape, case
-        assert np.allclose(out, ref, atol=1e-5), case
+# CONV_BLOCK_BYTES values to run each conv case under: the default, and one so
+# small that every input-side block is one output row. Every case has at least
+# two output rows, so it then spans two or more blocks, and the stride-2, k=5
+# case's blocks share input rows.
+CONV_BUDGETS = (ad.CONV_BLOCK_BYTES, 1)
+
+
+def test_conv2d_matches_direct_loop(monkeypatch):
+    for budget in CONV_BUDGETS:
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        for case in CONV_CASES:
+            stride, padding = case[:2]
+            x, w, b = _conv_case(*case)
+            out = ad.conv2d(x, w, b, stride=stride, padding=padding).data
+            ref = _conv_loop(x.data, w.data, None if b is None else b.data, stride, padding)
+            assert out.shape == ref.shape and out.shape[1] >= 2, case
+            assert np.allclose(out, ref, atol=1e-5), (case, budget)
 
 
 @pytest.mark.parametrize("case", [c for c in CONV_CASES if not c[5]])
-def test_conv2d_backward_is_adjoint(case):
+def test_conv2d_backward_is_adjoint(case, monkeypatch):
     # conv is linear in x and in w: <conv(x, w), g> = <x, dx> = <w, dw>
     stride, padding = case[:2]
-    x, w, _ = _conv_case(*case)
-    with Tape() as tape:
-        y = ad.conv2d(x, w, stride=stride, padding=padding)
-        g = Tensor(rand(y.shape, 30))
-        backward(tape, ad.reduce_mean(ad.mul(y, g)))
-    inner = np.sum(y.data.astype(np.float64) * g.data)
-    for t in (x, w):
-        dual = np.sum(t.data.astype(np.float64) * t.grad) * y.size
-        assert dual == pytest.approx(inner, rel=1e-5, abs=1e-5), case
+    for budget in CONV_BUDGETS:
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        x, w, _ = _conv_case(*case)
+        with Tape() as tape:
+            y = ad.conv2d(x, w, stride=stride, padding=padding)
+            g = Tensor(rand(y.shape, 30))
+            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+        inner = np.sum(y.data.astype(np.float64) * g.data)
+        for t in (x, w):
+            dual = np.sum(t.data.astype(np.float64) * t.grad) * y.size
+            assert dual == pytest.approx(inner, rel=1e-5, abs=1e-5), (case, budget)
 
 
 @pytest.mark.parametrize("n_c", [4, 32])

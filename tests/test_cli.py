@@ -100,6 +100,20 @@ def test_empty_split_is_one_line_error(pipeline, capsys, tmp_path):
     assert err == "error: no frames in split 'val'"
 
 
+def test_train_refuses_empty_val_split(capsys, tmp_path):
+    # model selection needs validation frames; none is taken from the training split
+    data = str(tmp_path / "d")
+    no_val = TINY + ["--set", "val_fraction=0"]
+    assert cli.main(["simulate", "--out", data, "--seed", "1"] + no_val) == 0
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
+                  + no_val)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: empty validation split") and "\n" not in err
+    assert not os.path.exists(tmp_path / "run" / "checkpoint")
+
+
 def test_hash_mismatch_refused(pipeline, capsys):
     _, data, _ = pipeline
     rc = cli.main(["train", "--data", data, "--out", "/tmp/nope", "--seed", "2"] + TINY)

@@ -45,9 +45,13 @@ def test_clip_grad_norm():
     assert norm == pytest.approx(np.sqrt(250.0))
     total = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in clipped)
     assert np.sqrt(total) == pytest.approx(1.0, rel=1e-5)
+    # the input arrays, scaled in place
+    assert clipped is grads and all(c is g for c, g in zip(clipped, grads))
+    assert np.allclose(grads[0], 3.0 / np.sqrt(250.0))
+    assert np.allclose(grads[1], 4.0 / np.sqrt(250.0))
     small = [np.full((4,), 0.1, np.float32)]
     out, norm2 = train.clip_grad_norm(small, max_norm=1.0)
-    assert out[0] is small[0]  # untouched below the threshold
+    assert out[0] is small[0] and np.all(small[0] == np.float32(0.1))  # below the threshold
     with pytest.raises(FloatingPointError):
         train.clip_grad_norm([np.array([np.nan], np.float32)])
 
@@ -130,6 +134,26 @@ def test_train_requires_train_split():
     with pytest.raises(ValueError):
         train.train(frames, patches, model.ModelConfig(n_c=4),
                     train.TrainConfig(epochs=1))
+
+
+def test_train_peak_memory_n32():
+    # n_c=32, 68 training frames, one epoch: the traced peak is one step's tape and
+    # backward over the parameters, two Adam moments and the best-epoch copy. Blocked
+    # im2col columns and gradients freed after each Adam update keep it below 96 MB
+    # (about 109 MB with unblocked columns and the last step's gradients kept alive).
+    amp, phase = dataset.gen_object(120, 120, seed=0)
+    plan = dataset.plan_scan(rows=10, cols=10, step=8, jitter_max=3, seed=0)
+    frames, patches = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+    dataset.split_rows(frames, rows=10, train_rows=9, test_rows=1, val_fraction=0.25, seed=0)
+    assert sum(f.split == "train" for f in frames) == 68
+    tracemalloc.start()
+    try:
+        train.train(frames, patches, model.ModelConfig(n_c=32, seed=0),
+                    train.TrainConfig(epochs=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96e6, peak
 
 
 def test_train_config_validates():
