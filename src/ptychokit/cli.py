@@ -56,16 +56,14 @@ def cmd_simulate(args):
     probe = cfg.make_probe()
     plan = dataset.plan_scan(v["rows"], v["cols"], v["step"], v["jitter_max"],
                              v["probe_size"], v["scan_seed"])
-    frames, patches = dataset.make_dataset(amp, phase, probe, plan, cfg.noise_cfg())
+    frames, _ = dataset.make_dataset(amp, phase, probe, plan, cfg.noise_cfg())
     dataset.split_rows(frames, v["rows"], v["train_rows"], v["test_rows"],
                        v["val_fraction"], v["split_seed"])
     meta = {"config_hash": cfg.data_hash(), "rows": v["rows"], "cols": v["cols"],
             "step": v["step"], "jitter_max": v["jitter_max"],
             "probe_size": v["probe_size"], "probe_radius": v["probe_radius"],
             "probe_sigma": v["probe_sigma"], "probe_curvature": v["probe_curvature"]}
-    dataset.save_dataset(args.out, frames, patches, probe, meta)
-    gridio.write_grid(os.path.join(args.out, "object_amplitude.ptg"), amp)
-    gridio.write_grid(os.path.join(args.out, "object_phase.ptg"), phase)
+    dataset.save_dataset(args.out, frames, amp, phase, probe, meta)
     _persist_config(cfg, args.out)
     print(f"simulate: {len(frames)} frames -> {args.out} (hash {meta['config_hash']})")
     return 0
@@ -105,10 +103,10 @@ PRED_FIELDS = ["index", "row", "col", "y", "x", "split"]
 def cmd_infer(args):
     params, mcfg, manifest, (frames, _probe, _meta) = _load_ckpt_and_data(
         args, dataset.load_frames)
-    preds = recon.infer(frames, params, mcfg)
     os.makedirs(os.path.join(args.out, "pred"), exist_ok=True)
     rows = []
-    for i, ((amp, phase), frame) in enumerate(zip(preds, frames)):
+    for i, ((amp, phase), frame) in enumerate(zip(recon.iter_infer(frames, params, mcfg),
+                                                  frames)):
         gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_amp.ptg"), amp)
         gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_phase.ptg"),
                           phase.astype(np.float32))
@@ -121,37 +119,32 @@ def cmd_infer(args):
     with open(os.path.join(args.out, "pred_meta.json"), "w") as fh:
         json.dump({"config_hash": manifest.get("config_hash", ""),
                    "variant": mcfg.variant, "split": args.split}, fh, indent=2)
-    print(f"infer: {len(preds)} predictions -> {args.out}")
+    print(f"infer: {len(rows)} predictions -> {args.out}")
     return 0
 
 
-def _load_predictions(pred_dir):
-    preds, positions = [], []
-    for row in dataset.read_table(os.path.join(pred_dir, "predictions.csv"), PRED_FIELDS,
-                                  PRED_FIELDS[:-1]):
+def _read_predictions(pred_dir, rows):
+    """Each row's (amplitude, phase) prediction files, read one pair at a time."""
+    for row in rows:
         i = row["index"]
-        amp = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_amp.ptg"))
-        phase = gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg"))
-        preds.append((amp, phase.astype(np.float64)))
-        positions.append((row["y"], row["x"]))
-    if not preds:
-        raise ValueError(f"no predictions in {pred_dir}/predictions.csv")
-    return preds, positions
+        yield (gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_amp.ptg")),
+               gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg")))
 
 
 def cmd_stitch(args):
     cfg = _build_config(args)
-    preds, positions = _load_predictions(args.pred)
-    patch = preds[0][0].shape[0]
-    floor = cfg["stitch_weight_floor"]
-    canvas = (max(y for y, _ in positions) + patch, max(x for _, x in positions) + patch)
-    amp, mask = recon.stitch([a for a, _ in preds], positions, canvas, floor)
-    phase, _ = recon.stitch_phase([p for _, p in preds], positions, canvas, floor)
+    rows = dataset.read_table(os.path.join(args.pred, "predictions.csv"), PRED_FIELDS,
+                              PRED_FIELDS[:-1])
+    if not rows:
+        raise ValueError(f"no predictions in {args.pred}/predictions.csv")
+    amp, phase, mask = recon.stitch_amp_phase(
+        _read_predictions(args.pred, rows), [(row["y"], row["x"]) for row in rows],
+        weight_floor=cfg["stitch_weight_floor"])
     os.makedirs(args.out, exist_ok=True)
     gridio.write_grid(os.path.join(args.out, "stitched_amp.ptg"), amp.astype(np.float32))
     gridio.write_grid(os.path.join(args.out, "stitched_phase.ptg"), phase.astype(np.float32))
     gridio.write_grid(os.path.join(args.out, "coverage.ptg"), mask.astype(np.float32))
-    print(f"stitch: canvas {canvas} -> {args.out}")
+    print(f"stitch: canvas {mask.shape} -> {args.out}")
     return 0
 
 
@@ -159,8 +152,8 @@ def cmd_evaluate(args):
     cfg = _build_config(args)
     params, mcfg, _, (frames, patches, _probe, meta) = _load_ckpt_and_data(
         args, dataset.load_dataset)
-    preds = recon.infer(frames, params, mcfg)
-    rep = recon.report(frames, preds, patches, weight_floor=cfg["stitch_weight_floor"],
+    rep = recon.report(frames, recon.iter_infer(frames, params, mcfg), patches,
+                       weight_floor=cfg["stitch_weight_floor"],
                        config_hash=meta.get("config_hash", ""), seed=args.seed or 0)
     recon.write_report(args.out, rep)
     print(f"evaluate: {len(frames)} frames ({args.split}) -> {args.out}/report.txt")
@@ -224,9 +217,8 @@ def cmd_ablate(args):
     test_p = [p for f, p in zip(frames, patches) if f.split == "test"]
     if not test_f:
         raise ValueError("no frames in split 'test'")
-    preds = recon.infer(test_f, result.params, result.cfg)
-    rep = recon.report(test_f, preds, test_p, weight_floor=cfg["stitch_weight_floor"],
-                       config_hash=data_hash)
+    rep = recon.report(test_f, recon.iter_infer(test_f, result.params, result.cfg), test_p,
+                       weight_floor=cfg["stitch_weight_floor"], config_hash=data_hash)
     recon.write_report(args.out, rep)
     with open(os.path.join(args.out, "ablation.json"), "w") as fh:
         json.dump({"variant": args.variant, "best_val": result.best_val,

@@ -199,14 +199,21 @@ META_TYPES = {"config_hash": str, "rows": int, "cols": int, "step": int, "jitter
               "probe_curvature": float}
 
 
-def save_dataset(outdir, frames, patches, probe, meta):
+def save_dataset(outdir, frames, amplitude, phase, probe, meta):
+    """Object grids, probe, meta, manifest and per-frame files: each frame's
+    intensity and the object's amplitude and phase windows at its (y, x),
+    which `load_dataset` cuts from the object grids instead of reading."""
     os.makedirs(os.path.join(outdir, "frames"), exist_ok=True)
+    gridio.write_grid(os.path.join(outdir, "object_amplitude.ptg"), amplitude)
+    gridio.write_grid(os.path.join(outdir, "object_phase.ptg"), phase)
     rows = []
-    for i, (frame, patch) in enumerate(zip(frames, patches)):
+    for i, frame in enumerate(frames):
+        p = frame.intensity.shape[0]
+        window = (slice(frame.y, frame.y + p), slice(frame.x, frame.x + p))
         names = {k: f"frames/{i:05d}_{k}.ptg" for k in ("intensity", "amplitude", "phase")}
         gridio.write_grid(os.path.join(outdir, names["intensity"]), frame.intensity)
-        gridio.write_grid(os.path.join(outdir, names["amplitude"]), patch.amplitude)
-        gridio.write_grid(os.path.join(outdir, names["phase"]), patch.phase)
+        gridio.write_grid(os.path.join(outdir, names["amplitude"]), amplitude[window])
+        gridio.write_grid(os.path.join(outdir, names["phase"]), phase[window])
         rows.append({"index": i, **names, "row": frame.row, "col": frame.col,
                      "y": frame.y, "x": frame.x, "noisy": int(frame.noisy),
                      "split": frame.split})
@@ -245,30 +252,48 @@ def read_table(path, fields, int_fields):
     return rows
 
 
-def _read_frames(indir, split):
-    """Frames (intensity grids only), probe, meta and the manifest rows read."""
+def load_frames(indir, split=None):
+    """Frames, probe and meta, without the ground truth; with `split`, only that
+    split's intensity files are read. Every intensity path must lie inside
+    `indir`."""
     meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
-    rows = [row for row in read_table(os.path.join(indir, "manifest.csv"), MANIFEST_FIELDS,
-                                      MANIFEST_INT_FIELDS)
-            if split is None or row["split"] == split]
-    frames = [DiffractionFrame(
-        intensity=gridio.read_grid(os.path.join(indir, row["intensity"])),
-        row=row["row"], col=row["col"], y=row["y"], x=row["x"],
-        noisy=bool(row["noisy"]), split=row["split"]) for row in rows]
-    return frames, probe, meta, rows
-
-
-def load_frames(indir, split=None):
-    """Frames, probe and meta, without the ground truth; with `split`, only that split's."""
-    frames, probe, meta, _ = _read_frames(indir, split)
+    manifest = os.path.join(indir, "manifest.csv")
+    root = os.path.realpath(indir)
+    frames = []
+    for row in read_table(manifest, MANIFEST_FIELDS, MANIFEST_INT_FIELDS):
+        if split is not None and row["split"] != split:
+            continue
+        path = os.path.realpath(os.path.join(indir, row["intensity"]))
+        if os.path.commonpath([root, path]) != root:
+            raise ValueError(f"{manifest}: intensity path '{row['intensity']}' of frame "
+                             f"{row['index']} lies outside the dataset")
+        frames.append(DiffractionFrame(
+            intensity=gridio.read_grid(path), row=row["row"], col=row["col"],
+            y=row["y"], x=row["x"], noisy=bool(row["noisy"]), split=row["split"]))
     return frames, probe, meta
 
 
 def load_dataset(indir, split=None):
-    """Frames, patches, probe and meta; with `split`, only that split's rows are read."""
-    frames, probe, meta, rows = _read_frames(indir, split)
-    patches = [ObjectPatch(amplitude=gridio.read_grid(os.path.join(indir, row["amplitude"])),
-                           phase=gridio.read_grid(os.path.join(indir, row["phase"])))
-               for row in rows]
+    """Frames, patches, probe and meta; with `split`, only that split's frames.
+
+    The object grids are read once, and each frame's patch is a read-only
+    view of them at its (y, x), the size of the probe.
+    """
+    frames, probe, meta = load_frames(indir, split)
+    grids = []
+    for kind in ("amplitude", "phase"):
+        grid = gridio.read_grid(os.path.join(indir, f"object_{kind}.ptg"))
+        if grid.ndim != 2 or (grids and grid.shape != grids[0].shape):
+            raise ValueError(f"{indir}: object_{kind}.ptg has shape {grid.shape}")
+        grid.flags.writeable = False
+        grids.append(grid)
+    (h, w), p = grids[0].shape, probe.shape[0]
+    patches = []
+    for f in frames:
+        if not (0 <= f.y <= h - p and 0 <= f.x <= w - p):
+            raise ValueError(f"{indir}: frame at ({f.y}, {f.x}) lies outside the "
+                             f"{h} x {w} object")
+        window = (slice(f.y, f.y + p), slice(f.x, f.x + p))
+        patches.append(ObjectPatch(amplitude=grids[0][window], phase=grids[1][window]))
     return frames, patches, probe, meta

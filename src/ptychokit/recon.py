@@ -21,13 +21,14 @@ class ReconReport:
     seed: int = 0
 
 
-def infer(frames, params, cfg, batch_size=32):
-    """Per-frame (amplitude, phase) predictions; deterministic.
+def iter_infer(frames, params, cfg, batch_size=32):
+    """Per-frame (amplitude, phase) predictions in frame order; deterministic.
 
-    The default batch is the training batch: at 64 frames the widest decoder
+    A generator: it runs the model on `batch_size` frames when the previous
+    batch has been consumed, so only one batch of predictions is alive. The
+    default batch is the training batch: at 64 frames the widest decoder
     convs' im2col blocks outgrow the cache and a frame takes longer.
     """
-    out = []
     for start in range(0, len(frames), batch_size):
         chunk = frames[start:start + batch_size]
         intensity = np.stack([f.intensity for f in chunk])[:, None]
@@ -39,8 +40,12 @@ def infer(frames, params, cfg, batch_size=32):
             phases = circphase.recover_phase(res["c_proj"].data[:, 0],
                                              res["s_proj"].data[:, 0])
         for i in range(len(chunk)):
-            out.append((amps[i].copy(), phases[i].copy()))
-    return out
+            yield amps[i].copy(), phases[i].copy()
+
+
+def infer(frames, params, cfg, batch_size=32):
+    """All of `iter_infer`'s predictions as a list."""
+    return list(iter_infer(frames, params, cfg, batch_size))
 
 
 _KERNEL_CACHE = {}
@@ -59,32 +64,66 @@ def stitch_kernel(patch, weight_floor):
     return _KERNEL_CACHE[key]
 
 
-def stitch(patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
-    """Per-pixel weighted mean of overlapping patches; returns (grid, coverage mask)."""
-    if not patches:
-        raise ValueError("empty patch list")
+def _blend(items, positions, canvas_shape, weight_floor, channels):
+    """Per-pixel weighted mean of k channels of overlapping p x p patches.
+
+    `channels(item)` gives an item's k patches. Items are added one at a time
+    to k float64 channel sums and one shared weight sum, and the sums are
+    divided in place; uncovered pixels are 0. With no `canvas_shape` the
+    canvas just covers every position. Returns (k mean grids, coverage mask).
+    """
     if not weight_floor >= 0:
         raise ValueError(f"weight_floor must be >= 0, got {weight_floor}")
-    p = patches[0].shape[0]
-    kernel = stitch_kernel(p, weight_floor)
-    acc = np.zeros(canvas_shape, dtype=np.float64)
-    wacc = np.zeros(canvas_shape, dtype=np.float64)
-    for patch, (y, x) in zip(patches, positions):
-        acc[y:y + p, x:x + p] += patch.astype(np.float64) * kernel
-        wacc[y:y + p, x:x + p] += kernel
-    mask = wacc > 0
-    out = np.zeros(canvas_shape, dtype=np.float64)
-    out[mask] = acc[mask] / wacc[mask]
+    sums = weight = None
+    for item, (y, x) in zip(items, positions):
+        patches = channels(item)
+        if weight is None:
+            p = patches[0].shape[0]
+            kernel = stitch_kernel(p, weight_floor)
+            if canvas_shape is None:
+                canvas_shape = (max(y for y, _ in positions) + p,
+                                max(x for _, x in positions) + p)
+            sums = [np.zeros(canvas_shape, dtype=np.float64) for _ in patches]
+            weight = np.zeros(canvas_shape, dtype=np.float64)
+        window = (slice(y, y + p), slice(x, x + p))
+        for acc, patch in zip(sums, patches):
+            acc[window] += patch.astype(np.float64) * kernel
+        weight[window] += kernel
+    if weight is None:
+        raise ValueError("empty patch list")
+    mask = weight > 0
+    uncovered = ~mask
+    for acc in sums:
+        np.divide(acc, weight, out=acc, where=mask)
+        acc[uncovered] = 0.0  # a zero-weight pixel may hold -0.0
+    return sums, mask
+
+
+def _cos_sin(phase):
+    phase = np.asarray(phase, dtype=np.float64)
+    return np.cos(phase), np.sin(phase)
+
+
+def stitch(patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
+    """Per-pixel weighted mean of overlapping patches; returns (grid, coverage mask).
+
+    The weights are `stitch_kernel`'s; `patches` may be any iterable."""
+    (out,), mask = _blend(patches, positions, canvas_shape, weight_floor, lambda p: (p,))
     return out, mask
 
 
 def stitch_phase(phase_patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
     """Circular-mean stitching: blend in (cos, sin) space, recover by atan2."""
-    cos_p = [np.cos(np.asarray(p, dtype=np.float64)) for p in phase_patches]
-    sin_p = [np.sin(np.asarray(p, dtype=np.float64)) for p in phase_patches]
-    c, mask = stitch(cos_p, positions, canvas_shape, weight_floor)
-    s, _ = stitch(sin_p, positions, canvas_shape, weight_floor)
+    (c, s), mask = _blend(phase_patches, positions, canvas_shape, weight_floor, _cos_sin)
     return circphase.recover_phase(c, s), mask
+
+
+def stitch_amp_phase(pairs, positions, canvas_shape=None, weight_floor=WEIGHT_FLOOR):
+    """`stitch` of the amplitudes and `stitch_phase` of the phases of a stream of
+    (amplitude, phase) patches, read once; returns (amplitude, phase, mask)."""
+    (amp, c, s), mask = _blend(pairs, positions, canvas_shape, weight_floor,
+                               lambda pair: (pair[0],) + _cos_sin(pair[1]))
+    return amp, circphase.recover_phase(c, s), mask
 
 
 def _psnr(mse_val, data_range):
@@ -158,29 +197,37 @@ METRIC_NAMES = ("mse", "mae", "psnr", "ssim")
 
 def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_shape=None,
            config_hash="", seed=0):
-    """Per-sample and stitched metrics plus band energies for amplitude and phase."""
-    if len(predictions) != len(frames) or len(gt_patches) != len(frames):
+    """Per-sample and stitched metrics plus band energies for amplitude and phase.
+
+    `predictions` is an iterable of (amplitude, phase), one per frame in frame
+    order, read once: the ground truth is stitched first, then each prediction
+    is scored and added to the stitch as it arrives, so `iter_infer` keeps one
+    batch of predictions alive. The count is checked at the end.
+    """
+    if len(gt_patches) != len(frames):
         raise ValueError("frames, predictions, and ground truth must align")
+    at = ([(f.y, f.x) for f in frames], canvas_shape, weight_floor)
+    amp_gt_full, phi_gt_full, _ = stitch_amp_phase(
+        ((p.amplitude, p.phase) for p in gt_patches), *at)
+
     per = {"amplitude": {m: [] for m in METRIC_NAMES},
            "phase": {m: [] for m in METRIC_NAMES}}
-    for (amp_hat, phi_hat), patch in zip(predictions, gt_patches):
-        for kind, gt, pred in (("amplitude", patch.amplitude, amp_hat),
-                               ("phase", patch.phase, phi_hat)):
-            vals = metrics(gt, pred, kind)
-            for m, v in zip(METRIC_NAMES, vals):
-                per[kind][m].append(v)
-    per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
+    predictions = iter(predictions)
 
-    positions = [(f.y, f.x) for f in frames]
-    if canvas_shape is None:
-        p = gt_patches[0].amplitude.shape[0]
-        canvas_shape = (max(y for y, _ in positions) + p,
-                        max(x for _, x in positions) + p)
-    at = (positions, canvas_shape, weight_floor)
-    amp_hat_full, mask = stitch([a for a, _ in predictions], *at)
-    phi_hat_full, _ = stitch_phase([p for _, p in predictions], *at)
-    amp_gt_full, _ = stitch([p.amplitude for p in gt_patches], *at)
-    phi_gt_full, _ = stitch_phase([p.phase for p in gt_patches], *at)
+    def scored():
+        count = 0
+        for patch, (amp_hat, phi_hat) in zip(gt_patches, predictions):
+            for kind, gt, pred in (("amplitude", patch.amplitude, amp_hat),
+                                   ("phase", patch.phase, phi_hat)):
+                for m, v in zip(METRIC_NAMES, metrics(gt, pred, kind)):
+                    per[kind][m].append(v)
+            count += 1
+            yield amp_hat, phi_hat
+        if count != len(frames) or next(predictions, None) is not None:
+            raise ValueError("frames, predictions, and ground truth must align")
+
+    amp_hat_full, phi_hat_full, mask = stitch_amp_phase(scored(), *at)
+    per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
 
     ys, xs = np.where(mask)
     box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))

@@ -250,6 +250,24 @@ def test_malformed_file_is_one_line_error(pipeline, capsys, tmp_path, case):
     assert os.path.basename(target) in err
 
 
+@pytest.mark.parametrize("where", ["absolute", "parent_dir"])
+def test_manifest_path_outside_dataset_is_one_line_error(pipeline, capsys, tmp_path, where):
+    _, data, run = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    outside = tmp_path / "outside.ptg"
+    shutil.copy(copy / "frames" / "00000_intensity.ptg", outside)
+    path = str(outside) if where == "absolute" else "../outside.ptg"
+    _rewrite_first_row(str(copy / "manifest.csv"),
+                       lambda r: r.replace("frames/00000_intensity.ptg", path, 1))
+    rc = cli.main(["infer", "--ckpt", os.path.join(run, "checkpoint"), "--data", str(copy),
+                   "--out", str(tmp_path / "p"), "--split", "all"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "manifest.csv" in err and "outside the dataset" in err
+
+
 def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):
     _, data, _ = pipeline
     args = ["train", "--data", data, "--seed", "1"] + TINY + ["--set", "eta=1e30"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptychokit import dataset, physics
+from ptychokit import dataset, gridio, physics
 
 
 def small_plan(seed=0, rows=6, cols=6):
@@ -118,7 +118,9 @@ def test_save_load_roundtrip(tmp_path):
                                            dataset.NoiseConfig(seed=1))
     dataset.split_rows(frames, rows=6, train_rows=4, test_rows=2, seed=0)
     meta = {"config_hash": "abc123", "probe_radius": 13.0}
-    dataset.save_dataset(tmp_path, frames, patches, probe, meta)
+    dataset.save_dataset(tmp_path, frames, amp, phase, probe, meta)
+    assert np.array_equal(gridio.read_grid(tmp_path / "object_amplitude.ptg"), amp)
+    assert np.array_equal(gridio.read_grid(tmp_path / "object_phase.ptg"), phase)
     f2, p2, probe2, meta2 = dataset.load_dataset(tmp_path)
     assert meta2["config_hash"] == "abc123"
     assert probe2.dtype == np.complex64 and np.array_equal(probe2, probe)
@@ -129,6 +131,52 @@ def test_save_load_roundtrip(tmp_path):
     for a, b in zip(patches, p2):
         assert np.array_equal(a.amplitude, b.amplitude)
         assert np.array_equal(a.phase, b.phase)
+
+
+def saved_dataset(path, seed, noise=None):
+    amp, phase = dataset.gen_object(100, 100, seed=seed)
+    probe = physics.make_probe()
+    frames, _ = dataset.make_dataset(amp, phase, probe, small_plan(seed), noise)
+    dataset.split_rows(frames, rows=6, train_rows=4, test_rows=2, seed=0)
+    dataset.save_dataset(path, frames, amp, phase, probe, {"config_hash": "abc123"})
+
+
+@pytest.mark.parametrize("noise", [None, dataset.NoiseConfig(seed=2)], ids=["clean", "noisy"])
+def test_load_dataset_patches_equal_stored_patch_files(tmp_path, noise):
+    saved_dataset(tmp_path, 7, noise)
+    frames, patches, _, _ = dataset.load_dataset(tmp_path)
+    assert all(f.noisy == (noise is not None) for f in frames)
+    assert len(patches) == 36
+    for i, patch in enumerate(patches):
+        for kind in ("amplitude", "phase"):
+            stored = gridio.read_grid(tmp_path / "frames" / f"{i:05d}_{kind}.ptg")
+            got = getattr(patch, kind)
+            assert got.dtype == stored.dtype and got.tobytes() == stored.tobytes()
+
+
+def test_load_dataset_patches_are_read_only_views(tmp_path):
+    saved_dataset(tmp_path, 8)
+    frames, patches, _, _ = dataset.load_dataset(tmp_path, split="test")
+    a, b = patches[0], patches[1]
+    assert (frames[0].row, frames[1].col) == (frames[1].row, frames[0].col + 1)
+    for arr in (a.amplitude, a.phase, b.amplitude, b.phase):
+        assert arr.base is not None and not arr.flags.writeable
+    # horizontal neighbours overlap, so their windows share the object's memory
+    assert np.shares_memory(a.amplitude, b.amplitude) and np.shares_memory(a.phase, b.phase)
+    with pytest.raises(ValueError):
+        a.amplitude[0, 0] = 0.0
+
+
+def test_load_dataset_rejects_window_outside_object(tmp_path):
+    saved_dataset(tmp_path, 9)
+    manifest = tmp_path / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[dataset.MANIFEST_FIELDS.index("y")] = "90"
+    lines[1] = ",".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="outside"):
+        dataset.load_dataset(tmp_path)
 
 
 def test_adjacent_windows_overlap_without_jitter():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,53 @@ def test_infer_does_not_depend_on_batch_size():
         for (a, phi), (a_ref, phi_ref) in zip(got, want):
             assert np.allclose(a, a_ref, rtol=0, atol=1e-6)
             assert np.abs(circphase.wrapped_diff(phi, phi_ref)).max() <= 1e-6
+
+
+def _scan(n_side=20, step=2, p=32, seed=4):
+    """Frames on an n_side^2 grid, their ground truth as views of one object, and
+    a fresh generator of slightly perturbed (amplitude, phase) predictions."""
+    rng = np.random.default_rng(seed)
+    size = (n_side - 1) * step + p
+    amp = rng.uniform(0.1, 1.0, (size, size)).astype(np.float32)
+    phase = rng.uniform(-np.pi, np.pi, (size, size)).astype(np.float32)
+    blank = np.zeros((p, p), dtype=np.float32)
+    frames = [dataset.DiffractionFrame(intensity=blank, row=r, col=c, y=r * step, x=c * step)
+              for r in range(n_side) for c in range(n_side)]
+    gt = [dataset.ObjectPatch(amplitude=amp[f.y:f.y + p, f.x:f.x + p],
+                              phase=phase[f.y:f.y + p, f.x:f.x + p]) for f in frames]
+
+    def predictions():
+        for i, patch in enumerate(gt):
+            noise = np.random.default_rng(i).normal(0.0, 0.05, (p, p))
+            yield ((patch.amplitude + noise).astype(np.float32),
+                   circphase.wrapped_diff(patch.phase + noise, 0.0))
+    return frames, gt, predictions
+
+
+def test_report_streams_predictions():
+    frames, gt, predictions = _scan()
+    n, p = len(frames), gt[0].amplitude.shape[0]
+    canvas_bytes = (frames[-1].y + p) * (frames[-1].x + p) * 8
+    tracemalloc.start()
+    try:
+        rep = recon.report(frames, predictions(), gt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Holding every float64 phase prediction alone would take n * p^2 * 8 bytes;
+    # the blends, stitched fields and spectra take some 16 canvases at most.
+    assert peak < n * p * p * 8 + 16 * canvas_bytes
+    want = recon.report(frames, list(predictions()), gt)
+    for name, field in want.fields.items():
+        assert np.array_equal(rep.fields[name], field)
+    for kind in ("amplitude", "phase"):
+        for m in recon.METRIC_NAMES:
+            assert np.array_equal(rep.per_sample[kind][m], want.per_sample[kind][m])
+
+
+def test_report_checks_prediction_count():
+    frames, gt, predictions = _scan(n_side=3)
+    preds = list(predictions())
+    for wrong in (preds[:-1], preds + preds[:1], []):
+        with pytest.raises(ValueError, match="align"):
+            recon.report(frames, iter(wrong), gt)
