@@ -1,25 +1,30 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
-Storage is float32. `reduce_mean` and the conv2d bias gradient accumulate in
-float64. `conv2d`, `upsample_bilinear2x` and `concat_channels` take
-activations in one layout, (C, H, W, N): channels outermost, batch innermost
-(a C x H x W map is N = 1). A convolution shifts its k*k kernel taps on
-whichever side, input or output, has fewer channels. On the input side the
-im2col columns are built in blocks of output rows, each at most
-CONV_BLOCK_BYTES: the forward is one float32 GEMM per block and the weight
-gradient a sum of one GEMM per block. At stride 1 the input gradient is the
-same blocked conv of the output gradient padded by k-1-p, with the flipped,
-transposed kernel; at stride > 1 each block's column gradient is scattered
-back. On the output side the forward, weight gradient and input gradient are
-one GEMM each, and a tap is a flat shift of (i*Wp + j)*N over one padded
-(C, Hp, Wp, N) buffer. `conv2d(..., upsample=True)` is a conv of the
-bilinearly 2x-upsampled input with its taps mixed at the input's resolution,
-and `conv2d(..., relu=True)` applies ReLU in the conv's epilogue; its
-backward masks the output gradient in place with the output's sign, so no
-pre-activation is kept. `upsample_bilinear2x` runs as two batched
-float32 matrix products. `scalar_op` is a scalar computed off the tape with a
-closed-form gradient. Forward results must be finite (`NonFiniteError`). No
-broadcasting beyond bias-add over channels.
+Ops: elementwise `add`, `mul`, `div`, `scale`, `square`, `sqrt_eps`, `tanh`,
+`sigmoid`; `transpose`, `concat_channels`, `conv2d`, `upsample_bilinear2x`;
+`reduce_mean`, which accumulates in float64 and is the gradient checks' scalar
+reduction; and `scalar_op`, a scalar over several inputs computed off the tape
+(each loss node, in float64) with a closed-form gradient run only in a backward.
+
+Storage is float32, and the conv2d bias gradient accumulates in float64.
+`conv2d`, `upsample_bilinear2x` and `concat_channels` take activations in
+one layout, (C, H, W, N): channels outermost, batch innermost (a C x H x W
+map is N = 1). A convolution shifts its k*k kernel taps on whichever side,
+input or output, has fewer channels. On the input side the im2col columns
+are built in blocks of output rows, each at most CONV_BLOCK_BYTES: the
+forward is one float32 GEMM per block and the weight gradient a sum of one
+GEMM per block. At stride 1 the input gradient is the same blocked conv of
+the output gradient padded by k-1-p, with the flipped, transposed kernel; at
+stride > 1 each block's column gradient is scattered back. On the output
+side the forward, weight gradient and input gradient are one GEMM each, and
+a tap is a flat shift of (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer.
+`conv2d(..., upsample=True)` is a conv of the bilinearly 2x-upsampled input
+with its taps mixed at the input's resolution, and `conv2d(..., relu=True)`
+applies ReLU in the conv's epilogue; its backward masks the output gradient
+in place with the output's sign, so no pre-activation is kept.
+`upsample_bilinear2x` runs as two batched float32 matrix products. Forward
+results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
+over channels.
 
 The tape keeps only what a backward reads: a conv's closure holds its input,
 not a padded copy, and re-pads it in the backward. `backward` consumes the
@@ -144,17 +149,6 @@ def add(a, b):
 
 
 @_quiet
-def sub(a, b):
-    out = a.data - b.data
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(out, (a, b), bwd, "sub")
-
-
-@_quiet
 def mul(a, b):
     out = a.data * b.data
 
@@ -185,16 +179,6 @@ def scale(a, k):
         _accum(a, g * k)
 
     return _make(out, (a,), bwd, "scale")
-
-
-@_quiet
-def add_const(a, k):
-    out = a.data + float(k)
-
-    def bwd(g):
-        _accum(a, g)
-
-    return _make(out, (a,), bwd, "add_const")
 
 
 @_quiet
@@ -237,17 +221,6 @@ def sigmoid(a):
     return _make(out, (a,), bwd, "sigmoid")
 
 
-@_quiet
-def abs_(a):
-    sign = np.sign(a.data)
-    out = np.abs(a.data)
-
-    def bwd(g):
-        _accum(a, g * sign)
-
-    return _make(out, (a,), bwd, "abs")
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -280,13 +253,18 @@ def concat_channels(a, b):
 
 
 @_quiet
-def scalar_op(x, value, grad_fn):
-    """A scalar node whose gradient w.r.t. x is grad_fn(), an array of x's shape
-    computed only when a backward reaches the node (`losses.ssim`)."""
-    def bwd(g):
-        _accum(x, grad_fn() * np.asarray(g).item())
+def scalar_op(inputs, value, grad_fn):
+    """A scalar node over a tuple of inputs. grad_fn() gives its gradient as one
+    array per input, of that input's shape; it runs only when a backward reaches
+    the node (the `losses` terms)."""
+    inputs = tuple(inputs)
 
-    return _make(np.float32(value), (x,), bwd, "scalar_op")
+    def bwd(g):
+        k = np.asarray(g).item()
+        for x, gx in zip(inputs, grad_fn()):
+            _accum(x, gx * k)
+
+    return _make(np.float32(value), inputs, bwd, "scalar_op")
 
 
 @_quiet
@@ -300,38 +278,6 @@ def reduce_mean(x):
         _accum(x, np.full_like(x.data, float(np.asarray(g).item()) / n))
 
     return _make(out, (x,), bwd, "reduce_mean")
-
-
-@_quiet
-def diff_h(x):
-    """Forward difference along the last axis (horizontal gradient)."""
-    if x.data.shape[-1] < 2:
-        raise ValueError("diff_h needs W >= 2")
-    out = x.data[..., 1:] - x.data[..., :-1]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[..., 1:] += g
-        gx[..., :-1] -= g
-        _accum(x, gx)
-
-    return _make(out, (x,), bwd, "diff_h")
-
-
-@_quiet
-def diff_v(x):
-    """Forward difference along the second-to-last axis (vertical gradient)."""
-    if x.data.shape[-2] < 2:
-        raise ValueError("diff_v needs H >= 2")
-    out = x.data[..., 1:, :] - x.data[..., :-1, :]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[..., 1:, :] += g
-        gx[..., :-1, :] -= g
-        _accum(x, gx)
-
-    return _make(out, (x,), bwd, "diff_v")
 
 
 # ---------------------------------------------------------------------------

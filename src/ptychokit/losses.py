@@ -1,10 +1,12 @@
 """Composite training objective: pixel fidelity, edge and structure terms,
-circular geodesic loss, and unit-circle consistency. All terms are
-differentiable through the autodiff module.
+circular geodesic loss, and unit-circle consistency.
 
-SSIM is written once, in float64 (`_ssim_terms`): `ssim_value` scores one
-grid for evaluation; the training term `ssim`, 1 - mean SSIM of a stack, is
-one `autodiff.scalar_op` node with a closed-form gradient."""
+Each term is one private float64 kernel that returns its value and a thunk for
+its gradient in closed form, run only when a backward reaches the node.
+`total_loss` is one `autodiff.scalar_op` node over the five model heads;
+`mse`, `ssim` and `circular_loss` are one node over one kernel each, and
+`ssim_value` and `circular_loss_value` are kernel values for evaluation. SSIM
+is written once (`_ssim_terms`); its gradient is Wang & Simoncelli's (2008)."""
 
 import functools
 import math
@@ -57,35 +59,47 @@ class LossBreakdown:
         return [getattr(self, f) for f in self.FIELDS]
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-
-
-def mse(x, xhat):
-    x, xhat = as_tensor(x), as_tensor(xhat)
+def _pair(x, xhat):
+    """(x, xhat, xhat's data) for a constant x of xhat's shape, x and the data float64."""
+    x, xhat = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, xhat))
+    if x.requires_grad:
+        raise ValueError("the target takes no gradient")
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    return ad.reduce_mean(ad.square(ad.sub(x, xhat)))
+    return x.data.astype(np.float64), xhat, xhat.data.astype(np.float64)
 
 
-def mae(x, xhat):
-    x, xhat = as_tensor(x), as_tensor(xhat)
-    if x.shape != xhat.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    return ad.reduce_mean(ad.abs_(ad.sub(x, xhat)))
+# Kernels: float64 arrays in, (value, thunk) out; the thunk gives the gradient
+# with respect to each prediction argument.
+
+def _mse(x, y):
+    """Mean (y - x)^2; y gradient 2(y - x)/n."""
+    d = y - x
+    return np.mean(d * d), lambda: (d * (2.0 / d.size),)
 
 
-def base_loss(a, a_hat, c, c_hat, s, s_hat):
-    """MSE on amplitude plus both (pre-projection) circular channels."""
-    return ad.add(ad.add(mse(a, a_hat), mse(c, c_hat)), mse(s, s_hat))
+def _grad_l1(x, y):
+    """Mean |forward difference| of y - x along W plus along H; the y gradient is
+    the adjoint of the differences applied to their signs (subgradient 0 at 0)."""
+    dh, dv = np.diff(y - x, axis=-1), np.diff(y - x, axis=-2)
+
+    def grad():  # the adjoint of a forward difference: minus that of the zero-padded input
+        return (-np.diff(np.sign(dh) / dh.size, axis=-1, prepend=0, append=0)
+                - np.diff(np.sign(dv) / dv.size, axis=-2, prepend=0, append=0),)
+
+    return np.mean(np.abs(dh)) + np.mean(np.abs(dv)), grad
 
 
-def grad_loss(x, xhat):
-    """Mean absolute difference of forward spatial gradients, both axes."""
-    x, xhat = as_tensor(x), as_tensor(xhat)
-    d = ad.sub(x, xhat)
-    return ad.add(ad.reduce_mean(ad.abs_(ad.diff_h(d))),
-                  ad.reduce_mean(ad.abs_(ad.diff_v(d))))
+def _circular(c, c_hat, s, s_hat):
+    """1 - mean(c c_hat + s s_hat), the mean of 1 - cos(delta phi) on the unit
+    circle; (c_hat, s_hat) gradient (-c/n, -s/n)."""
+    return 1.0 - np.mean(c * c_hat + s * s_hat), lambda: (c / -c.size, s / -s.size)
+
+
+def _consistency(c, s):
+    """Mean (c^2 + s^2 - 1)^2; (c, s) gradient 4(c^2 + s^2 - 1)(c, s)/n."""
+    dev = c * c + s * s - 1.0
+    return np.mean(dev * dev), lambda: (dev * c * (4.0 / dev.size), dev * s * (4.0 / dev.size))
 
 
 @functools.cache
@@ -113,8 +127,8 @@ def _ssim_terms(x, y):
     """SSIM of two (M, H, W) float64 stacks over the valid windows (Wang et al.
     2004) as (mu_x, mu_y, a1, a2, b1, b2), SSIM = a1 a2 / (b1 b2): a1 = 2 mu_x
     mu_y + C1, a2 = 2 cov + C2, b1 = mu_x^2 + mu_y^2 + C1, b2 = var_x + var_y + C2."""
-    if min(x.shape[1:]) < SSIM_WINDOW:
-        raise ValueError(f"grid {x.shape[1:]} smaller than SSIM window")
+    if x.ndim != 3 or min(x.shape[1:]) < SSIM_WINDOW:
+        raise ValueError(f"need grids of at least the SSIM window, got {x.shape}")
     bh, bw = _blur_matrix(x.shape[1]), _blur_matrix(x.shape[2])
     mu_x, mu_y = _blur(x, bh, bw), _blur(y, bh, bw)
     a1 = 2 * mu_x * mu_y + SSIM_C1
@@ -124,86 +138,90 @@ def _ssim_terms(x, y):
     return mu_x, mu_y, a1, a2, b1, b2
 
 
+def _ssim(x, y):
+    """1 - mean SSIM of y against x over the valid 11x11 Gaussian windows (data
+    range 1) of each H x W grid, as mean(((b1 - a1) b2 + a1 (b2 - a2)) / (b1 b2)),
+    precise near SSIM = 1; y gradient in Wang & Simoncelli's (2008) closed form."""
+    xs, ys = (v.reshape((-1,) + v.shape[-2:]) for v in (x, y))
+    mu_x, mu_y, a1, a2, b1, b2 = _ssim_terms(xs, ys)
+    den = b1 * b2
+
+    def grad():
+        # -(B^T a + x B^T b + y B^T c) / (number of windows), B^T the adjoint blur
+        s, k = a1 * a2 / den, -1.0 / a1.size
+        a = k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2))
+        bh, bw = _blur_matrix(xs.shape[1]).T, _blur_matrix(xs.shape[2]).T
+        g = (_blur(a, bh, bw) + xs * _blur(k * 2 * a1 / den, bh, bw)
+             + ys * _blur(k * -2 * s / b2, bh, bw))
+        return (g.reshape(y.shape),)
+
+    return np.mean(((b1 - a1) * b2 + a1 * (b2 - a2)) / den), grad
+
+
 def ssim_value(x, xhat):
     """Double-precision mean SSIM of two 2-D grids (evaluation path)."""
     x, xhat = np.asarray(x, np.float64), np.asarray(xhat, np.float64)
     if x.shape != xhat.shape or x.ndim != 2:
         raise ValueError(f"need matching 2-D grids, got {x.shape} vs {xhat.shape}")
-    _, _, a1, a2, b1, b2 = _ssim_terms(x[None], xhat[None])
-    return float(np.mean(a1 * a2 / (b1 * b2)))
+    return 1.0 - float(_ssim(x, xhat)[0])
+
+
+def mse(x, xhat):
+    """Mean squared error of xhat against the constant x, as one tape node."""
+    x, xhat, y = _pair(x, xhat)
+    return ad.scalar_op((xhat,), *_mse(x, y))
 
 
 def ssim(x, xhat):
-    """SSIM loss as one tape node: 1 - mean SSIM over valid 11x11 Gaussian windows
-    (data range 1) of H x W grids or a stack, in float64 as mean(((b1 - a1) b2 +
-    a1 (b2 - a2)) / (b1 b2)), precise near SSIM = 1. The target x is constant; the
-    xhat gradient is Wang & Simoncelli's (2008) closed form, taken in the backward."""
-    x, xhat = as_tensor(x), as_tensor(xhat)
-    if x.requires_grad:
-        raise ValueError("ssim takes a constant target x")
-    if x.shape != xhat.shape or x.data.ndim < 2:
-        raise ValueError(f"need matching grids, got {x.shape} vs {xhat.shape}")
-    xs, ys = (t.data.reshape((-1,) + x.shape[-2:]).astype(np.float64) for t in (x, xhat))
-    mu_x, mu_y, a1, a2, b1, b2 = _ssim_terms(xs, ys)
-    den = b1 * b2
-
-    def grad():
-        # -(B^T a + x B^T b + xhat B^T c) / (number of windows), B^T the adjoint blur
-        s, k = a1 * a2 / den, -1.0 / a1.size
-        a = k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2))
-        bh, bw = _blur_matrix(x.shape[-2]).T, _blur_matrix(x.shape[-1]).T
-        g = (_blur(a, bh, bw) + xs * _blur(k * 2 * a1 / den, bh, bw)
-             + ys * _blur(k * -2 * s / b2, bh, bw))
-        return g.reshape(xhat.shape)
-
-    return ad.scalar_op(xhat, np.mean(((b1 - a1) * b2 + a1 * (b2 - a2)) / den), grad)
-
-
-def circular_loss_value(c, c_hat, s, s_hat):
-    """Double-precision circular loss for plain arrays (evaluation path)."""
-    c = np.asarray(c, np.float64)
-    s = np.asarray(s, np.float64)
-    dot = np.mean(c * np.asarray(c_hat, np.float64) + s * np.asarray(s_hat, np.float64))
-    return float(1.0 - dot)
+    """The SSIM loss (`_ssim`) of H x W grids or a stack, as one tape node."""
+    x, xhat, y = _pair(x, xhat)
+    return ad.scalar_op((xhat,), *_ssim(x, y))
 
 
 def circular_loss(c, c_hat, s, s_hat):
-    """Mean of 1 - cos(delta phi), via the dot product of projected coordinates."""
-    c, s = as_tensor(c), as_tensor(s)
-    c_hat, s_hat = as_tensor(c_hat), as_tensor(s_hat)
-    dot = ad.reduce_mean(ad.add(ad.mul(c, c_hat), ad.mul(s, s_hat)))
-    return ad.add_const(ad.scale(dot, -1.0), 1.0)
+    """The circular loss as one tape node over the projected (c_hat, s_hat)."""
+    (c, c_hat, ch), (s, s_hat, sh) = _pair(c, c_hat), _pair(s, s_hat)
+    return ad.scalar_op((c_hat, s_hat), *_circular(c, ch, s, sh))
 
 
-def consistency_loss(c_hat, s_hat):
-    """Mean of (c^2 + s^2 - 1)^2 on pre-projection outputs."""
-    c_hat, s_hat = as_tensor(c_hat), as_tensor(s_hat)
-    dev = ad.add_const(ad.add(ad.square(c_hat), ad.square(s_hat)), -1.0)
-    return ad.reduce_mean(ad.square(dev))
+def circular_loss_value(c, c_hat, s, s_hat):
+    """The circular loss of plain arrays, in float64 (evaluation path)."""
+    return float(_circular(*(np.asarray(v, np.float64) for v in (c, c_hat, s, s_hat)))[0])
 
 
 def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,
                weights=None):
-    """Full composite objective; returns (scalar Tensor, LossBreakdown)."""
-    weights = weights or LossWeights()
-    base = base_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre)
+    """The composite objective as one tape node over the five heads (a_hat,
+    c_hat_pre, s_hat_pre, c_hat_proj, s_hat_proj), every term in float64;
+    returns (scalar Tensor, LossBreakdown). total = w_b base + w_a amp + w_p phase
+    + w_c cons, with base the MSEs of a_hat, c_hat_pre and s_hat_pre, amp =
+    lam_g grad_amp + lam_s ssim_amp and phase = lam_g grad_phase + lam_s
+    ssim_phase + lam_circ circular."""
+    w = weights or LossWeights()
+    pairs = [_pair(x, y) for x, y in ((a, a_hat), (c, c_hat_pre), (s, s_hat_pre),
+                                      (c, c_hat_proj), (s, s_hat_proj))]
+    heads = tuple(p[1] for p in pairs)
+    (a, _, ah), (c, _, cp), (s, _, sp), (_, _, cj), (_, _, sj) = pairs
+    ssims, grads, mses = ([f(x, y) for x, y in ((a, ah), (c, cp), (s, sp))]
+                          for f in (_ssim, _grad_l1, _mse))
+    circ, cons = _circular(c, cj, s, sj), _consistency(cp, sp)
+    chan_w = (w.w_a, w.w_p, w.w_p)  # the amplitude term, then the phase term twice
+    terms = ([(w.w_b, (i,), m) for i, m in enumerate(mses)]  # (weight, heads, kernel)
+             + [(k * w.lam_g, (i,), g) for i, (k, g) in enumerate(zip(chan_w, grads))]
+             + [(k * w.lam_s, (i,), r) for i, (k, r) in enumerate(zip(chan_w, ssims))]
+             + [(w.w_p * w.lam_circ, (3, 4), circ), (w.w_c, (1, 2), cons)])
 
-    g_amp = grad_loss(a, a_hat)
-    s_amp = ssim(a, a_hat)
-    amp = ad.add(ad.scale(g_amp, weights.lam_g), ad.scale(s_amp, weights.lam_s))
+    def grad():
+        out = [np.zeros(h.shape) for h in heads]
+        for k, idx, (_, thunk) in terms:
+            for i, g in zip(idx, thunk()):
+                out[i] += k * g
+        return out
 
-    g_ph = ad.add(grad_loss(c, c_hat_pre), grad_loss(s, s_hat_pre))
-    s_ph = ad.add(ssim(c, c_hat_pre), ssim(s, s_hat_pre))
-    circ = circular_loss(c, c_hat_proj, s, s_hat_proj)
-    phase = ad.add(ad.add(ad.scale(g_ph, weights.lam_g), ad.scale(s_ph, weights.lam_s)),
-                   ad.scale(circ, weights.lam_circ))
-
-    cons = consistency_loss(c_hat_pre, s_hat_pre)
-    total = ad.add(ad.add(ad.scale(base, weights.w_b), ad.scale(amp, weights.w_a)),
-                   ad.add(ad.scale(phase, weights.w_p), ad.scale(cons, weights.w_c)))
-
-    breakdown = LossBreakdown(
-        base=base.item(), amp=amp.item(), phase=phase.item(), cons=cons.item(),
-        circular=circ.item(), grad_amp=g_amp.item(), ssim_amp=s_amp.item(),
-        grad_phase=g_ph.item(), ssim_phase=s_ph.item(), total=total.item())
-    return total, breakdown
+    base, g_ph, s_ph = (float(sum(r[0] for r in rs)) for rs in (mses, grads[1:], ssims[1:]))
+    g_amp, s_amp, v_circ, v_cons = (float(r[0]) for r in (grads[0], ssims[0], circ, cons))
+    amp = w.lam_g * g_amp + w.lam_s * s_amp
+    phase = w.lam_g * g_ph + w.lam_s * s_ph + w.lam_circ * v_circ
+    total = w.w_b * base + w.w_a * amp + w.w_p * phase + w.w_c * v_cons
+    return ad.scalar_op(heads, total, grad), LossBreakdown(
+        base, amp, phase, v_cons, v_circ, g_amp, s_amp, g_ph, s_ph, total)

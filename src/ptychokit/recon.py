@@ -15,10 +15,14 @@ WEIGHT_FLOOR = 1e-6
 class ReconReport:
     per_sample: dict
     stitched: dict
-    bands: dict
+    spectra: dict  # kind -> radial_psd (radii, curve, bands) of the covered box
     fields: dict  # stitched grids: amp_hat, phase_hat, amp_gt, phase_gt, mask
     config_hash: str = ""
     seed: int = 0
+
+    @property
+    def bands(self):
+        return {kind: bands for kind, (_, _, bands) in self.spectra.items()}
 
 
 def iter_infer(frames, params, cfg, batch_size=32):
@@ -237,16 +241,13 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_sh
         vals = metrics(gt[box], pred[box], kind)
         stitched[kind] = dict(zip(METRIC_NAMES, vals))
 
-    bands = {}
-    for kind, pred in (("amplitude", amp_hat_full), ("phase", phi_hat_full)):
-        crop = pred[box]
-        side = min(crop.shape)
-        _, _, b = radial_psd(crop[:side, :side])
-        bands[kind] = b
+    side = min(sl.stop - sl.start for sl in box)  # of the box's top-left square
+    spectra = {kind: radial_psd(pred[box][:side, :side])
+               for kind, pred in (("amplitude", amp_hat_full), ("phase", phi_hat_full))}
 
     fields = {"amp_hat": amp_hat_full, "phase_hat": phi_hat_full,
               "amp_gt": amp_gt_full, "phase_gt": phi_gt_full, "mask": mask}
-    return ReconReport(per_sample=per, stitched=stitched, bands=bands, fields=fields,
+    return ReconReport(per_sample=per, stitched=stitched, spectra=spectra, fields=fields,
                        config_hash=config_hash, seed=seed)
 
 
@@ -279,10 +280,7 @@ def write_report(outdir, rep):
     for name in ("amp_hat", "phase_hat", "amp_gt", "phase_gt"):
         gridio.write_grid(os.path.join(outdir, name + ".ptg"),
                           rep.fields[name].astype(np.float32))
-    for kind, arr in (("amplitude", rep.fields["amp_hat"]),
-                      ("phase", rep.fields["phase_hat"])):
-        side = min(arr.shape)
-        radii, curve, _ = radial_psd(arr[:side, :side])
+    for kind, (radii, curve, _) in rep.spectra.items():
         with open(os.path.join(outdir, f"psd_{kind}.txt"), "w") as fh:
             for rbin, val in zip(radii, curve):
                 fh.write(f"{rbin} {val:.10g}\n")

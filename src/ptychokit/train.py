@@ -111,16 +111,14 @@ def _batch_loss(frames, patches, idx, params, cfg, weights):
     intensity, a, c, s, phi = _stack_batch(frames, patches, idx)
     out = model.forward(intensity, params, cfg)
     if cfg.variant == "scalar_phase":
-        total = ad.add(losses.mse(Tensor(a), out["amp"]),
-                       losses.mse(Tensor(phi), out["phase"]))
+        total = ad.add(losses.mse(a, out["amp"]), losses.mse(phi, out["phase"]))
         bd = losses.LossBreakdown(base=total.item(), amp=0.0, phase=0.0, cons=0.0,
                                   circular=0.0, grad_amp=0.0, ssim_amp=0.0,
                                   grad_phase=0.0, ssim_phase=0.0, total=total.item())
         ring = 0.0
     else:
-        total, bd = losses.total_loss(Tensor(a), out["amp"], Tensor(c), out["c_pre"],
-                                      Tensor(s), out["s_pre"], out["c_proj"],
-                                      out["s_proj"], weights)
+        total, bd = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
+                                      out["c_proj"], out["s_proj"], weights)
         ring = float(np.mean(np.abs(out["c_pre"].data ** 2 + out["s_pre"].data ** 2 - 1.0)))
     return total, bd, ring
 

@@ -20,14 +20,11 @@ def test_elementwise_forward_values():
     a = Tensor(rand((3, 3), 0))
     b = Tensor(rand((3, 3), 1) + 2.0)
     assert np.allclose(ad.add(a, b).data, a.data + b.data)
-    assert np.allclose(ad.sub(a, b).data, a.data - b.data)
     assert np.allclose(ad.mul(a, b).data, a.data * b.data)
     assert np.allclose(ad.div(a, b).data, a.data / b.data)
     assert np.allclose(ad.square(a).data, a.data ** 2)
     assert np.allclose(ad.scale(a, 2.5).data, 2.5 * a.data)
-    assert np.allclose(ad.add_const(a, 1.5).data, a.data + 1.5)
     assert np.allclose(ad.tanh(a).data, np.tanh(a.data))
-    assert np.allclose(ad.abs_(a).data, np.abs(a.data))
     assert np.allclose(ad.sigmoid(a).data, 1 / (1 + np.exp(-a.data.astype(np.float64))),
                        atol=1e-7)
 
@@ -287,14 +284,6 @@ def test_transpose_routes_gradients():
         backward(tape, ad.reduce_mean(ad.mul(y, Tensor(g))))
     assert np.array_equal(y.data, x.data.transpose(3, 0, 1, 2))
     assert np.allclose(x.grad, g.transpose(1, 2, 3, 0) / g.size, atol=1e-9)
-
-
-def test_diff_ops():
-    x = Tensor(rand((4, 5), 20))
-    assert np.allclose(ad.diff_h(x).data, np.diff(x.data, axis=-1))
-    assert np.allclose(ad.diff_v(x).data, np.diff(x.data, axis=-2))
-    with pytest.raises(ValueError):
-        ad.diff_h(Tensor(rand((4, 1), 21)))
 
 
 def test_reduce_mean_empty_raises():

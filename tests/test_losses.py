@@ -1,9 +1,12 @@
+import dataclasses
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from ptychokit import autodiff as ad, circphase, losses
+from ptychokit import circphase, losses, model
 from ptychokit.autodiff import Tape, Tensor, backward
 
 
@@ -103,22 +106,28 @@ def test_ssim_too_small_raises():
         losses.ssim_value(rand((8, 8), 2), rand((8, 8), 3))
 
 
-def test_mse_mae_values():
+def test_mse_values():
     x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
     y = np.array([[1.5, 2.0], [2.0, 4.0]], np.float32)
     assert losses.mse(x, y).item() == pytest.approx((0.25 + 1.0) / 4)
-    assert losses.mae(x, y).item() == pytest.approx(1.5 / 4)
     with pytest.raises(ValueError):
         losses.mse(x, rand((3, 3), 4))
 
 
+def _breakdown(a, ah, c, ch, s, sh, weights=None):
+    """The LossBreakdown of plain arrays, with (ch, sh) projected for the circular term."""
+    ch, sh = Tensor(ch), Tensor(sh)
+    cp, sp = circphase.unit_project(ch, sh)
+    return losses.total_loss(a, ah, c, ch, s, sh, cp, sp, weights)[1]
+
+
 def test_grad_loss_oracle():
-    x = rand((6, 6), 5)
-    y = rand((6, 6), 6)
+    x, y = rand((12, 12), 5), rand((12, 12), 6)
     d = x.astype(np.float64) - y
     expected = np.mean(np.abs(np.diff(d, axis=1))) + np.mean(np.abs(np.diff(d, axis=0)))
-    assert losses.grad_loss(x, y).item() == pytest.approx(expected, abs=1e-6)
-    assert losses.grad_loss(x, x).item() == 0.0
+    c, s = rand((12, 12), 7), rand((12, 12), 8)
+    assert _breakdown(x, y, c, c, s, s).grad_amp == pytest.approx(expected, rel=1e-12)
+    assert _breakdown(x, x, c, c, s, s).grad_amp == 0.0
 
 
 def test_circular_loss_geometry():
@@ -128,26 +137,28 @@ def test_circular_loss_geometry():
     assert losses.circular_loss(c, c, s, s).item() == pytest.approx(0.0, abs=1e-6)
     c2, s2 = circphase.embed(phi + np.pi)
     assert losses.circular_loss(c, c2, s, s2).item() == pytest.approx(2.0, abs=1e-6)
-    # f64 value path agrees with the autodiff path
+    # the value path is the same kernel as the node
     assert losses.circular_loss_value(c, c2, s, s2) == pytest.approx(2.0, abs=1e-6)
     assert losses.circular_loss_value(c, c, s, s) == pytest.approx(0.0, abs=1e-7)
+    with pytest.raises(ValueError):
+        losses.circular_loss(Tensor(c, requires_grad=True), c, s, s)
 
 
 def test_consistency_loss():
-    phi = rand((8, 8), 8, -np.pi, np.pi)
+    phi = rand((12, 12), 8, -np.pi, np.pi)
     c, s = circphase.embed(phi)
-    assert losses.consistency_loss(c, s).item() == pytest.approx(0.0, abs=1e-6)
-    assert losses.consistency_loss(2 * c.astype(np.float32),
-                                   2 * s.astype(np.float32)).item() == pytest.approx(9.0, abs=1e-4)
+    a = rand((12, 12), 9)
+    assert _breakdown(a, a, c, c, s, s).cons == pytest.approx(0.0, abs=1e-12)
+    assert _breakdown(a, a, c, 2 * c, s, 2 * s).cons == pytest.approx(9.0, abs=1e-5)
 
 
 def test_base_loss_is_sum_of_mses():
-    a, ah = rand((6, 6), 9), rand((6, 6), 10)
-    c, ch = rand((6, 6), 11), rand((6, 6), 12)
-    s, sh = rand((6, 6), 13), rand((6, 6), 14)
+    a, ah = rand((12, 12), 9), rand((12, 12), 10)
+    c, ch = rand((12, 12), 11), rand((12, 12), 12)
+    s, sh = rand((12, 12), 13), rand((12, 12), 14)
     expected = (losses.mse(a, ah).item() + losses.mse(c, ch).item()
                 + losses.mse(s, sh).item())
-    assert losses.base_loss(a, ah, c, ch, s, sh).item() == pytest.approx(expected, abs=1e-6)
+    assert _breakdown(a, ah, c, ch, s, sh).base == pytest.approx(expected, rel=1e-6)
 
 
 def test_total_loss_breakdown_consistency():
@@ -164,6 +175,76 @@ def test_total_loss_breakdown_consistency():
     assert total.item() == pytest.approx(recon, rel=1e-5)
     assert bd.total == pytest.approx(total.item())
     assert len(bd.to_row()) == len(losses.LossBreakdown.FIELDS)
+
+
+def _reference():
+    """perfbench/reference.py, the benchmark's float64 oracle, loaded read-only."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _model_batch(n, n_c=8, seed=0):
+    """Targets and model heads for a batch of n random frames."""
+    rng = np.random.default_rng(seed)
+    cfg = model.ModelConfig(n_c=n_c, i_max=1.0, seed=seed)
+    out = model.forward(rng.uniform(0.0, 1.0, (n, 1, 32, 32)).astype(np.float32),
+                        model.init_params(cfg), cfg)
+    a = rng.uniform(0.0, 1.0, (n, 1, 32, 32)).astype(np.float32)
+    c, s = circphase.embed(rng.uniform(-np.pi, np.pi, a.shape))
+    return a, c, s, out
+
+
+def test_total_loss_matches_float64_oracle():
+    # every LossBreakdown field, both SSIM terms included, against the
+    # benchmark's independent float64 objective (window-by-window SSIM)
+    ref = _reference()
+    a, c, s, out = _model_batch(8)
+    w = losses.LossWeights()
+    heads = [out[k] for k in ("amp", "c_pre", "s_pre", "c_proj", "s_proj")]
+    total, bd = losses.total_loss(a, heads[0], c, heads[1], s, heads[2], heads[3], heads[4], w)
+    want = ref.composite_terms(a, heads[0].data, c, heads[1].data, s, heads[2].data,
+                               heads[3].data, heads[4].data)
+    want["amp"] = w.lam_g * want["grad_amp"] + w.lam_s * want["ssim_amp"]
+    want["phase"] = (w.lam_g * want["grad_phase"] + w.lam_s * want["ssim_phase"]
+                     + w.lam_circ * want["circular"])
+    want["total"] = ref.weighted_total(want, dataclasses.asdict(w))
+    for field in losses.LossBreakdown.FIELDS:
+        assert getattr(bd, field) == pytest.approx(want[field], rel=1e-9, abs=0), field
+    assert total.item() == pytest.approx(want["total"], rel=1e-6)
+
+
+def test_total_loss_is_one_tape_node_and_lazy(monkeypatch):
+    # one n_c=8, batch-32 step: the model makes 52 nodes and the loss one; the
+    # terms' gradient thunks run only in a backward
+    calls = []
+
+    def counted(kernel):
+        def run(*args):
+            value, grad = kernel(*args)
+            return value, lambda: calls.append(kernel.__name__) or grad()
+        return run
+
+    for name in ("_mse", "_grad_l1", "_ssim", "_circular", "_consistency"):
+        monkeypatch.setattr(losses, name, counted(getattr(losses, name)))
+    a, c, s, out = _model_batch(32)
+    heads = [out[k] for k in ("amp", "c_pre", "s_pre", "c_proj", "s_proj")]
+    losses.total_loss(a, heads[0], c, heads[1], s, heads[2], heads[3], heads[4])
+    assert calls == []
+    cfg = model.ModelConfig(n_c=8, i_max=1.0, seed=0)
+    params = model.init_params(cfg)
+    with Tape() as tape:
+        out = model.forward(rand((32, 1, 32, 32), 1), params, cfg)
+        assert len(tape.nodes) == 52
+        total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
+                                     out["c_proj"], out["s_proj"])
+        assert len(tape.nodes) == 53
+        backward(tape, total)
+    assert sorted(calls) == sorted(["_mse"] * 3 + ["_grad_l1"] * 3 + ["_ssim"] * 3
+                                   + ["_circular", "_consistency"])
+    assert all(t.grad is not None for t in params.tensors.values())
 
 
 def test_loss_weights_validate():

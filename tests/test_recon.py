@@ -156,3 +156,24 @@ def test_report_checks_prediction_count():
     for wrong in (preds[:-1], preds + preds[:1], []):
         with pytest.raises(ValueError, match="align"):
             recon.report(frames, iter(wrong), gt)
+
+
+def test_written_psd_is_that_of_the_covered_box(tmp_path):
+    # frames in the lower rows only leave the canvas's top uncovered: the PSD
+    # curves written are those of the covered box, from which the bands come
+    frames, gt, predictions = _scan(n_side=8)
+    keep = [i for i, f in enumerate(frames) if f.row >= 4]
+    preds = list(predictions())
+    rep = recon.report([frames[i] for i in keep], [preds[i] for i in keep],
+                       [gt[i] for i in keep])
+    recon.write_report(str(tmp_path), rep)
+    ys, xs = np.where(rep.fields["mask"])
+    assert ys.min() > 0
+    for kind, name in (("amplitude", "amp_hat"), ("phase", "phase_hat")):
+        crop = rep.fields[name][ys.min():ys.max() + 1, xs.min():xs.max() + 1]
+        side = min(crop.shape)
+        radii, curve, bands = recon.radial_psd(crop[:side, :side])
+        written = np.loadtxt(tmp_path / f"psd_{kind}.txt")
+        assert np.array_equal(written[:, 0], radii)
+        assert np.allclose(written[:, 1], curve, rtol=1e-9, atol=0)
+        assert rep.bands[kind] == bands
