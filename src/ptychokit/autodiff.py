@@ -1,10 +1,10 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
-Ops: elementwise `add`, `mul`, `div`, `scale`, `square`, `sqrt_eps`, `tanh`,
-`sigmoid`; `transpose`, `concat_channels`, `conv2d`, `upsample_bilinear2x`;
-`reduce_mean`, which accumulates in float64 and is the gradient checks' scalar
-reduction; and `scalar_op`, a scalar over several inputs computed off the tape
-(each loss node, in float64) with a closed-form gradient run only in a backward.
+Ops: elementwise `scale`, `tanh`, `sigmoid`; `transpose`, `concat_channels`,
+`conv2d`, `upsample_bilinear2x`; and `closed_form`, a node over several inputs
+whose value is computed off the tape and whose derivatives are given in closed
+form and computed only in a backward (each loss, in float64, and the unit
+projection).
 
 Storage is float32, and the conv2d bias gradient accumulates in float64.
 `conv2d`, `upsample_bilinear2x` and `concat_channels` take activations in
@@ -88,9 +88,8 @@ class Tape:
 def _accum(t, g):
     """Add g into t.grad. A first store keeps a C-contiguous g itself and copies a
     strided view (a crop of a padded map, a transpose), so a stored gradient is
-    C-ordered and keeps no larger buffer alive. A kept g must be an array no
-    other tensor's gradient holds: `add`, which routes one array to two inputs,
-    gives the second a copy when the first kept it."""
+    C-ordered and keeps no larger buffer alive. No op hands one array to two
+    inputs, so a kept g is no other tensor's gradient."""
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=np.float32)
@@ -138,39 +137,6 @@ def backward(tape, loss):
 # elementwise ops
 
 @_quiet
-def add(a, b):
-    out = a.data + b.data
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, g.copy() if a.grad is g else g)
-
-    return _make(out, (a, b), bwd, "add")
-
-
-@_quiet
-def mul(a, b):
-    out = a.data * b.data
-
-    def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _make(out, (a, b), bwd, "mul")
-
-
-@_quiet
-def div(a, b):
-    out = a.data / b.data
-
-    def bwd(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    return _make(out, (a, b), bwd, "div")
-
-
-@_quiet
 def scale(a, k):
     k = float(k)
     out = a.data * k
@@ -179,26 +145,6 @@ def scale(a, k):
         _accum(a, g * k)
 
     return _make(out, (a,), bwd, "scale")
-
-
-@_quiet
-def square(a):
-    out = a.data * a.data
-
-    def bwd(g):
-        _accum(a, g * (2.0 * a.data))
-
-    return _make(out, (a,), bwd, "square")
-
-
-@_quiet
-def sqrt_eps(a, eps=1e-8):
-    out = np.sqrt(a.data + eps)
-
-    def bwd(g):
-        _accum(a, g * (0.5 / out))
-
-    return _make(out, (a,), bwd, "sqrt_eps")
 
 
 @_quiet
@@ -253,31 +199,19 @@ def concat_channels(a, b):
 
 
 @_quiet
-def scalar_op(inputs, value, grad_fn):
-    """A scalar node over a tuple of inputs. grad_fn() gives its gradient as one
-    array per input, of that input's shape; it runs only when a backward reaches
-    the node (the `losses` terms)."""
+def closed_form(inputs, value, grad_fn):
+    """A node of the given value over a tuple of inputs. grad_fn() gives, per
+    input, the node's derivative with respect to it, which the backward
+    multiplies by the output gradient: for a scalar node an array of the input's
+    shape, for a node of its inputs' shape the elementwise derivative. grad_fn
+    runs only when a backward reaches the node."""
     inputs = tuple(inputs)
 
     def bwd(g):
-        k = np.asarray(g).item()
         for x, gx in zip(inputs, grad_fn()):
-            _accum(x, gx * k)
+            _accum(x, g * gx)
 
-    return _make(np.float32(value), inputs, bwd, "scalar_op")
-
-
-@_quiet
-def reduce_mean(x):
-    if x.data.size == 0:
-        raise ValueError("reduce_mean of empty tensor")
-    n = x.data.size
-    out = np.asarray(x.data.mean(dtype=np.float64), dtype=np.float32)
-
-    def bwd(g):
-        _accum(x, np.full_like(x.data, float(np.asarray(g).item()) / n))
-
-    return _make(out, (x,), bwd, "reduce_mean")
+    return _make(np.asarray(value, np.float32), inputs, bwd, "closed_form")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,16 @@ def embed(phase):
 def unit_project(c, s, eps=PROJECTION_EPS):
     """Normalize (c, s) to the unit circle: (c, s) / sqrt(c^2 + s^2 + eps).
 
-    Accepts numpy arrays or autodiff Tensors; the Tensor path is differentiable.
+    Accepts numpy arrays or autodiff Tensors. The Tensor path is float32 and
+    returns two closed-form nodes (c', s'), each over (c, s), with derivatives
+    dc'/dc = (1 - c'^2)/m, dc'/ds = ds'/dc = -c's'/m and ds'/ds = (1 - s'^2)/m,
+    m = sqrt(c^2 + s^2 + eps).
     """
     if isinstance(c, ad.Tensor):
-        mag = ad.sqrt_eps(ad.add(ad.square(c), ad.square(s)), eps)
-        return ad.div(c, mag), ad.div(s, mag)
+        mag = np.sqrt(c.data * c.data + s.data * s.data + eps)
+        cp, sp = c.data / mag, s.data / mag
+        return (ad.closed_form((c, s), cp, lambda: ((1 - cp * cp) / mag, -cp * sp / mag)),
+                ad.closed_form((c, s), sp, lambda: (-cp * sp / mag, (1 - sp * sp) / mag)))
     c = np.asarray(c, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     mag = np.sqrt(c * c + s * s + eps)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 from . import losses, model, physics, train
 from .dataset import NoiseConfig
@@ -86,13 +87,16 @@ class RunConfig:
         default = DEFAULTS[key]
         if isinstance(default, str):
             value = str(value)
-        elif isinstance(default, int):
-            number = float(value)  # accepts "10" and "1e3"
-            if not number.is_integer():
-                raise ValueError(f"config key '{key}' needs an integer, got '{value}'")
-            value = int(number)
         else:
-            value = float(value)
+            try:
+                number = float(value)  # accepts "10" and "1e3"
+            except ValueError:
+                number = math.nan
+            if isinstance(default, int) and not number.is_integer():
+                raise ValueError(f"config key '{key}' needs an integer, got '{value}'")
+            if not math.isfinite(number):
+                raise ValueError(f"config key '{key}' needs a finite number, got '{value}'")
+            value = int(number) if isinstance(default, int) else number
         self.values[key] = value
 
     def __getitem__(self, key):

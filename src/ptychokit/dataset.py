@@ -255,7 +255,7 @@ def read_table(path, fields, int_fields):
 def load_frames(indir, split=None):
     """Frames, probe and meta, without the ground truth; with `split`, only that
     split's intensity files are read. Every intensity path must lie inside
-    `indir`."""
+    `indir`, and no intensity may be negative."""
     meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
     manifest = os.path.join(indir, "manifest.csv")
@@ -268,8 +268,11 @@ def load_frames(indir, split=None):
         if os.path.commonpath([root, path]) != root:
             raise ValueError(f"{manifest}: intensity path '{row['intensity']}' of frame "
                              f"{row['index']} lies outside the dataset")
+        intensity = gridio.read_grid(path)
+        if np.any(intensity < 0):
+            raise ValueError(f"{path}: negative intensity")
         frames.append(DiffractionFrame(
-            intensity=gridio.read_grid(path), row=row["row"], col=row["col"],
+            intensity=intensity, row=row["row"], col=row["col"],
             y=row["y"], x=row["x"], noisy=bool(row["noisy"]), split=row["split"]))
     return frames, probe, meta
 

@@ -3,10 +3,12 @@ circular geodesic loss, and unit-circle consistency.
 
 Each term is one private float64 kernel that returns its value and a thunk for
 its gradient in closed form, run only when a backward reaches the node.
-`total_loss` is one `autodiff.scalar_op` node over the five model heads;
-`mse`, `ssim` and `circular_loss` are one node over one kernel each, and
-`ssim_value` and `circular_loss_value` are kernel values for evaluation. SSIM
-is written once (`_ssim_terms`); its gradient is Wang & Simoncelli's (2008)."""
+`total_loss` is one `autodiff.closed_form` node over the five model heads,
+and `scalar_phase_loss` one over the scalar_phase variant's two heads, built
+from the MSE kernel; `ssim` and `circular_loss` are one node over one kernel
+each, and `ssim_value` and `circular_loss_value` are kernel values for
+evaluation. SSIM is written once (`_ssim_terms`); its gradient is Wang &
+Simoncelli's (2008)."""
 
 import functools
 import math
@@ -166,22 +168,27 @@ def ssim_value(x, xhat):
     return 1.0 - float(_ssim(x, xhat)[0])
 
 
-def mse(x, xhat):
-    """Mean squared error of xhat against the constant x, as one tape node."""
-    x, xhat, y = _pair(x, xhat)
-    return ad.scalar_op((xhat,), *_mse(x, y))
-
-
 def ssim(x, xhat):
     """The SSIM loss (`_ssim`) of H x W grids or a stack, as one tape node."""
     x, xhat, y = _pair(x, xhat)
-    return ad.scalar_op((xhat,), *_ssim(x, y))
+    return ad.closed_form((xhat,), *_ssim(x, y))
 
 
 def circular_loss(c, c_hat, s, s_hat):
     """The circular loss as one tape node over the projected (c_hat, s_hat)."""
     (c, c_hat, ch), (s, s_hat, sh) = _pair(c, c_hat), _pair(s, s_hat)
-    return ad.scalar_op((c_hat, s_hat), *_circular(c, ch, s, sh))
+    return ad.closed_form((c_hat, s_hat), *_circular(c, ch, s, sh))
+
+
+def scalar_phase_loss(a, a_hat, phi, phi_hat):
+    """The scalar_phase variant's objective, the MSE of a_hat plus that of the raw
+    angle phi_hat, as one tape node over the two heads; returns (scalar Tensor,
+    LossBreakdown) with the sum as base and total and every other field 0."""
+    (a, a_hat, ah), (phi, phi_hat, ph) = _pair(a, a_hat), _pair(phi, phi_hat)
+    (v_amp, g_amp), (v_phase, g_phase) = _mse(a, ah), _mse(phi, ph)
+    total = float(v_amp + v_phase)
+    return (ad.closed_form((a_hat, phi_hat), total, lambda: g_amp() + g_phase()),
+            LossBreakdown(total, *[0.0] * 8, total))
 
 
 def circular_loss_value(c, c_hat, s, s_hat):
@@ -223,5 +230,5 @@ def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,
     amp = w.lam_g * g_amp + w.lam_s * s_amp
     phase = w.lam_g * g_ph + w.lam_s * s_ph + w.lam_circ * v_circ
     total = w.w_b * base + w.w_a * amp + w.w_p * phase + w.w_c * v_cons
-    return ad.scalar_op(heads, total, grad), LossBreakdown(
+    return ad.closed_form(heads, total, grad), LossBreakdown(
         base, amp, phase, v_cons, v_circ, g_amp, s_amp, g_ph, s_ph, total)

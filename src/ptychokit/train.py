@@ -111,10 +111,7 @@ def _batch_loss(frames, patches, idx, params, cfg, weights):
     intensity, a, c, s, phi = _stack_batch(frames, patches, idx)
     out = model.forward(intensity, params, cfg)
     if cfg.variant == "scalar_phase":
-        total = ad.add(losses.mse(a, out["amp"]), losses.mse(phi, out["phase"]))
-        bd = losses.LossBreakdown(base=total.item(), amp=0.0, phase=0.0, cons=0.0,
-                                  circular=0.0, grad_amp=0.0, ssim_amp=0.0,
-                                  grad_phase=0.0, ssim_phase=0.0, total=total.item())
+        total, bd = losses.scalar_phase_loss(a, out["amp"], phi, out["phase"])
         ring = 0.0
     else:
         total, bd = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],

@@ -15,6 +15,14 @@ def _rand(shape, seed, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape).astype(np.float32)
 
 
+def _wmean(y):
+    """mean(w * y) in float64 as one node, w a fixed weight in [-1, 1) of y's
+    shape: a mean keeps the checked value O(1), and a non-uniform w makes a
+    misrouted gradient show."""
+    w = _rand(y.shape, 0).astype(np.float64)
+    return ad.closed_form((y,), np.mean(w * y.data), lambda: (w / w.size,))
+
+
 def run_gradcheck(verbose=False):
     """Returns [(name, max_rel_err, tol, ok)] for the whole differentiable surface."""
     results = []
@@ -26,37 +34,28 @@ def run_gradcheck(verbose=False):
             status = "pass" if err < tol else "FAIL"
             print(f"  {status}  {name}: {err:.2e} (tol {tol:g})")
 
-    y = Tensor(_rand((4, 4), 7) + 2.0)  # positive partner operand
-
-    check("add", lambda x: ad.reduce_mean(ad.add(x, y)), Tensor(_rand((4, 4), 1), True))
-    check("mul", lambda x: ad.reduce_mean(ad.mul(x, y)), Tensor(_rand((4, 4), 3), True))
-    check("div", lambda x: ad.reduce_mean(ad.div(x, y)), Tensor(_rand((4, 4), 4), True))
-    check("square", lambda x: ad.reduce_mean(ad.square(x)), Tensor(_rand((4, 4), 5), True))
-    check("sqrt_eps", lambda x: ad.reduce_mean(ad.sqrt_eps(x)),
-          Tensor(_rand((4, 4), 6, 0.2, 2.0), True))
-    check("tanh", lambda x: ad.reduce_mean(ad.tanh(x)), Tensor(_rand((4, 4), 10), True))
-    check("sigmoid", lambda x: ad.reduce_mean(ad.sigmoid(x)), Tensor(_rand((4, 4), 11), True))
-    check("reduce_mean", ad.reduce_mean, Tensor(_rand((3, 3), 12), True))
-    check("upsample_bilinear2x",
-          lambda x: ad.reduce_mean(ad.square(ad.upsample_bilinear2x(x))),
+    check("scale", lambda x: _wmean(ad.scale(x, -2.5)), Tensor(_rand((4, 4), 2), True))
+    check("tanh", lambda x: _wmean(ad.tanh(x)), Tensor(_rand((4, 4), 10), True))
+    check("sigmoid", lambda x: _wmean(ad.sigmoid(x)), Tensor(_rand((4, 4), 11), True))
+    # a product node over two inputs, the second also taking a gradient
+    y = Tensor(_rand((4, 4), 7) + 2.0, True)
+    check("closed_form",
+          lambda x: _wmean(ad.closed_form((x, y), x.data * y.data, lambda: (y.data, x.data))),
+          Tensor(_rand((4, 4), 3), True))
+    check("upsample_bilinear2x", lambda x: _wmean(ad.upsample_bilinear2x(x)),
           Tensor(_rand((2, 4, 4), 15), True))
     # non-square grids in a (C, H, W, N) batch: shows swapped axes
-    check("upsample_bilinear2x/batch",
-          lambda x: ad.reduce_mean(ad.square(ad.upsample_bilinear2x(x))),
+    check("upsample_bilinear2x/batch", lambda x: _wmean(ad.upsample_bilinear2x(x)),
           Tensor(_rand((2, 3, 5, 2), 38), True))
-    # a fixed non-uniform weight on the result, so a wrong inverse permutation
-    # shows in the gradient
-    perm_w = Tensor(_rand((5, 2, 3, 4), 51))
-    check("transpose",
-          lambda x: ad.reduce_mean(ad.mul(ad.square(ad.transpose(x, (3, 0, 1, 2))), perm_w)),
+    check("transpose", lambda x: _wmean(ad.transpose(x, (3, 0, 1, 2))),
           Tensor(_rand((2, 3, 4, 5), 52), True))
 
     w = Tensor(_rand((3, 2, 3, 3), 16), True)
     b = Tensor(_rand((3,), 17), True)
     xin = Tensor(_rand((2, 6, 6), 18), True)
-    check("conv2d/input", lambda x: ad.reduce_mean(ad.square(ad.conv2d(x, w, b, 1, 1))), xin)
-    check("conv2d/weight", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), w)
-    check("conv2d/bias", lambda _: ad.reduce_mean(ad.square(ad.conv2d(xin, w, b, 1, 1))), b)
+    check("conv2d/input", lambda x: _wmean(ad.conv2d(x, w, b, 1, 1)), xin)
+    check("conv2d/weight", lambda _: _wmean(ad.conv2d(xin, w, b, 1, 1)), w)
+    check("conv2d/bias", lambda _: _wmean(ad.conv2d(xin, w, b, 1, 1)), b)
     # the other conv shapes the model uses: strided encoder convs, decoder convs
     # with C_out < C_in (taps shifted on the output side, here over a (C, H, W, N)
     # batch), the bias-free 1x1 fusion, and the decoder tail (a conv of the
@@ -71,15 +70,14 @@ def run_gradcheck(verbose=False):
         xc = Tensor(_rand(xshape, seed + 2), True)
 
         def conv_loss(xv, wv):  # used only within this iteration
-            return ad.reduce_mean(ad.square(ad.conv2d(xv, wv, bc, stride, pad, up)))
+            return _wmean(ad.conv2d(xv, wv, bc, stride, pad, up))
 
         check(f"conv2d/{label}/input", lambda x: conv_loss(x, wc), xc)
         check(f"conv2d/{label}/weight", lambda wv: conv_loss(xc, wv), wc)
     # conv2d with the ReLU epilogue, on an input-side and an output-side shape.
     # Inputs are multiples of 1/2, weights of 1/4 and biases odd multiples of
     # 1/16, so every pre-activation is an odd multiple of 1/16: a STEP change of
-    # one input or weight cannot carry it across the kink. The result is weighed
-    # linearly (a square would zero the gradient where the ReLU is off anyway).
+    # one input or weight cannot carry it across the kink.
     for label, wshape, xshape, seed in (("", (3, 2, 3, 3), (2, 5, 5), 55),
                                         ("narrow_out/", (2, 4, 3, 3), (4, 5, 5, 2), 58)):
         rng = np.random.default_rng(seed)
@@ -89,21 +87,32 @@ def run_gradcheck(verbose=False):
         pre = ad.conv2d(xr, wr, br, 1, 1).data
         margin = np.abs(pre).min()
         assert margin >= RELU_MARGIN, f"conv2d/relu/{label}: pre-activation margin {margin}"
-        gr = Tensor(_rand(pre.shape, seed + 1))
 
         def relu_loss(xv, wv):  # used only within this iteration
-            return ad.reduce_mean(ad.mul(ad.conv2d(xv, wv, br, 1, 1, relu=True), gr))
+            return _wmean(ad.conv2d(xv, wv, br, 1, 1, relu=True))
 
         check(f"conv2d/relu/{label}input", lambda x: relu_loss(x, wr), xr)
         check(f"conv2d/relu/{label}weight", lambda wv: relu_loss(xr, wv), wr)
     other = Tensor(_rand((2, 4, 4), 19))
-    check("concat_channels",
-          lambda x: ad.reduce_mean(ad.square(ad.concat_channels(x, other))),
+    check("concat_channels", lambda x: _wmean(ad.concat_channels(x, other)),
           Tensor(_rand((1, 4, 4), 20), True))
 
-    # losses
-    phi_t = Tensor(_rand((2, 1, 8, 8), 21, -3.0, 3.0))  # the phase MSE scalar_phase trains on
-    check("mse", lambda x: losses.mse(phi_t, x), Tensor(_rand((2, 1, 8, 8), 22, -3.0, 3.0), True))
+    # the unit projection, each input with the other also taking a gradient
+    c_in, s_in = (Tensor(_rand((8, 8), seed, -0.9, 0.9), True) for seed in (29, 28))
+    check("unit_project/c",
+          lambda x: _wmean(ad.concat_channels(*circphase.unit_project(x, s_in))), c_in)
+    check("unit_project/s",
+          lambda x: _wmean(ad.concat_channels(*circphase.unit_project(c_in, x))), s_in)
+
+    # losses; the scalar_phase objective (raw angles) with respect to each head,
+    # the other also taking a gradient
+    a_t, phi_t = _rand((2, 1, 8, 8), 23, 0.0, 1.0), _rand((2, 1, 8, 8), 21, -3.0, 3.0)
+    a_hat = Tensor(_rand((2, 1, 8, 8), 24, 0.0, 1.0), True)
+    phi_hat = Tensor(_rand((2, 1, 8, 8), 22, -3.0, 3.0), True)
+    check("scalar_phase_loss/a_hat",
+          lambda x: losses.scalar_phase_loss(a_t, x, phi_t, phi_hat)[0], a_hat)
+    check("scalar_phase_loss/phi_hat",
+          lambda x: losses.scalar_phase_loss(a_t, a_hat, phi_t, x)[0], phi_hat)
     tgt12 = Tensor(_rand((12, 12), 25, 0.0, 1.0))
     check("ssim", lambda x: losses.ssim(tgt12, x), Tensor(_rand((12, 12), 26, 0.0, 1.0), True))
     # non-square grids in a stack: shows swapped blur axes or a wrong mean count

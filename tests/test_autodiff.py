@@ -1,8 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from ptychokit import autodiff as ad
+from ptychokit import autodiff as ad, verify
 from ptychokit.autodiff import NonFiniteError, Tape, Tensor, backward, finite_diff_check
+
+
+def wmean(y, w):
+    """mean(w * y) as one closed-form node, as the gradient checks reduce."""
+    w = np.asarray(w, np.float64)
+    return ad.closed_form((y,), np.mean(w * y.data), lambda: (w / w.size,))
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -18,11 +26,6 @@ def test_tensor_storage_is_f32():
 
 def test_elementwise_forward_values():
     a = Tensor(rand((3, 3), 0))
-    b = Tensor(rand((3, 3), 1) + 2.0)
-    assert np.allclose(ad.add(a, b).data, a.data + b.data)
-    assert np.allclose(ad.mul(a, b).data, a.data * b.data)
-    assert np.allclose(ad.div(a, b).data, a.data / b.data)
-    assert np.allclose(ad.square(a).data, a.data ** 2)
     assert np.allclose(ad.scale(a, 2.5).data, 2.5 * a.data)
     assert np.allclose(ad.tanh(a).data, np.tanh(a.data))
     assert np.allclose(ad.sigmoid(a).data, 1 / (1 + np.exp(-a.data.astype(np.float64))),
@@ -30,58 +33,61 @@ def test_elementwise_forward_values():
 
 
 def test_backward_accumulates_through_reuse():
-    # loss = mean(x*x + x) -> grad = (2x + 1)/n
-    x = Tensor(rand((4,), 2), requires_grad=True)
+    # x feeds tanh and scale, weighted by w1 and w2: grad = (w1 (1 - tanh^2 x) + 2 w2)/n
+    x = Tensor(rand((1, 4), 2), requires_grad=True)
+    w = rand((2, 4), 3)
     with Tape() as tape:
-        y = ad.reduce_mean(ad.add(ad.mul(x, x), x))
-        backward(tape, y)
-    assert np.allclose(x.grad, (2 * x.data + 1) / 4, atol=1e-6)
+        backward(tape, wmean(ad.concat_channels(ad.tanh(x), ad.scale(x, 2.0)), w))
+    want = (w[0] * (1 - np.tanh(x.data.astype(np.float64)) ** 2) + 2 * w[1]) / 8
+    assert np.allclose(x.grad, want, atol=1e-7)
 
 
-def test_add_gradient_is_not_shared_between_inputs():
-    # the outer add hands one array to the inner sum and to a; were it stored
-    # in both without a copy, a's later += would write into b's gradient too
+def test_closed_form_gives_each_input_its_own_gradient():
+    # a node over (a, b) whose derivative is the same array for both: each input
+    # must hold its own gradient, so a later += into one leaves the other alone
     a = Tensor(rand((3, 4), 40), requires_grad=True)
     b = Tensor(rand((3, 4), 41), requires_grad=True)
+    ones = np.ones(a.shape, np.float32)
     with Tape() as tape:
-        backward(tape, ad.reduce_mean(ad.add(ad.add(a, b), a)))
-    n = a.size
-    assert np.allclose(a.grad, 2 / n, atol=1e-7)
-    assert np.allclose(b.grad, 1 / n, atol=1e-7)
+        a1 = ad.scale(a, 1.0)  # its backward runs last and adds into a.grad
+        y = ad.closed_form((a, b), a.data + b.data, lambda: (ones, ones))
+        backward(tape, wmean(ad.concat_channels(y, a1), np.ones((6, 4))))
+    assert np.allclose(a.grad, 2 / 24, atol=1e-8)
+    assert np.allclose(b.grad, 1 / 24, atol=1e-8)
     assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_backward_consumes_tape_and_keeps_leaf_grads():
-    # loss = mean((x*y + x)^2): grad x = 2(xy + x)(y + 1)/n, grad y = 2(xy + x)x/n
-    x = Tensor(rand((3, 4), 4), requires_grad=True)
-    y = Tensor(rand((3, 4), 5), requires_grad=True)
+    # loss = mean(w * [tanh x; y]): grad x = w1 (1 - tanh^2 x)/n, grad y = w2/n
+    x = Tensor(rand((1, 3, 4), 4), requires_grad=True)
+    y = Tensor(rand((1, 3, 4), 5), requires_grad=True)
+    w = rand((2, 3, 4), 6)
     with Tape() as tape:
-        a = ad.mul(x, y)
-        b = ad.add(a, x)
-        sq = ad.square(b)
-        loss = ad.reduce_mean(sq)
+        a = ad.tanh(x)
+        b = ad.concat_channels(a, y)
+        loss = wmean(b, w)
         backward(tape, loss)
     assert tape.nodes == []
-    assert all(t.grad is None for t in (a, b, sq, loss))
-    x64, y64 = x.data.astype(np.float64), y.data.astype(np.float64)
-    r = 2 * (x64 * y64 + x64) / x64.size
-    assert np.allclose(x.grad, r * (y64 + 1), rtol=1e-6, atol=1e-7)
-    assert np.allclose(y.grad, r * x64, rtol=1e-6, atol=1e-7)
+    assert all(t.grad is None for t in (a, b, loss))
+    x64 = x.data.astype(np.float64)
+    assert np.allclose(x.grad, w[:1] * (1 - np.tanh(x64) ** 2) / 24, rtol=1e-6, atol=1e-8)
+    assert np.allclose(y.grad, w[1:] / 24, rtol=1e-6, atol=1e-8)
 
 
 def test_backward_requires_scalar():
     x = Tensor(rand((3,), 3), requires_grad=True)
     with Tape() as tape:
-        y = ad.square(x)
+        y = ad.tanh(x)
     with pytest.raises(ValueError):
         backward(tape, y)
 
 
 def test_nonfinite_forward_raises():
-    a = Tensor(np.array([1.0, 0.0], dtype=np.float32))
-    b = Tensor(np.array([0.0, 0.0], dtype=np.float32))
-    with pytest.raises(NonFiniteError):
-        ad.div(a, b)
+    a = Tensor(np.array([1.0, 3e38], dtype=np.float32))
+    with pytest.raises(NonFiniteError, match="'scale'"):
+        ad.scale(a, 10.0)
+    with pytest.raises(NonFiniteError, match="'closed_form'"):
+        ad.closed_form((a,), np.array([0.0, np.nan]), lambda: (np.ones(2),))
 
 
 # (stride, padding, k, C_in, C_out, bias, batched): input-side taps (C_in <= C_out or
@@ -155,7 +161,7 @@ def test_conv2d_backward_is_adjoint(case, monkeypatch):
         with Tape() as tape:
             y = ad.conv2d(x, w, stride=stride, padding=padding)
             g = Tensor(rand(y.shape, 30))
-            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+            backward(tape, wmean(y, g.data))
         inner = np.sum(y.data.astype(np.float64) * g.data)
         for t in (x, w):
             dual = np.sum(t.data.astype(np.float64) * t.grad) * y.size
@@ -177,7 +183,7 @@ def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
             else:
                 y = ad.conv2d(ad.upsample_bilinear2x(x), w, b, padding=1)
             g = Tensor(rand(y.shape, 43))
-            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+            backward(tape, wmean(y, g.data))
         results.append((y.data, x.grad, w.grad, b.grad))
     assert results[0][0].shape == (1, 32, 32, 3)
     for fused, plain in zip(*results):
@@ -214,9 +220,10 @@ def test_conv2d_relu_epilogue_bitwise_equals_conv_then_relu(case):
                 y = ad.conv2d(x, w, b, stride, padding, up, relu=True)
             else:
                 pre = ad.conv2d(x, w, b, stride, padding, up)
-                y = ad.mul(pre, Tensor(pre.data > 0))
+                mask = (pre.data > 0).astype(np.float32)
+                y = ad.closed_form((pre,), pre.data * mask, lambda: (mask,))
             g = Tensor(rand(y.shape, 63))
-            backward(tape, ad.reduce_mean(ad.mul(y, g)))
+            backward(tape, wmean(y, g.data))
         results.append((y.data, x.grad, w.grad, b.grad))
     assert (results[1][0] < 0).sum() == 0 and (results[1][0] == 0).any(), case
     for fused, plain in zip(*results):
@@ -241,8 +248,7 @@ def test_concat_channels_and_grad_split():
     a = Tensor(rand((2, 3, 3), 17), requires_grad=True)
     b = Tensor(rand((1, 3, 3), 18), requires_grad=True)
     with Tape() as tape:
-        y = ad.reduce_mean(ad.concat_channels(a, b))
-        backward(tape, y)
+        backward(tape, wmean(ad.concat_channels(a, b), np.ones((3, 3, 3))))
     n = 27.0
     assert np.allclose(a.grad, 1 / n, atol=1e-7)
     assert np.allclose(b.grad, 1 / n, atol=1e-7)
@@ -281,14 +287,9 @@ def test_transpose_routes_gradients():
     g = rand((5, 2, 3, 4), 28)
     with Tape() as tape:
         y = ad.transpose(x, (3, 0, 1, 2))
-        backward(tape, ad.reduce_mean(ad.mul(y, Tensor(g))))
+        backward(tape, wmean(y, g))
     assert np.array_equal(y.data, x.data.transpose(3, 0, 1, 2))
     assert np.allclose(x.grad, g.transpose(1, 2, 3, 0) / g.size, atol=1e-9)
-
-
-def test_reduce_mean_empty_raises():
-    with pytest.raises(ValueError):
-        ad.reduce_mean(Tensor(np.zeros((0, 3), np.float32)))
 
 
 def test_finite_diff_check_flags_wrong_gradient():
@@ -302,8 +303,18 @@ def test_finite_diff_check_flags_wrong_gradient():
         return ad._make(out_data, (t,), bwd, "broken")
 
     x = Tensor(rand((3, 3), 22) + 2.0, requires_grad=True)
-    err = finite_diff_check(lambda t: ad.reduce_mean(broken_square(t)), x)
+    err = finite_diff_check(lambda t: wmean(broken_square(t), np.ones((3, 3))), x)
     assert err > 1e-2
+
+
+def test_every_tape_op_has_a_gradient_check():
+    # each public function that makes tape nodes is checked under its name
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and not name.startswith("_")
+           and "_make(" in inspect.getsource(fn)}
+    checked = {name.split("/")[0] for name, *_ in verify.run_gradcheck()}
+    assert "conv2d" in ops and "closed_form" in ops
+    assert ops <= checked, sorted(ops - checked)
 
 
 def test_tape_nesting_restores_previous():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ptychokit import circphase
-from ptychokit.autodiff import Tensor
+from ptychokit import circphase, losses
+from ptychokit.autodiff import Tape, Tensor, backward
 
 
 def test_wrap_convention():
@@ -47,6 +47,47 @@ def test_unit_project_numpy_and_tensor_agree():
     assert np.allclose(cn, ct.data, atol=1e-6)
     assert np.allclose(sn, st.data, atol=1e-6)
     assert np.allclose(cn ** 2 + sn ** 2, 1.0, atol=1e-5)
+
+
+def _pairs_with_small_m(seed):
+    """(c, s) in [-1, 1), a quarter of the pixels with m^2 = c^2 + s^2 near 1e-3."""
+    rng = np.random.default_rng(seed)
+    c, s = rng.uniform(-1, 1, (2, 16, 16))
+    small = rng.random((16, 16)) < 0.25
+    r = np.sqrt(1e-3 * rng.uniform(0.5, 2.0, small.sum()))
+    theta = rng.uniform(-np.pi, np.pi, small.sum())
+    c[small], s[small] = r * np.cos(theta), r * np.sin(theta)
+    return c.astype(np.float32), s.astype(np.float32)
+
+
+def test_unit_project_tensor_is_the_float32_formula():
+    c, s = _pairs_with_small_m(4)
+    m = np.sqrt(c * c + s * s + np.float32(circphase.PROJECTION_EPS))
+    assert m.dtype == np.float32
+    ct, st = circphase.unit_project(Tensor(c), Tensor(s))
+    assert np.array_equal((c / m).view(np.uint32), ct.data.view(np.uint32))
+    assert np.array_equal((s / m).view(np.uint32), st.data.view(np.uint32))
+
+
+def test_unit_project_gradient_matches_float64_jacobian():
+    # through the circular loss, whose gradient is (g_c, g_s) = (-t_c, -t_s)/n on
+    # (c', s'); the projection gives (g_c - c'(c'g_c + s'g_s))/m to c, and likewise
+    # to s. The error is relative to the pixel's scale (|g_c| + |g_s|)/m.
+    c, s = _pairs_with_small_m(5)
+    t_c, t_s = np.random.default_rng(6).uniform(-1, 1, (2, 16, 16)).astype(np.float32)
+    ct, st = Tensor(c, requires_grad=True), Tensor(s, requires_grad=True)
+    with Tape() as tape:
+        cp, sp = circphase.unit_project(ct, st)
+        backward(tape, losses.circular_loss(t_c, cp, t_s, sp))
+    c64, s64 = c.astype(np.float64), s.astype(np.float64)
+    m = np.sqrt(c64 ** 2 + s64 ** 2 + circphase.PROJECTION_EPS)
+    cp, sp = c64 / m, s64 / m
+    g_c, g_s = (t.astype(np.float64) / -t.size for t in (t_c, t_s))
+    radial = cp * g_c + sp * g_s
+    scale = (np.abs(g_c) + np.abs(g_s)) / m
+    for got, want in ((ct.grad, (g_c - cp * radial) / m), (st.grad, (g_s - sp * radial) / m)):
+        err = np.abs(got - want) / scale
+        assert err.max() < 1e-6
 
 
 def test_unit_project_near_origin_is_finite():

@@ -204,6 +204,35 @@ def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     assert bad.split("=")[0] in err
 
 
+@pytest.mark.parametrize("bad", ["read_sigma=nan", "peak_photons=nan", "peak_photons=inf",
+                                 "probe_radius=-inf"])
+def test_simulate_refuses_non_finite_value(capsys, tmp_path, bad):
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
+                  + ["--set", "noise=1", "--set", bad])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and f"'{bad.split('=')[0]}'" in err
+    assert not os.path.exists(tmp_path / "d")
+
+
+@pytest.mark.parametrize("stage", ["infer", "epie"])
+def test_negative_intensity_is_one_line_error(pipeline, capsys, tmp_path, stage):
+    _, data, run = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    frame = copy / "frames" / "00000_intensity.ptg"
+    grid = gridio.read_grid(frame)
+    grid[3, 4] = -1.0
+    gridio.write_grid(frame, grid)
+    args = {"infer": ["infer", "--ckpt", os.path.join(run, "checkpoint"), "--split", "all"],
+            "epie": ["epie", "--seed", "1"] + TINY + ["--set", "epie_iters=1"]}[stage]
+    rc = cli.main(args + ["--data", str(copy), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert err.endswith("00000_intensity.ptg: negative intensity")
+
+
 def _rewrite_json(path, edit):
     with open(path) as fh:
         obj = json.load(fh)

@@ -10,8 +10,8 @@ def test_defaults_and_set_coercion():
     assert cfg["step"] == 10 and isinstance(cfg["step"], int)
     cfg.set("rows", "1e3")
     assert cfg["rows"] == 1000 and isinstance(cfg["rows"], int)
-    for bad in ("4.7", 4.7, "nan", "inf"):
-        with pytest.raises(ValueError):
+    for bad in ("4.7", 4.7, "nan", "inf", "abc"):
+        with pytest.raises(ValueError, match="'rows'"):
             cfg.set("rows", bad)
     assert cfg["rows"] == 1000
     cfg.set("eta", "5e-4")
@@ -20,6 +20,15 @@ def test_defaults_and_set_coercion():
     assert cfg["variant"] == "no_skip"
     with pytest.raises(KeyError):
         cfg.set("not_a_key", 1)
+
+
+def test_float_keys_refuse_non_finite():
+    cfg = RunConfig()
+    for key in ("read_sigma", "peak_photons", "eta"):
+        for bad in ("nan", "inf", "-inf", float("nan"), "abc"):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                cfg.set(key, bad)
+        assert cfg[key] == DEFAULTS[key]
 
 
 def test_master_seed_sets_all_seed_keys():

@@ -106,12 +106,22 @@ def test_ssim_too_small_raises():
         losses.ssim_value(rand((8, 8), 2), rand((8, 8), 3))
 
 
-def test_mse_values():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
-    y = np.array([[1.5, 2.0], [2.0, 4.0]], np.float32)
-    assert losses.mse(x, y).item() == pytest.approx((0.25 + 1.0) / 4)
+def test_scalar_phase_loss_values_and_gradient():
+    # the MSE of the amplitude plus that of the raw angle, one node over both heads
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
+    ah = Tensor(np.array([[1.5, 2.0], [2.0, 4.0]], np.float32), requires_grad=True)
+    phi = np.array([[0.0, 1.0], [-1.0, 3.0]], np.float32)
+    ph = Tensor(np.array([[0.5, 1.0], [-1.0, -3.0]], np.float32), requires_grad=True)
+    with Tape() as tape:
+        total, bd = losses.scalar_phase_loss(a, ah, phi, ph)
+        assert len(tape.nodes) == 1
+        backward(tape, total)
+    want = (0.25 + 1.0) / 4 + (0.25 + 36.0) / 4
+    assert total.item() == pytest.approx(want) and bd.base == bd.total == pytest.approx(want)
+    assert bd.to_row()[1:-1] == [0.0] * 8
+    assert np.allclose(ah.grad, (ah.data - a) / 2) and np.allclose(ph.grad, (ph.data - phi) / 2)
     with pytest.raises(ValueError):
-        losses.mse(x, rand((3, 3), 4))
+        losses.scalar_phase_loss(a, rand((3, 3), 4), phi, ph)
 
 
 def _breakdown(a, ah, c, ch, s, sh, weights=None):
@@ -156,8 +166,8 @@ def test_base_loss_is_sum_of_mses():
     a, ah = rand((12, 12), 9), rand((12, 12), 10)
     c, ch = rand((12, 12), 11), rand((12, 12), 12)
     s, sh = rand((12, 12), 13), rand((12, 12), 14)
-    expected = (losses.mse(a, ah).item() + losses.mse(c, ch).item()
-                + losses.mse(s, sh).item())
+    expected = sum(np.mean((y.astype(np.float64) - x) ** 2)
+                   for x, y in ((a, ah), (c, ch), (s, sh)))
     assert _breakdown(a, ah, c, ch, s, sh).base == pytest.approx(expected, rel=1e-6)
 
 
@@ -217,7 +227,7 @@ def test_total_loss_matches_float64_oracle():
 
 
 def test_total_loss_is_one_tape_node_and_lazy(monkeypatch):
-    # one n_c=8, batch-32 step: the model makes 52 nodes and the loss one; the
+    # one n_c=8, batch-32 step: the model makes 48 nodes and the loss one; the
     # terms' gradient thunks run only in a backward
     calls = []
 
@@ -237,10 +247,10 @@ def test_total_loss_is_one_tape_node_and_lazy(monkeypatch):
     params = model.init_params(cfg)
     with Tape() as tape:
         out = model.forward(rand((32, 1, 32, 32), 1), params, cfg)
-        assert len(tape.nodes) == 52
+        assert len(tape.nodes) == 48
         total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
                                      out["c_proj"], out["s_proj"])
-        assert len(tape.nodes) == 53
+        assert len(tape.nodes) == 49
         backward(tape, total)
     assert sorted(calls) == sorted(["_mse"] * 3 + ["_grad_l1"] * 3 + ["_ssim"] * 3
                                    + ["_circular", "_consistency"])
