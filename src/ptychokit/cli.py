@@ -1,5 +1,6 @@
 """Command-line pipeline: simulate, train, infer, stitch, evaluate, spectrum,
-epie, gradcheck, ablate. Stages chain through files and carry the config hash.
+epie, gradcheck. Stages chain through files and carry the config hash. A model
+variant is trained with `train --set variant=V` and scored with `evaluate`.
 
 Every stage is deterministic for a fixed BLAS thread count. Matrix products may
 run on several BLAS threads (OpenBLAS), and results need not be bitwise equal
@@ -202,33 +203,6 @@ def cmd_gradcheck(args):
     return 1 if failed else 0
 
 
-def cmd_ablate(args):
-    cfg = _build_config(args)
-    cfg.set("variant", args.variant)
-    frames, patches, _probe, meta = dataset.load_dataset(args.data)
-    _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
-    data_hash = meta.get("config_hash", "")
-    os.makedirs(args.out, exist_ok=True)
-    result = train_mod.train(frames, patches, cfg.model_cfg(), cfg.train_cfg(),
-                             ckpt_dir=os.path.join(args.out, "checkpoint"),
-                             config_hash=data_hash,
-                             log_path=os.path.join(args.out, "loss_log.csv"))
-    test_f = [f for f in frames if f.split == "test"]
-    test_p = [p for f, p in zip(frames, patches) if f.split == "test"]
-    if not test_f:
-        raise ValueError("no frames in split 'test'")
-    rep = recon.report(test_f, recon.iter_infer(test_f, result.params, result.cfg), test_p,
-                       weight_floor=cfg["stitch_weight_floor"], config_hash=data_hash)
-    recon.write_report(args.out, rep)
-    with open(os.path.join(args.out, "ablation.json"), "w") as fh:
-        json.dump({"variant": args.variant, "best_val": result.best_val,
-                   "config_hash": data_hash,
-                   "stitched": rep.stitched}, fh, indent=2)
-    _persist_config(cfg, args.out)
-    print(f"ablate[{args.variant}]: best val {result.best_val:.6g} -> {args.out}")
-    return 0
-
-
 def _add_common(sp):
     sp.add_argument("--config", help="config file (key = value lines)")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -291,12 +265,6 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(fn=cmd_gradcheck)
 
-    sp = sub.add_parser("ablate", help="train + evaluate a named variant")
-    _add_common(sp)
-    sp.add_argument("--variant", required=True, choices=model.VARIANTS)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_ablate)
     return parser
 
 

@@ -1,29 +1,40 @@
-"""Flat run configuration: defaults for every stage, file/flag overrides, hashing."""
+"""Flat run configuration: defaults for every stage, file/flag overrides, hashing.
 
+The model, training and loss-weight keys and defaults are the fields of
+`ModelConfig`, `TrainConfig` and `LossWeights`; the other keys are listed here."""
+
+import dataclasses
 import hashlib
 import json
 import math
 
-from . import losses, model, physics, train
-from .dataset import NoiseConfig
+from . import dataset, losses, model, physics, recon, train
+
+# the keys of ModelConfig, TrainConfig and LossWeights are their field names,
+# except for these two seeds; i_max is computed from the training frames, and
+# weights is built from the LossWeights keys
+RENAMED = {(model.ModelConfig, "seed"): "model_seed", (train.TrainConfig, "seed"): "train_seed"}
+FIELD_KEYS = {RENAMED.get((cls, f.name), f.name): (cls, f.name)
+              for cls in (model.ModelConfig, train.TrainConfig, losses.LossWeights)
+              for f in dataclasses.fields(cls) if f.name not in ("i_max", "weights")}
 
 DEFAULTS = {
     # object + scan
-    "object_size": 520,
+    "object_size": dataset.DEFAULT_OBJECT_SIZE,
     "object_seed": 0,
-    "rows": 61,
-    "cols": 61,
-    "step": 8,
-    "jitter_max": 3,
+    "rows": dataset.DEFAULT_ROWS,
+    "cols": dataset.DEFAULT_COLS,
+    "step": dataset.DEFAULT_STEP,
+    "jitter_max": dataset.DEFAULT_JITTER,
     "scan_seed": 0,
     # probe
-    "probe_size": 32,
-    "probe_radius": 13.0,
-    "probe_sigma": 10.0,
-    "probe_curvature": 0.02,
+    "probe_size": physics.PROBE_SIZE,
+    "probe_radius": physics.PROBE_RADIUS,
+    "probe_sigma": physics.PROBE_SIGMA,
+    "probe_curvature": physics.PROBE_CURVATURE,
     # noise (read_sigma < 0 means auto: 1% of dataset max)
     "noise": 0,
-    "peak_photons": 1e4,
+    "peak_photons": physics.NOISE_PEAK_PHOTONS,
     "read_sigma": -1.0,
     "noise_seed": 0,
     # splits
@@ -31,32 +42,10 @@ DEFAULTS = {
     "test_rows": 12,
     "val_fraction": 0.05,
     "split_seed": 0,
-    # model
-    "n_c": 32,
-    "i_sat": 4095.0,
-    "alpha": 0.85,
-    "g0": 0.0,
-    "g_l": 0.001,
-    "g_h": 4.0,
-    "variant": "full",
-    "model_seed": 0,
-    # training
-    "eta": 1e-3,
-    "batch_size": 32,
-    "epochs": 25,
-    "half_cycle_epochs": 6,
-    "clip_norm": 1.0,
-    "train_seed": 0,
-    # loss weights
-    "w_b": 1.0,
-    "w_a": 1.0,
-    "w_p": 1.3,
-    "w_c": 0.1,
-    "lam_circ": 0.6,
-    "lam_g": 0.12,
-    "lam_s": 0.1,
+    # model, training and loss weights: the dataclass defaults
+    **{key: getattr(cls, name) for key, (cls, name) in FIELD_KEYS.items()},
     # stitching
-    "stitch_weight_floor": 1e-6,
+    "stitch_weight_floor": recon.WEIGHT_FLOOR,
     # iterative reference solver
     "epie_iters": 300,
     "epie_beta": 0.9,
@@ -137,33 +126,24 @@ class RunConfig:
 
     # -- module config builders -------------------------------------------
 
-    def model_cfg(self):
-        v = self.values
-        return model.ModelConfig(n_c=v["n_c"], i_sat=v["i_sat"], alpha=v["alpha"],
-                                 g0=v["g0"], g_l=v["g_l"], g_h=v["g_h"],
-                                 variant=v["variant"], seed=v["model_seed"])
+    def _build(self, cls, **extra):
+        """`cls` from the values of its FIELD_KEYS, plus `extra` fields."""
+        return cls(**{name: self.values[key] for key, (owner, name) in FIELD_KEYS.items()
+                      if owner is cls}, **extra)
 
-    def loss_weights(self):
-        v = self.values
-        return losses.LossWeights(w_b=v["w_b"], w_a=v["w_a"], w_p=v["w_p"],
-                                  w_c=v["w_c"], lam_circ=v["lam_circ"],
-                                  lam_g=v["lam_g"], lam_s=v["lam_s"])
+    def model_cfg(self):
+        return self._build(model.ModelConfig)
 
     def train_cfg(self):
-        v = self.values
-        return train.TrainConfig(eta=v["eta"], batch_size=v["batch_size"],
-                                 epochs=v["epochs"],
-                                 half_cycle_epochs=v["half_cycle_epochs"],
-                                 clip_norm=v["clip_norm"], seed=v["train_seed"],
-                                 weights=self.loss_weights())
+        return self._build(train.TrainConfig, weights=self._build(losses.LossWeights))
 
     def noise_cfg(self):
         v = self.values
         if not v["noise"]:
             return None
         read_sigma = None if v["read_sigma"] < 0 else v["read_sigma"]
-        return NoiseConfig(peak_photons=v["peak_photons"], read_sigma=read_sigma,
-                           seed=v["noise_seed"])
+        return dataset.NoiseConfig(peak_photons=v["peak_photons"], read_sigma=read_sigma,
+                                   seed=v["noise_seed"])
 
     def make_probe(self):
         v = self.values

@@ -175,6 +175,12 @@ def make_dataset(amplitude, phase, probe, plan, noise=None):
 def split_rows(frames, rows=DEFAULT_ROWS, train_rows=49, test_rows=12,
                val_fraction=0.05, seed=0):
     """Tag frames: first train_rows rows -> train (minus seeded val sample), last rows -> test."""
+    if train_rows < 1:
+        raise ValueError(f"need train_rows >= 1, got {train_rows}")
+    if test_rows < 0:
+        raise ValueError(f"need test_rows >= 0, got {test_rows}")
+    if not 0 <= val_fraction < 1:  # False for NaN too
+        raise ValueError(f"need 0 <= val_fraction < 1, got {val_fraction}")
     if train_rows + test_rows != rows:
         raise ValueError(f"train_rows + test_rows != rows ({train_rows}+{test_rows} != {rows})")
     train_pool = [i for i, f in enumerate(frames) if f.row < train_rows]

@@ -65,6 +65,8 @@ def _disjoint_runs(ys, xs, order, p):
 def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
                      canvas_shape=None):
     """Object-only updates; object initialized to 1+0i."""
+    if iters < 1:
+        raise ValueError(f"need iters >= 1, got {iters}")
     if not (0 < beta <= 1):
         raise ValueError("beta must be in (0, 1]")
     p_field = probe.astype(np.complex128)

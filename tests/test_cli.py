@@ -179,17 +179,42 @@ def test_epie_reads_only_intensities(pipeline, monkeypatch, tmp_path):
     assert len(frames) == 16 and all(r.endswith("_intensity.ptg") for r in frames)
 
 
-def test_ablate_checks_and_records_dataset_hash(pipeline, capsys, tmp_path):
+def test_variant_trained_then_evaluated(pipeline, tmp_path):
     _, data, _ = pipeline
-    args = ["ablate", "--variant", "no_skip", "--data", data] + TINY
-    rc = cli.main(args + ["--out", str(tmp_path / "a"), "--seed", "2"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "mismatch" in err
-    assert cli.main(args + ["--out", str(tmp_path / "b"), "--seed", "1"]) == 0
+    out = str(tmp_path / "v")
+    assert cli.main(["train", "--data", data, "--out", out, "--seed", "1"] + TINY
+                    + ["--set", "variant=no_skip"]) == 0
+    assert cli.main(["evaluate", "--ckpt", os.path.join(out, "checkpoint"), "--data", data,
+                     "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, "checkpoint", "manifest.json")))
+    assert manifest["cfg"]["variant"] == "no_skip"
     meta = json.load(open(os.path.join(data, "meta.json")))
-    recorded = json.load(open(tmp_path / "b" / "ablation.json"))
-    assert recorded["config_hash"] == meta["config_hash"]
+    report = open(os.path.join(out, "report.txt")).read().splitlines()
+    assert report[0] == f"config_hash: {meta['config_hash']}"
+
+
+@pytest.mark.parametrize("iters", ["0", "-2"])
+def test_epie_without_sweeps_is_one_line_error(pipeline, capsys, tmp_path, iters):
+    _, data, _ = pipeline
+    out = tmp_path / "e"
+    rc = cli.main(["epie", "--data", data, "--out", str(out), "--seed", "1"] + TINY
+                  + ["--set", f"epie_iters={iters}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: need iters >= 1, got {iters}\n"
+    assert not os.path.exists(out)
+
+
+# the last key set is the one the error must name
+@pytest.mark.parametrize("sets", ["train_rows=5 test_rows=-1", "test_rows=4 train_rows=0",
+                                  "val_fraction=2", "val_fraction=-0.5", "val_fraction=1"])
+def test_simulate_refuses_bad_split(capsys, tmp_path, sets):
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
+                  + [arg for kv in sets.split() for arg in ("--set", kv)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: need") and "\n" not in err
+    assert sets.split()[-1].split("=")[0] in err
+    assert not os.path.exists(tmp_path / "d")
 
 
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",

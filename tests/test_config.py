@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
 from ptychokit.config import DATA_KEYS, DEFAULTS, RunConfig
+from ptychokit.model import ModelConfig
+from ptychokit.train import TrainConfig
 
 
 def test_defaults_and_set_coercion():
@@ -78,11 +82,27 @@ def test_from_file_parses_comments(tmp_path):
 
 def test_builders():
     cfg = RunConfig()
-    assert cfg.model_cfg().n_c == 32
-    assert cfg.train_cfg().weights.w_p == 1.3
+    assert cfg.model_cfg() == ModelConfig()
+    assert cfg.train_cfg() == TrainConfig()
     assert cfg.noise_cfg() is None
     cfg.set("noise", 1)
     assert cfg.noise_cfg().read_sigma is None  # auto
     cfg.set("read_sigma", 0.5)
     assert cfg.noise_cfg().read_sigma == 0.5
     assert cfg.make_probe().shape == (32, 32)
+    for key in ("model_seed", "train_seed", "n_c", "epochs", "lam_g"):
+        cfg.set(key, 3)
+    mcfg, tcfg = cfg.model_cfg(), cfg.train_cfg()
+    assert (mcfg.seed, tcfg.seed, mcfg.n_c, tcfg.epochs, tcfg.weights.lam_g) == (3, 3, 3, 3, 3.0)
+
+
+def test_config_format_is_pinned(tmp_path):
+    # config.txt and both hashes travel with datasets and checkpoints; a change
+    # to any default, key name or value type moves one of these
+    cfg = RunConfig()
+    assert (cfg.config_hash(), cfg.data_hash()) == ("7519a12e6963", "8c212b82c6ed")
+    cfg.save(tmp_path / "config.txt")
+    assert hashlib.sha256((tmp_path / "config.txt").read_bytes()).hexdigest() == (
+        "40871ea16ab346ccbfacf5871a48a6f0b770f932847657c0ee4a54f373ce2c95")
+    cfg.set_master_seed(7)
+    assert (cfg.config_hash(), cfg.data_hash()) == ("5e6f381625c9", "50ed76ee86c1")
