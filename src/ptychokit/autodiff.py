@@ -22,6 +22,8 @@ a tap is a flat shift of (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer.
 with its taps mixed at the input's resolution, and `conv2d(..., relu=True)`
 applies ReLU in the conv's epilogue; its backward masks the output gradient
 in place with the output's sign, so no pre-activation is kept.
+The backward of a conv whose input takes no gradient (the network's raw
+intensity) computes only the weight and bias gradients, on either tap side.
 `upsample_bilinear2x` runs as two batched float32 matrix products. Forward
 results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
 over channels.
@@ -290,29 +292,32 @@ def _conv_input_side(x, w, stride, padding, ho, wo):
     Y = Wm @ cols and dW = sum of G_b @ cols_b^T. At stride 1, dX is the same
     gathered conv of G padded by k-1-p, with the flipped, transposed kernel; at
     stride > 1, each block's dcols = Wm^T @ G_b is scattered back by k*k strided
-    adds. The backward re-pads x rather than keeping the forward's padded copy."""
+    adds. The backward re-pads x rather than keeping the forward's padded copy,
+    and skips dX (returning None) when need_dx is False."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     wm = w.reshape(cout, -1)
     out = _gathered_conv(_pad(x, padding), wm, k, stride, ho, wo)
 
-    def grads(g):
-        if stride == 1:
+    def grads(g, need_dx):
+        dx = None
+        scatter = need_dx and stride > 1
+        if need_dx and stride == 1:
             wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
             dx = _gathered_conv(_pad(g, k - 1 - padding), wf, k, 1, h, wd)
-        else:
+        elif scatter:
             dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
         dw = np.zeros((cout, cin * k * k), np.float32)
         for r0, r1, cols in _col_blocks(_pad(x, padding), k, stride, ho, wo):
             gb = g[:, r0:r1].reshape(cout, -1)
             dw += gb @ cols.T
-            if stride > 1:  # dcols overwrites the block's columns
+            if scatter:  # dcols overwrites the block's columns
                 dcols = np.matmul(wm.T, gb, out=cols).reshape(cin, k, k, r1 - r0, wo, n)
                 for i in range(k):
                     for j in range(k):
                         dxp[:, i + stride * r0:i + stride * r1:stride,
                             j:j + stride * wo:stride] += dcols[:, i, j]
-        if stride > 1:
+        if scatter:
             dx = dxp[:, padding:padding + h, padding:padding + wd]
         return dx, dw.reshape(w.shape)
 
@@ -328,7 +333,8 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
     linear, so Z is taken at the input's resolution and its k*k*C_out maps are
     upsampled and padded before the shift-add (the backward upsamples Gs's
     adjoint back down). Without upsample, the backward re-pads x for dWs
-    rather than keeping the forward's padded copy."""
+    rather than keeping the forward's padded copy. dX is skipped (None) when
+    need_dx is False."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     ws = w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
@@ -350,7 +356,7 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
         y[:, :valid] += z[t, :, offsets[t]:offsets[t] + valid]
     out = y.reshape(cout, hp, wp, n)[:, :ho, :wo]
 
-    def grads(g):
+    def grads(g, need_dx):
         gp = np.zeros((cout, hp, wp, n), np.float32)
         gp[:, :ho, :wo] = g
         gm = gp.reshape(cout, size)
@@ -362,11 +368,12 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
             gs = _separable(gs[:, padding:padding + h, padding:padding + wd], a.T, b.T)
         grid = gs.shape[1:]
         gs = gs.reshape(k * k * cout, -1)
-        dx = (ws.T @ gs).reshape((cin,) + grid)
+        dx = (ws.T @ gs).reshape((cin,) + grid) if need_dx else None
         if upsample:
             xm = x.reshape(cin, -1)
         else:
-            dx = dx[:, padding:padding + h, padding:padding + wd]
+            if need_dx:
+                dx = dx[:, padding:padding + h, padding:padding + wd]
             xm = _pad(x, padding).reshape(cin, -1)
         dw = (gs @ xm.T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         return dx, dw
@@ -419,11 +426,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
         g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
         if relu:
             g4 *= out > 0
-        dx, dw = grads(g4)
+        dx, dw = grads(g4, x.requires_grad)
         _accum(w, dw)
         if b is not None:
             _accum(b, g4.sum(axis=(1, 2, 3), dtype=np.float64))
-        _accum(x, dx.reshape(x.shape))
+        if dx is not None:
+            _accum(x, dx.reshape(x.shape))
 
     return _make(out.reshape(out.shape[:3] + x.shape[3:]), inputs, bwd, "conv2d")
 

@@ -221,7 +221,7 @@ def build_parser():
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("train", help="dataset -> checkpoint + loss log")
+    sp = sub.add_parser("train", help="dataset -> checkpoint + loss log + epoch record")
     _add_common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)

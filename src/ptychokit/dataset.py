@@ -122,6 +122,10 @@ def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
 def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
               jitter_max=DEFAULT_JITTER, probe_size=physics.PROBE_SIZE, seed=0):
     """Regular grid plus integer per-axis jitter uniform in [-jitter_max, +jitter_max]."""
+    if step < 1:
+        raise ValueError(f"need step >= 1, got {step}")
+    if jitter_max < 0:
+        raise ValueError(f"need jitter_max >= 0, got {jitter_max}")
     rng = np.random.default_rng(seed)
     plan = ScanPlan(rows=rows, cols=cols, step=step, jitter_max=jitter_max,
                     probe_size=probe_size, seed=seed)
@@ -152,7 +156,8 @@ def make_dataset(amplitude, phase, probe, plan, noise=None):
     windows = sliding_window_view(obj, (p, p))  # windows[y, x] is the p x p window at (y, x)
     ys = np.array([y for _, _, y, _ in plan.positions], dtype=np.intp)
     xs = np.array([x for _, _, _, x in plan.positions], dtype=np.intp)
-    assert np.all(ys >= 0) and np.all(xs >= 0)  # a negative index would wrap around
+    if np.any(ys < 0) or np.any(xs < 0):  # a negative index would wrap around
+        raise ValueError("scan position outside the object (negative y or x)")
     clean = np.empty((len(ys), p, p), dtype=np.float32)
     for start in range(0, len(ys), SIM_BLOCK):
         block = slice(start, start + SIM_BLOCK)

@@ -1,8 +1,12 @@
 """Optimization loop: Adam, triangular-2 cyclic learning rate, gradient
-clipping, and validation-based model selection."""
+clipping, validation-based model selection, and a per-epoch training record."""
 
+import ctypes
 import math
 import os
+import resource
+import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +19,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 I_MAX_PERCENTILE = 99.5
+
+# glibc neither trims its heap nor mmaps a block below this many bytes once
+# training starts (mallopt(3) M_TRIM_THRESHOLD = -1, M_MMAP_THRESHOLD = -3).
+HEAP_KEEP_BYTES = 256 << 20
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+# Columns of train_log.csv, one row per epoch. The gradient norm is taken before
+# clipping; steps_per_s and faults_per_step cover the epoch's training steps,
+# epoch_s the whole epoch with its validation and checkpoint.
+TRAIN_LOG_FIELDS = ("epoch", "val_loss", "ring_dev", "grad_norm_mean", "grad_norm_max",
+                    "clip_share", "lr_min", "lr_max", "steps_per_s", "epoch_s",
+                    "faults_per_step")
 
 
 @dataclass
@@ -95,8 +112,11 @@ class TrainResult:
     best_val: float
     best_epoch: int
     log_rows: list
-    val_history: list
-    ring_dev_history: list  # mean |c^2+s^2-1| on validation, per epoch
+    epoch_log: list  # one dict per epoch, keyed by TRAIN_LOG_FIELDS
+
+    @property
+    def val_history(self):
+        return [row["val_loss"] for row in self.epoch_log]
 
 
 def _stack_batch(frames, patches, idx):
@@ -132,8 +152,9 @@ def _eval_split(frames, patches, idx, params, cfg, weights, batch_size):
 
 
 def _train_step(frames, patches, batch, params, model_cfg, train_cfg, state, lr, step):
-    """One Adam step on a batch; its loss breakdown. The gradients are taken off
-    the parameters and die with this call, so none outlives its step."""
+    """One Adam step on a batch; its loss breakdown and the gradient norm before
+    clipping. The gradients are taken off the parameters and die with this call,
+    so none outlives its step."""
     with ad.Tape() as tape:
         total, bd, _ = _batch_loss(frames, patches, batch, params,
                                    model_cfg, train_cfg.weights)
@@ -144,9 +165,32 @@ def _train_step(frames, patches, batch, params, model_cfg, train_cfg, state, lr,
     for name in sorted(params.tensors):
         t = params.tensors[name]
         grads[name], t.grad = t.grad, None
-    clip_grad_norm(list(grads.values()), train_cfg.clip_norm)
+    _, norm = clip_grad_norm(list(grads.values()), train_cfg.clip_norm)
     adam_step(params, grads, state, lr)
-    return bd
+    return bd, norm
+
+
+def _keep_heap_mapped():
+    """Make glibc keep freed memory mapped: no heap trim and no mmap'd block
+    below HEAP_KEEP_BYTES, so each training step reuses the pages the last one
+    freed instead of faulting fresh ones in. The setting is process-wide and
+    stays after `train` returns. Does nothing off glibc. A refused threshold
+    (older glibc caps the mmap one at 32 MiB on 64-bit) is a warning, not an
+    error: results do not depend on it."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        if mallopt(param, HEAP_KEEP_BYTES) != 1:
+            warnings.warn(f"mallopt({param}, {HEAP_KEEP_BYTES}) refused; training "
+                          "steps may fault their memory back in", RuntimeWarning)
+
+
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def compute_i_max(frames, idx=None):
@@ -159,7 +203,14 @@ def compute_i_max(frames, idx=None):
 
 def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
           log_path=None):
-    """Train with per-epoch seeded shuffling and best-validation checkpointing."""
+    """Train with per-epoch seeded shuffling and best-validation checkpointing.
+
+    With log_path, writes the per-step loss log there and the per-epoch record
+    (TRAIN_LOG_FIELDS) as train_log.csv beside it; the record's times and page
+    faults vary from run to run, and no checkpoint file depends on them.
+    On glibc, training first sets the allocator to keep freed memory mapped
+    (`_keep_heap_mapped`); that setting is process-wide and outlives the call.
+    """
     train_idx = [i for i, f in enumerate(frames) if f.split == "train"]
     val_idx = [i for i, f in enumerate(frames) if f.split == "val"]
     if not train_idx:
@@ -168,6 +219,7 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
         raise ValueError("empty validation split: model selection needs val frames "
                          "(set val_fraction > 0)")
 
+    _keep_heap_mapped()
     model_cfg.i_max = compute_i_max(frames, train_idx)
     params = model.init_params(model_cfg)
     state = AdamState(params)
@@ -175,27 +227,29 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
     steps_per_epoch = (len(train_idx) + train_cfg.batch_size - 1) // train_cfg.batch_size
     half_cycle = train_cfg.half_cycle_epochs * steps_per_epoch
 
-    log_rows = []
-    val_history, ring_history = [], []
+    log_rows, epoch_log = [], []
     best_val, best_epoch = float("inf"), -1
     best_data = {n: t.data.copy() for n, t in params.named()}
     step = 0
     for epoch in range(train_cfg.epochs):
+        t0, faults0 = time.perf_counter(), _minor_faults()
         order = np.array(train_idx)
         np.random.default_rng([train_cfg.seed, epoch]).shuffle(order)
+        norms, lrs = [], []
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             lr = cyclic_lr(step, half_cycle, train_cfg.eta)
-            bd = _train_step(frames, patches, batch, params, model_cfg, train_cfg,
-                             state, lr, step)
+            bd, norm = _train_step(frames, patches, batch, params, model_cfg, train_cfg,
+                                   state, lr, step)
             log_rows.append([step, lr] + bd.to_row())
+            norms.append(norm)
+            lrs.append(lr)
             step += 1
+        steps_s, faults = time.perf_counter() - t0, _minor_faults() - faults0
 
         val_loss, ring_dev = _eval_split(frames, patches, val_idx, params,
                                          model_cfg, train_cfg.weights,
                                          train_cfg.batch_size)
-        val_history.append(val_loss)
-        ring_history.append(ring_dev)
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_data = {n: t.data.copy() for n, t in params.named()}
@@ -203,21 +257,27 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
                 model.save_checkpoint(ckpt_dir, params, model_cfg,
                                       seed=train_cfg.seed, epoch=epoch,
                                       val_loss=val_loss, config_hash=config_hash)
+        epoch_log.append({
+            "epoch": epoch, "val_loss": val_loss, "ring_dev": ring_dev,
+            "grad_norm_mean": float(np.mean(norms)), "grad_norm_max": float(max(norms)),
+            "clip_share": sum(n > train_cfg.clip_norm for n in norms) / len(norms),
+            "lr_min": min(lrs), "lr_max": max(lrs), "steps_per_s": len(norms) / steps_s,
+            "epoch_s": time.perf_counter() - t0, "faults_per_step": faults / len(norms)})
 
     best_params = model.ModelParams(
         tensors={n: Tensor(d, requires_grad=True) for n, d in best_data.items()})
     if log_path is not None:
-        write_loss_log(log_path, log_rows)
+        _write_csv(log_path, ["step", "lr"] + list(losses.LossBreakdown.FIELDS), log_rows)
+        _write_csv(os.path.join(os.path.dirname(os.path.abspath(log_path)), "train_log.csv"),
+                   TRAIN_LOG_FIELDS, [[row[k] for k in TRAIN_LOG_FIELDS] for row in epoch_log])
     return TrainResult(params=best_params, cfg=model_cfg, best_val=best_val,
-                       best_epoch=best_epoch, log_rows=log_rows,
-                       val_history=val_history, ring_dev_history=ring_history)
+                       best_epoch=best_epoch, log_rows=log_rows, epoch_log=epoch_log)
 
 
-def write_loss_log(path, log_rows):
-    header = ["step", "lr"] + list(losses.LossBreakdown.FIELDS)
+def _write_csv(path, header, rows):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in log_rows:
+        for row in rows:
             fh.write(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")

@@ -230,6 +230,27 @@ def test_conv2d_relu_epilogue_bitwise_equals_conv_then_relu(case):
         assert np.array_equal(_bits(fused), _bits(plain)), case
 
 
+@pytest.mark.parametrize("case", RELU_CASES + [(2, 2, False, 1, 4, (1, 9, 8, 3))])
+def test_conv2d_skips_input_gradient_bitwise(case, monkeypatch):
+    # an input that takes no gradient, as the network's raw intensity: the
+    # backward computes no dX, and dW and db are the full backward's bit for bit
+    stride, padding, up, cin, cout, xshape = case
+    for budget in CONV_BUDGETS:
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        results = []
+        for needs in (True, False):
+            x = Tensor(rand(xshape, 70), requires_grad=needs)
+            w = Tensor(rand((cout, cin, 3, 3), 71), requires_grad=True)
+            b = Tensor(rand((cout,), 72), requires_grad=True)
+            with Tape() as tape:
+                y = ad.conv2d(x, w, b, stride, padding, up, relu=True)
+                backward(tape, wmean(y, rand(y.shape, 73)))
+            assert (x.grad is not None) == needs, case
+            results.append((w.grad, b.grad))
+        for full, skipped in zip(*results):
+            assert np.array_equal(_bits(full), _bits(skipped)), (case, budget)
+
+
 def test_conv2d_validates_shapes():
     x = Tensor(rand((2, 6, 6), 10))
     with pytest.raises(ValueError):

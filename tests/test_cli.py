@@ -217,6 +217,17 @@ def test_simulate_refuses_bad_split(capsys, tmp_path, sets):
     assert not os.path.exists(tmp_path / "d")
 
 
+@pytest.mark.parametrize("bad", ["step=-8", "step=0", "jitter_max=-1"])
+def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
+                  + ["--set", bad])
+    assert rc == 1
+    key, value = bad.split("=")
+    minimum = 1 if key == "step" else 0
+    assert capsys.readouterr().err == f"error: need {key} >= {minimum}, got {value}\n"
+    assert not os.path.exists(tmp_path / "d")
+
+
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
                                  "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):

@@ -86,6 +86,16 @@ def test_make_dataset_rejects_small_object():
         dataset.make_dataset(amp, phase, probe, small_plan())
 
 
+def test_make_dataset_rejects_negative_position():
+    # a hand-made plan bypasses plan_scan's checks; the refusal is no assert,
+    # so it holds under python -O too
+    amp, phase = dataset.gen_object(100, 100, seed=3)
+    plan = small_plan(rows=2, cols=2)
+    plan.positions[1] = (0, 1, 4, -1)
+    with pytest.raises(ValueError, match="negative"):
+        dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+
+
 def test_make_dataset_noise_deterministic():
     amp, phase = dataset.gen_object(100, 100, seed=4)
     probe = physics.make_probe()

@@ -1,4 +1,6 @@
+import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -225,13 +227,61 @@ print(h.hexdigest())
 """
 
 
-def test_gradient_bitwise_equal_across_blas_threads():
+def _run_fresh(script, **env):
+    """stdout of script run by a new interpreter that imports this ptychokit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptychokit.__file__)))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        run = subprocess.run([sys.executable, "-c", _GRAD_HASH], env=env, timeout=300,
-                             capture_output=True, text=True, check=True)
-        digests.add(run.stdout.strip())
+    run = subprocess.run([sys.executable, "-c", script], timeout=300, check=True,
+                         env=dict(os.environ, PYTHONPATH=path, **env),
+                         capture_output=True, text=True)
+    return run.stdout.strip()
+
+
+def test_gradient_bitwise_equal_across_blas_threads():
+    digests = {_run_fresh(_GRAD_HASH, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
     assert len(digests) == 1
+
+
+_FAULTS = """
+import json
+from ptychokit import dataset, model, physics, train
+
+amp, phase = dataset.gen_object(120, 120, seed=0)
+plan = dataset.plan_scan(rows=10, cols=10, step=8, jitter_max=3, seed=0)
+frames, patches = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+dataset.split_rows(frames, rows=10, train_rows=9, test_rows=1, val_fraction=0.25, seed=0)
+res = train.train(frames, patches, model.ModelConfig(n_c=8, seed=0),
+                  train.TrainConfig(epochs=3, seed=0))
+print(json.dumps([row["faults_per_step"] for row in res.epoch_log]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator setting is glibc-only")
+def test_training_steps_do_not_fault_memory_back_in():
+    # n_c=8, batch 32, in a new process so no earlier test's allocator state
+    # counts: once the first epoch has mapped a step's memory, later steps reuse
+    # it (with glibc's default heap trimming, about 3,000 minor faults per step)
+    faults = json.loads(_run_fresh(_FAULTS))
+    assert len(faults) == 3
+    assert max(faults[1:]) < 100, faults
+
+
+def test_train_log_has_one_row_per_epoch(tmp_path):
+    frames, patches = tiny_data(seed=5)
+    tcfg = train.TrainConfig(epochs=2, batch_size=8, seed=0, clip_norm=1e-6)
+    res = train.train(frames, patches, model.ModelConfig(n_c=4, seed=0), tcfg,
+                      log_path=tmp_path / "loss_log.csv")
+    lines = (tmp_path / "train_log.csv").read_text().splitlines()
+    assert lines[0].split(",") == list(train.TRAIN_LOG_FIELDS)
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+    assert [r["epoch"] for r in rows] == [0, 1]
+    assert [r["val_loss"] for r in rows] == pytest.approx(res.val_history, rel=1e-7)
+    lrs = [r[1] for r in res.log_rows]
+    half = len(lrs) // 2
+    for row, epoch_lrs in zip(rows, (lrs[:half], lrs[half:])):
+        assert row["lr_min"] == pytest.approx(min(epoch_lrs), rel=1e-7)
+        assert row["lr_max"] == pytest.approx(max(epoch_lrs), rel=1e-7)
+        assert 0 < row["grad_norm_mean"] <= row["grad_norm_max"]
+        assert row["clip_share"] == 1.0  # every norm exceeds clip_norm = 1e-6
+        assert row["ring_dev"] >= 0 and row["steps_per_s"] > 0 and row["epoch_s"] > 0
+        assert row["faults_per_step"] >= 0
