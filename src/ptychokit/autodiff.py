@@ -35,6 +35,8 @@ it passes; afterwards only leaf tensors hold gradients. A gradient array an
 op has just made is stored without a copy (`_accum`).
 """
 
+import functools
+
 import numpy as np
 
 
@@ -436,22 +438,18 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     return _make(out.reshape(out.shape[:3] + x.shape[3:]), inputs, bwd, "conv2d")
 
 
-_UP_CACHE = {}
-
-
+@functools.cache
 def _upsample_matrix(n):
     """(2n x n) bilinear matrix: src = (dst + 0.5)/2 - 0.5, clamped."""
-    if n not in _UP_CACHE:
-        u = np.zeros((2 * n, n), dtype=np.float32)
-        for d in range(2 * n):
-            s = np.clip((d + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
-            i0 = int(np.floor(s))
-            i1 = min(i0 + 1, n - 1)
-            w = s - i0
-            u[d, i0] += 1.0 - w
-            u[d, i1] += w
-        _UP_CACHE[n] = u
-    return _UP_CACHE[n]
+    u = np.zeros((2 * n, n), dtype=np.float32)
+    for d in range(2 * n):
+        s = np.clip((d + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+        i0 = int(np.floor(s))
+        i1 = min(i0 + 1, n - 1)
+        w = s - i0
+        u[d, i0] += 1.0 - w
+        u[d, i1] += w
+    return u
 
 
 @_quiet

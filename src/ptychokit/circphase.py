@@ -24,35 +24,23 @@ def embed(phase):
     return np.cos(phase).astype(np.float32), np.sin(phase).astype(np.float32)
 
 
-def unit_project(c, s, eps=PROJECTION_EPS):
-    """Normalize (c, s) to the unit circle: (c, s) / sqrt(c^2 + s^2 + eps).
+def unit_project(c, s):
+    """Normalize Tensors (c, s) to the unit circle in float32: (c, s) / m, with
+    m = sqrt(c^2 + s^2 + PROJECTION_EPS).
 
-    Accepts numpy arrays or autodiff Tensors. The Tensor path is float32 and
-    returns two closed-form nodes (c', s'), each over (c, s), with derivatives
-    dc'/dc = (1 - c'^2)/m, dc'/ds = ds'/dc = -c's'/m and ds'/ds = (1 - s'^2)/m,
-    m = sqrt(c^2 + s^2 + eps).
+    Returns two closed-form nodes (c', s'), each over (c, s), with derivatives
+    dc'/dc = (1 - c'^2)/m, dc'/ds = ds'/dc = -c's'/m and ds'/ds = (1 - s'^2)/m.
     """
-    if isinstance(c, ad.Tensor):
-        mag = np.sqrt(c.data * c.data + s.data * s.data + eps)
-        cp, sp = c.data / mag, s.data / mag
-        return (ad.closed_form((c, s), cp, lambda: ((1 - cp * cp) / mag, -cp * sp / mag)),
-                ad.closed_form((c, s), sp, lambda: (-cp * sp / mag, (1 - sp * sp) / mag)))
-    c = np.asarray(c, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    mag = np.sqrt(c * c + s * s + eps)
-    return (c / mag).astype(np.float32), (s / mag).astype(np.float32)
+    mag = np.sqrt(c.data * c.data + s.data * s.data + PROJECTION_EPS)
+    cp, sp = c.data / mag, s.data / mag
+    return (ad.closed_form((c, s), cp, lambda: ((1 - cp * cp) / mag, -cp * sp / mag)),
+            ad.closed_form((c, s), sp, lambda: (-cp * sp / mag, (1 - sp * sp) / mag)))
 
 
-def recover_phase(c, s, return_degenerate_count=False):
-    """atan2 recovery to (-pi, pi]; both-zero pixels yield 0 and are counted."""
-    c = np.asarray(c, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    phase = np.arctan2(s, c)
-    phase = np.where(phase == -np.pi, np.pi, phase)
-    degenerate = int(np.count_nonzero((c == 0.0) & (s == 0.0)))
-    if return_degenerate_count:
-        return phase, degenerate
-    return phase
+def recover_phase(c, s):
+    """atan2 recovery to (-pi, pi]; a pixel with c = s = 0 yields 0."""
+    phase = np.arctan2(np.asarray(s, dtype=np.float64), np.asarray(c, dtype=np.float64))
+    return np.where(phase == -np.pi, np.pi, phase)
 
 
 def wrapped_diff(phi1, phi2):

@@ -11,8 +11,6 @@ last bits (at 18 of the sizes 1-32).
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -109,17 +107,12 @@ def cmd_infer(args):
     for i, ((amp, phase), frame) in enumerate(zip(recon.iter_infer(frames, params, mcfg),
                                                   frames)):
         gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_amp.ptg"), amp)
-        gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_phase.ptg"),
-                          phase.astype(np.float32))
-        rows.append({"index": i, "row": frame.row, "col": frame.col,
-                     "y": frame.y, "x": frame.x, "split": frame.split})
-    with open(os.path.join(args.out, "predictions.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PRED_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(os.path.join(args.out, "pred_meta.json"), "w") as fh:
-        json.dump({"config_hash": manifest.get("config_hash", ""),
-                   "variant": mcfg.variant, "split": args.split}, fh, indent=2)
+        gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_phase.ptg"), phase)
+        rows.append([i, frame.row, frame.col, frame.y, frame.x, frame.split])
+    gridio.write_csv(os.path.join(args.out, "predictions.csv"), PRED_FIELDS, rows)
+    gridio.write_json(os.path.join(args.out, "pred_meta.json"),
+                      {"config_hash": manifest.get("config_hash", ""),
+                       "variant": mcfg.variant, "split": args.split})
     print(f"infer: {len(rows)} predictions -> {args.out}")
     return 0
 
@@ -142,9 +135,9 @@ def cmd_stitch(args):
         _read_predictions(args.pred, rows), [(row["y"], row["x"]) for row in rows],
         weight_floor=cfg["stitch_weight_floor"])
     os.makedirs(args.out, exist_ok=True)
-    gridio.write_grid(os.path.join(args.out, "stitched_amp.ptg"), amp.astype(np.float32))
-    gridio.write_grid(os.path.join(args.out, "stitched_phase.ptg"), phase.astype(np.float32))
-    gridio.write_grid(os.path.join(args.out, "coverage.ptg"), mask.astype(np.float32))
+    gridio.write_grid(os.path.join(args.out, "stitched_amp.ptg"), amp)
+    gridio.write_grid(os.path.join(args.out, "stitched_phase.ptg"), phase)
+    gridio.write_grid(os.path.join(args.out, "coverage.ptg"), mask)
     print(f"stitch: canvas {mask.shape} -> {args.out}")
     return 0
 
@@ -166,11 +159,9 @@ def cmd_spectrum(args):
     side = min(grid.shape)
     radii, curve, bands = recon.radial_psd(grid[:side, :side])
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "psd.txt"), "w") as fh:
-        for r, v in zip(radii, curve):
-            fh.write(f"{r} {v:.10g}\n")
-    with open(os.path.join(args.out, "bands.json"), "w") as fh:
-        json.dump({"low": bands[0], "mid": bands[1], "high": bands[2]}, fh, indent=2)
+    recon.write_psd(os.path.join(args.out, "psd.txt"), radii, curve)
+    gridio.write_json(os.path.join(args.out, "bands.json"),
+                      {"low": bands[0], "mid": bands[1], "high": bands[2]})
     print(f"spectrum: low {bands[0]:.2f}% mid {bands[1]:.2f}% high {bands[2]:.2f}%")
     return 0
 
@@ -184,10 +175,8 @@ def cmd_epie(args):
                                       iters=cfg["epie_iters"], beta=cfg["epie_beta"],
                                       seed=cfg["epie_seed"])
     os.makedirs(args.out, exist_ok=True)
-    gridio.write_grid(os.path.join(args.out, "epie_amplitude.ptg"),
-                      np.abs(state.object_est).astype(np.float32))
-    gridio.write_grid(os.path.join(args.out, "epie_phase.ptg"),
-                      np.angle(state.object_est).astype(np.float32))
+    gridio.write_grid(os.path.join(args.out, "epie_amplitude.ptg"), np.abs(state.object_est))
+    gridio.write_grid(os.path.join(args.out, "epie_phase.ptg"), np.angle(state.object_est))
     with open(os.path.join(args.out, "error_history.txt"), "w") as fh:
         for e in state.error_history:
             fh.write(f"{e:.10g}\n")

@@ -61,14 +61,16 @@ DATA_KEYS = ("object_size", "object_seed", "rows", "cols", "step", "jitter_max",
              "noise_seed", "train_rows", "test_rows", "val_fraction", "split_seed")
 
 
+def _digest(values):
+    """12 hex digits of the SHA-256 of `values` as key-sorted JSON."""
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()[:12]
+
+
 class RunConfig:
     """Flat key-value config; unknown keys are errors."""
 
-    def __init__(self, values=None):
+    def __init__(self):
         self.values = dict(DEFAULTS)
-        if values:
-            for k, v in values.items():
-                self.set(k, v)
 
     def set(self, key, value):
         if key not in DEFAULTS:
@@ -96,14 +98,11 @@ class RunConfig:
             self.values[k] = int(seed)
 
     def config_hash(self):
-        payload = json.dumps(self.values, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return _digest(self.values)
 
     def data_hash(self):
         """Hash over only the keys that define the dataset."""
-        sub = {k: self.values[k] for k in DATA_KEYS}
-        payload = json.dumps(sub, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return _digest({k: self.values[k] for k in DATA_KEYS})
 
     @classmethod
     def from_file(cls, path):

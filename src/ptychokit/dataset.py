@@ -1,7 +1,6 @@
 """Synthetic bar-target objects, scan simulation, splits, and dataset persistence."""
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -122,10 +121,10 @@ def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
 def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
               jitter_max=DEFAULT_JITTER, probe_size=physics.PROBE_SIZE, seed=0):
     """Regular grid plus integer per-axis jitter uniform in [-jitter_max, +jitter_max]."""
-    if step < 1:
-        raise ValueError(f"need step >= 1, got {step}")
-    if jitter_max < 0:
-        raise ValueError(f"need jitter_max >= 0, got {jitter_max}")
+    for key, value, least in (("rows", rows, 1), ("cols", cols, 1), ("step", step, 1),
+                              ("jitter_max", jitter_max, 0)):
+        if value < least:
+            raise ValueError(f"need {key} >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     plan = ScanPlan(rows=rows, cols=cols, step=step, jitter_max=jitter_max,
                     probe_size=probe_size, seed=seed)
@@ -225,21 +224,17 @@ def save_dataset(outdir, frames, amplitude, phase, probe, meta):
         gridio.write_grid(os.path.join(outdir, names["intensity"]), frame.intensity)
         gridio.write_grid(os.path.join(outdir, names["amplitude"]), amplitude[window])
         gridio.write_grid(os.path.join(outdir, names["phase"]), phase[window])
-        rows.append({"index": i, **names, "row": frame.row, "col": frame.col,
-                     "y": frame.y, "x": frame.x, "noisy": int(frame.noisy),
-                     "split": frame.split})
-    with open(os.path.join(outdir, "manifest.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        rows.append([i, names["intensity"], names["amplitude"], names["phase"], frame.row,
+                     frame.col, frame.y, frame.x, int(frame.noisy), frame.split])
+    gridio.write_csv(os.path.join(outdir, "manifest.csv"), MANIFEST_FIELDS, rows)
     gridio.write_complex_grid(os.path.join(outdir, "probe.ptg"), probe)
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    gridio.write_json(os.path.join(outdir, "meta.json"), meta)
 
 
 def read_table(path, fields, int_fields):
     """Rows of a CSV table with a split column (manifest.csv, predictions.csv):
-    each has every field in `fields`, the `int_fields` as ints, and a known split."""
+    each has every field in `fields`, the `int_fields` as ints, y and x >= 0,
+    and a known split."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -256,6 +251,9 @@ def read_table(path, fields, int_fields):
                 except ValueError:
                     raise ValueError(f"{where}: '{k}' must be an integer, "
                                      f"got '{row[k]}'") from None
+            for k in ("y", "x"):
+                if row[k] < 0:
+                    raise ValueError(f"{where}: '{k}' must be >= 0, got {row[k]}")
             if row["split"] not in SPLITS:
                 raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
                                  f"got '{row['split']}'")

@@ -62,9 +62,8 @@ def _disjoint_runs(ys, xs, order, p):
     return runs
 
 
-def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
-                     canvas_shape=None):
-    """Object-only updates; object initialized to 1+0i."""
+def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
+    """Object-only updates on a 1+0i canvas that just covers every scan window."""
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     if not (0 < beta <= 1):
@@ -74,15 +73,11 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0,
     pmax2 = float(np.max(np.abs(p_field) ** 2))
     if pmax2 == 0:
         raise ValueError("degenerate probe")
-    if canvas_shape is None:
-        canvas_shape = (max(y for y, _ in positions) + p,
-                        max(x for _, x in positions) + p)
     ys = [int(y) for y, _ in positions]
     xs = [int(x) for _, x in positions]
-    if min(ys) < 0 or min(xs) < 0 or max(ys) + p > canvas_shape[0] \
-            or max(xs) + p > canvas_shape[1]:
-        raise ValueError(f"scan windows exceed the canvas {tuple(canvas_shape)}")
-    obj = np.ones(canvas_shape, dtype=np.complex128)
+    if min(ys) < 0 or min(xs) < 0:
+        raise ValueError("scan position outside the canvas (negative y or x)")
+    obj = np.ones((max(ys) + p, max(xs) + p), dtype=np.complex128)
     update_gain = beta * np.conj(p_field) / pmax2
 
     n = len(positions)

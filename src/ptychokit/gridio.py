@@ -1,5 +1,6 @@
 """PTGRID v1 file format: one JSON header line + raw little-endian f32 payload,
-and the checked reader of the JSON metadata files beside the grids.
+and the one writer of each other file kind beside the grids: CSV tables and
+JSON objects, with the checked reader of the JSON objects.
 
 Complex grids are stored with a trailing dimension of extent 2 (re, im), so
 writing one rounds each part to float32, the same rounding as complex64;
@@ -9,6 +10,7 @@ complex64 as well (see `physics`).
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -95,6 +97,22 @@ def check_fields(obj, types, required, what):
     if missing:
         raise ValueError(f"{what}: missing {', '.join(missing)}")
     return obj
+
+
+def write_csv(path, header, rows):
+    """A comma-separated table with LF line ends; floats as %.8g, the rest as str."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def write_json(path, obj):
+    """A JSON object file, indented by 2, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def read_json(path, types, required=()):

@@ -10,7 +10,6 @@ before upsampling (at 16x16 for 32x32 frames) and only those 9 maps are
 upsampled. Every ReLU is the epilogue of the conv before it,
 `conv2d(..., relu=True)`, so the tape keeps no pre-activation maps."""
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
@@ -228,8 +227,7 @@ def save_checkpoint(ckpt_dir, params, cfg, seed=0, epoch=0, val_loss=float("nan"
                 "val_loss": val_loss if math.isfinite(val_loss) else None,
                 "config_hash": config_hash,
                 "param_names": sorted(params.tensors)}
-    with open(os.path.join(ckpt_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    gridio.write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
 
 
 MANIFEST_TYPES = {"cfg": dict, "seed": int, "epoch": int, "val_loss": (float, type(None)),

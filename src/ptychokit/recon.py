@@ -1,5 +1,6 @@
 """Inference, weighted stitching, image metrics, and spectral analysis."""
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -52,20 +53,14 @@ def infer(frames, params, cfg, batch_size=32):
     return list(iter_infer(frames, params, cfg, batch_size))
 
 
-_KERNEL_CACHE = {}
-
-
+@functools.cache
 def stitch_kernel(patch, weight_floor):
     """Radially decaying weight (1 - d/d_max)^2 + floor; d_max = center-to-corner."""
-    key = (patch, weight_floor)
-    if key not in _KERNEL_CACHE:
-        center = (patch - 1) / 2.0
-        yy, xx = np.mgrid[0:patch, 0:patch]
-        d = np.sqrt((yy - center) ** 2 + (xx - center) ** 2)
-        d_max = np.sqrt(2.0) * center
-        w = (1.0 - d / d_max) ** 2 + weight_floor
-        _KERNEL_CACHE[key] = w
-    return _KERNEL_CACHE[key]
+    center = (patch - 1) / 2.0
+    yy, xx = np.mgrid[0:patch, 0:patch]
+    d = np.sqrt((yy - center) ** 2 + (xx - center) ** 2)
+    d_max = np.sqrt(2.0) * center
+    return (1.0 - d / d_max) ** 2 + weight_floor
 
 
 def _blend(items, positions, canvas_shape, weight_floor, channels):
@@ -122,10 +117,10 @@ def stitch_phase(phase_patches, positions, canvas_shape, weight_floor=WEIGHT_FLO
     return circphase.recover_phase(c, s), mask
 
 
-def stitch_amp_phase(pairs, positions, canvas_shape=None, weight_floor=WEIGHT_FLOOR):
+def stitch_amp_phase(pairs, positions, weight_floor=WEIGHT_FLOOR):
     """`stitch` of the amplitudes and `stitch_phase` of the phases of a stream of
     (amplitude, phase) patches, read once; returns (amplitude, phase, mask)."""
-    (amp, c, s), mask = _blend(pairs, positions, canvas_shape, weight_floor,
+    (amp, c, s), mask = _blend(pairs, positions, None, weight_floor,
                                lambda pair: (pair[0],) + _cos_sin(pair[1]))
     return amp, circphase.recover_phase(c, s), mask
 
@@ -199,8 +194,7 @@ def radial_psd(x):
 METRIC_NAMES = ("mse", "mae", "psnr", "ssim")
 
 
-def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_shape=None,
-           config_hash="", seed=0):
+def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_hash="", seed=0):
     """Per-sample and stitched metrics plus band energies for amplitude and phase.
 
     `predictions` is an iterable of (amplitude, phase), one per frame in frame
@@ -210,7 +204,7 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_sh
     """
     if len(gt_patches) != len(frames):
         raise ValueError("frames, predictions, and ground truth must align")
-    at = ([(f.y, f.x) for f in frames], canvas_shape, weight_floor)
+    at = ([(f.y, f.x) for f in frames], weight_floor)
     amp_gt_full, phi_gt_full, _ = stitch_amp_phase(
         ((p.amplitude, p.phase) for p in gt_patches), *at)
 
@@ -251,36 +245,39 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, canvas_sh
                        config_hash=config_hash, seed=seed)
 
 
+def write_psd(path, radii, curve):
+    """A PSD curve as text, one "radius value" line per bin."""
+    with open(path, "w") as fh:
+        for rbin, val in zip(radii, curve):
+            fh.write(f"{rbin} {val:.10g}\n")
+
+
 def write_report(outdir, rep):
     """Text + CSV summaries, stitched fields as PTGRID, PSD curves as text."""
     os.makedirs(outdir, exist_ok=True)
     lines = [f"config_hash: {rep.config_hash}", f"seed: {rep.seed}", ""]
-    csv_rows = ["metric,modality,mean,std"]
+    csv_rows = []
     for kind in ("amplitude", "phase"):
         lines.append(f"[{kind}] per-sample (mean +- std over {len(rep.per_sample[kind]['mse'])} frames)")
         for m in METRIC_NAMES:
             arr = rep.per_sample[kind][m]
             lines.append(f"  {m}: {arr.mean():.6g} +- {arr.std():.6g}")
-            csv_rows.append(f"{m},{kind},{arr.mean():.8g},{arr.std():.8g}")
+            csv_rows.append([m, kind, arr.mean(), arr.std()])
         lines.append(f"[{kind}] stitched")
         for m in METRIC_NAMES:
             v = rep.stitched[kind][m]
             lines.append(f"  {m}: {v:.6g}")
-            csv_rows.append(f"stitched_{m},{kind},{v:.8g},0")
+            csv_rows.append([f"stitched_{m}", kind, v, 0])
         lo, mid, hi = rep.bands[kind]
         lines.append(f"[{kind}] band energy %: low {lo:.3f}, mid {mid:.3f}, high {hi:.3f}")
-        csv_rows.append(f"band_low,{kind},{lo:.8g},0")
-        csv_rows.append(f"band_mid,{kind},{mid:.8g},0")
-        csv_rows.append(f"band_high,{kind},{hi:.8g},0")
+        for band, v in zip(("low", "mid", "high"), (lo, mid, hi)):
+            csv_rows.append([f"band_{band}", kind, v, 0])
         lines.append("")
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(outdir, "report.csv"), "w") as fh:
-        fh.write("\n".join(csv_rows) + "\n")
+    gridio.write_csv(os.path.join(outdir, "report.csv"), ["metric", "modality", "mean", "std"],
+                     csv_rows)
     for name in ("amp_hat", "phase_hat", "amp_gt", "phase_gt"):
-        gridio.write_grid(os.path.join(outdir, name + ".ptg"),
-                          rep.fields[name].astype(np.float32))
+        gridio.write_grid(os.path.join(outdir, name + ".ptg"), rep.fields[name])
     for kind, (radii, curve, _) in rep.spectra.items():
-        with open(os.path.join(outdir, f"psd_{kind}.txt"), "w") as fh:
-            for rbin, val in zip(radii, curve):
-                fh.write(f"{rbin} {val:.10g}\n")
+        write_psd(os.path.join(outdir, f"psd_{kind}.txt"), radii, curve)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad, circphase, losses, model
+from . import autodiff as ad, circphase, gridio, losses, model
 from .autodiff import Tensor
 
 ADAM_BETA1 = 0.9
@@ -47,9 +47,9 @@ class TrainConfig:
     def __post_init__(self):
         # chained comparisons are False for NaN, so NaN is rejected too
         if (not 0 < self.eta < math.inf or not 0 < self.clip_norm < math.inf
-                or self.epochs < 1 or self.batch_size < 1):
+                or self.epochs < 1 or self.batch_size < 1 or self.half_cycle_epochs < 1):
             raise ValueError("need finite eta > 0, finite clip_norm > 0, epochs >= 1, "
-                             "batch_size >= 1")
+                             "batch_size >= 1, half_cycle_epochs >= 1")
 
 
 def cyclic_lr(step, steps_per_half_cycle, eta):
@@ -267,17 +267,9 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
     best_params = model.ModelParams(
         tensors={n: Tensor(d, requires_grad=True) for n, d in best_data.items()})
     if log_path is not None:
-        _write_csv(log_path, ["step", "lr"] + list(losses.LossBreakdown.FIELDS), log_rows)
-        _write_csv(os.path.join(os.path.dirname(os.path.abspath(log_path)), "train_log.csv"),
-                   TRAIN_LOG_FIELDS, [[row[k] for k in TRAIN_LOG_FIELDS] for row in epoch_log])
+        gridio.write_csv(log_path, ["step", "lr"] + list(losses.LossBreakdown.FIELDS), log_rows)
+        gridio.write_csv(os.path.join(os.path.dirname(log_path), "train_log.csv"), TRAIN_LOG_FIELDS,
+                         [[row[k] for k in TRAIN_LOG_FIELDS] for row in epoch_log])
     return TrainResult(params=best_params, cfg=model_cfg, best_val=best_val,
                        best_epoch=best_epoch, log_rows=log_rows, epoch_log=epoch_log)
 
-
-def _write_csv(path, header, rows):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.8g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")

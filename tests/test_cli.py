@@ -29,6 +29,7 @@ def test_simulate_outputs(pipeline):
     assert os.path.exists(os.path.join(data, "probe.ptg"))
     meta = json.load(open(os.path.join(data, "meta.json")))
     assert len(meta["config_hash"]) == 12
+    assert b"\r" not in open(os.path.join(data, "manifest.csv"), "rb").read()
 
 
 def test_train_outputs(pipeline):
@@ -54,6 +55,9 @@ def test_infer_stitch_evaluate_spectrum(pipeline):
     assert os.path.exists(os.path.join(ev, "report.csv"))
     bands = json.load(open(os.path.join(spec, "bands.json")))
     assert bands["low"] + bands["mid"] + bands["high"] == pytest.approx(100.0)
+    for table in (os.path.join(pred, "predictions.csv"), os.path.join(run, "loss_log.csv"),
+                  os.path.join(ev, "report.csv")):
+        assert b"\r" not in open(table, "rb").read()
 
 
 def test_epie_subcommand(pipeline):
@@ -217,19 +221,20 @@ def test_simulate_refuses_bad_split(capsys, tmp_path, sets):
     assert not os.path.exists(tmp_path / "d")
 
 
-@pytest.mark.parametrize("bad", ["step=-8", "step=0", "jitter_max=-1"])
+@pytest.mark.parametrize("bad", ["step=-8", "step=0", "jitter_max=-1", "cols=0"])
 def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
                   + ["--set", bad])
     assert rc == 1
     key, value = bad.split("=")
-    minimum = 1 if key == "step" else 0
+    minimum = 0 if key == "jitter_max" else 1
     assert capsys.readouterr().err == f"error: need {key} >= {minimum}, got {value}\n"
     assert not os.path.exists(tmp_path / "d")
 
 
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
-                                 "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan"])
+                                 "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan",
+                                 "half_cycle_epochs=0"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     _, data, _ = pipeline
     rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
@@ -373,7 +378,7 @@ def test_stitch_without_predictions_is_one_line_error(capsys, tmp_path):
     assert err.startswith("error: no predictions in") and "\n" not in err
 
 
-@pytest.mark.parametrize("row", ["0,1", "0,1,2,3,x,test", "0,1,2,3,4,bogus"])
+@pytest.mark.parametrize("row", ["0,1", "0,1,2,3,x,test", "0,1,2,3,4,bogus", "0,1,2,-5,4,test"])
 def test_malformed_predictions_is_one_line_error(capsys, tmp_path, row):
     pred = tmp_path / "pred"
     (pred / "pred").mkdir(parents=True)

@@ -95,7 +95,7 @@ def test_disjoint_runs_partition_the_order():
 def test_windows_outside_canvas_rejected():
     _, _, probe, frames, positions = make_scan(seed=4, rows=2, cols=2)
     with pytest.raises(ValueError):
-        epie.epie_reconstruct(frames, positions, probe, iters=1, canvas_shape=(40, 40))
+        epie.epie_reconstruct(frames, [(-1, 0)] + positions[1:], probe, iters=1)
 
 
 def test_magnitude_projection():
