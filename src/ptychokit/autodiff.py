@@ -9,30 +9,35 @@ projection).
 Storage is float32, and the conv2d bias gradient accumulates in float64.
 `conv2d`, `upsample_bilinear2x` and `concat_channels` take activations in
 one layout, (C, H, W, N): channels outermost, batch innermost (a C x H x W
-map is N = 1). A convolution shifts its k*k kernel taps on whichever side,
-input or output, has fewer channels. On the input side the im2col columns
-are built in blocks of output rows, each at most CONV_BLOCK_BYTES: the
-forward is one float32 GEMM per block and the weight gradient a sum of one
-GEMM per block. At stride 1 the input gradient is the same blocked conv of
-the output gradient padded by k-1-p, with the flipped, transposed kernel; at
-stride > 1 each block's column gradient is scattered back. On the output
-side the forward, weight gradient and input gradient are one GEMM each, and
-a tap is a flat shift of (i*Wp + j)*N over one padded (C, Hp, Wp, N) buffer.
-`conv2d(..., upsample=True)` is a conv of the bilinearly 2x-upsampled input
-with its taps mixed at the input's resolution, and `conv2d(..., relu=True)`
-applies ReLU in the conv's epilogue; its backward masks the output gradient
-in place with the output's sign, so no pre-activation is kept.
-The backward of a conv whose input takes no gradient (the network's raw
-intensity) computes only the weight and bias gradients, on either tap side.
+map is N = 1). A convolution takes one of three paths, by what it is:
+- stride 1: row taps (MEC, Cho & Brand 2017). The input is copied k-fold, each
+  copy shifted along W, and the k vertical taps are views of that copy handed
+  to the GEMM, so the forward is k float32 GEMMs per block of output rows. The
+  backward copies the output gradient G k-fold once, padded by k-1-p, and
+  those taps serve both gradients: dX is the same sum with the flipped,
+  transposed kernel, and dW a sum of G taps times the unexpanded input.
+- stride > 1 (the encoders and the skip path): im2col columns, one float32
+  GEMM per block of output rows for the output and the weight gradient, and
+  each block's column gradient scattered back.
+- `conv2d(..., upsample=True)` (the decoder tail): a conv of the bilinearly
+  2x-upsampled input, its taps shifted on the output side and mixed at the
+  input's resolution. The forward, weight gradient and input gradient are one
+  GEMM each, and a tap is a flat shift of (i*Wp + j)*N over one padded buffer.
+Blocks of row taps (halo rows included) and of im2col columns each take at
+most CONV_BLOCK_BYTES. `conv2d(..., relu=True)` applies ReLU in the conv's
+epilogue; its backward masks the output gradient in place with the output's
+sign, so no pre-activation is kept. The backward of a conv whose input takes
+no gradient (the network's raw intensity) computes only the weight and bias
+gradients, on every path.
 `upsample_bilinear2x` runs as two batched float32 matrix products. Forward
 results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
 over channels.
 
 The tape keeps only what a backward reads: a conv's closure holds its input,
-not a padded copy, and re-pads it in the backward. `backward` consumes the
-tape, popping each node and freeing its closure and its output's gradient as
-it passes; afterwards only leaf tensors hold gradients. A gradient array an
-op has just made is stored without a copy (`_accum`).
+not a padded copy (a strided conv re-pads it in the backward). `backward`
+consumes the tape, popping each node and freeing its closure and its output's
+gradient as it passes; afterwards only leaf tensors hold gradients. A
+gradient array an op has just made is stored without a copy (`_accum`).
 """
 
 import functools
@@ -229,9 +234,7 @@ def _as_chwn(x, what):
 
 
 def _pad(x, padding):
-    """x zero-padded by `padding` on each side of H and W; a negative padding crops."""
-    if padding < 0:
-        return x[:, -padding:padding, -padding:padding]
+    """x zero-padded by `padding` on each side of H and W."""
     c, h, w, n = x.shape
     xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n), np.float32)
     xp[:, padding:padding + h, padding:padding + w] = x
@@ -250,28 +253,34 @@ def _separable(x, a, b):
     return y.reshape(c, a.shape[0], b.shape[0], n)
 
 
-# Byte budget of one block of im2col columns. Measured against one GEMM over all
-# columns with dX scattered back (batch 32, conv fwd+bwd, medians of 40
-# interleaved calls on 2 cores): 4 MiB blocks were 3-18% faster on the stride-1
-# 3x3 convs of 16-64 channels at 8 x 8 and 16 x 16, equal at 128 channels at
-# 4 x 4 and 5% slower on the stride-2 5x5 encoder conv; 1 MiB blocks were up to
-# 36% slower (more, thinner GEMMs), and 8 MiB blocks gained at most 6% more for
-# twice the buffer.
+# Byte budget of one block of conv taps: a strided conv's im2col columns, or a
+# stride-1 conv's row taps with their k-1 halo rows. Batch 32, conv fwd+bwd,
+# medians of interleaved calls on 2 cores. im2col, against one GEMM over all
+# columns: 4 MiB blocks were 3-18% faster on stride-1 3x3 convs of 16-64
+# channels at 8 x 8 and 16 x 16 (before those moved to row taps), and 5% slower
+# on the stride-2 5x5 encoder conv; 1 MiB blocks were up to 36% slower (more,
+# thinner GEMMs). Row taps, on 3x3 convs of 16-192 input channels at 4 x 4 to
+# 16 x 16: 4 MiB was within 4% of 8 and 16 MiB, while 2 MiB was up to 20% and
+# 1 MiB up to 56% slower (64 -> 64 channels at 16 x 16: 28.2 against 18.0 ms).
 CONV_BLOCK_BYTES = 4 << 20
+
+
+def _blocks(ho, max_rows):
+    """(r0, r1) blocks of equal height, at most max_rows (but at least 1), over ho rows."""
+    rows = -(-ho // -(-ho // max(1, max_rows)))
+    return rows, [(r0, min(r0 + rows, ho)) for r0 in range(0, ho, rows)]
 
 
 def _col_blocks(xp, k, stride, ho, wo):
     """im2col columns of a padded (C, Hp, Wp, N) input, in blocks of output rows:
     yields (r0, r1, cols), cols the (C*k*k, (r1-r0)*Wo*N) columns of output rows
-    r0:r1, rows ordered (c, i, j). A block takes at most CONV_BLOCK_BYTES (but at
-    least one output row), and each block overwrites the last one's buffer.
-    Batch innermost keeps each tap's strided copy in contiguous runs of N values."""
+    r0:r1, rows ordered (c, i, j). A block takes at most CONV_BLOCK_BYTES, and
+    each block overwrites the last one's buffer. Batch innermost keeps each
+    tap's strided copy in contiguous runs of N values."""
     c, n = xp.shape[0], xp.shape[3]
-    max_rows = max(1, CONV_BLOCK_BYTES // (c * k * k * wo * n * 4))
-    rows = -(-ho // -(-ho // max_rows))  # equal blocks of at most max_rows
+    rows, blocks = _blocks(ho, CONV_BLOCK_BYTES // (c * k * k * wo * n * 4))
     buf = np.empty(c * k * k * rows * wo * n, np.float32)
-    for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
+    for r0, r1 in blocks:
         cols = buf[:c * k * k * (r1 - r0) * wo * n].reshape(c, k, k, r1 - r0, wo, n)
         for i in range(k):
             for j in range(k):
@@ -280,73 +289,123 @@ def _col_blocks(xp, k, stride, ho, wo):
         yield r0, r1, cols.reshape(c * k * k, -1)
 
 
-def _gathered_conv(xp, wm, k, stride, ho, wo):
-    """Wm @ im2col(xp) into a (C_out, Ho, Wo, N) array, one GEMM per row block."""
-    n = xp.shape[3]
-    out = np.empty((wm.shape[0], ho * wo * n), np.float32)
-    for r0, r1, cols in _col_blocks(xp, k, stride, ho, wo):
-        np.matmul(wm, cols, out=out[:, r0 * wo * n:r1 * wo * n])
-    return out.reshape(-1, ho, wo, n)
+def _row_blocks(x, k, pad, ho, wo):
+    """Row taps of a (C, H, W, N) input zero-padded by pad, in blocks of output
+    rows: yields (r0, r1, taps), taps the (C*k, (r1-r0+k-1)*Wo*N) array whose row
+    (c, j) holds padded rows r0 .. r1+k-2 of channel c shifted by j along W, so
+    vertical tap i is the column range from i*Wo*N, a view of uniform row
+    stride. The padding is written as zeros around the copied rows (no padded
+    copy of x is made); a negative pad crops, as the backward of a conv padded
+    by more than k-1 asks. A block's taps, with their k-1 halo rows, take at
+    most CONV_BLOCK_BYTES, and each block overwrites the last one's buffer."""
+    c, h, w, n = x.shape
+    rows, blocks = _blocks(ho, CONV_BLOCK_BYTES // (c * k * wo * n * 4) - (k - 1))
+    buf = np.empty(c * k * (rows + k - 1) * wo * n, np.float32)
+    for r0, r1 in blocks:
+        taps = buf[:c * k * (r1 - r0 + k - 1) * wo * n].reshape(c, k, -1, wo, n)
+        y0 = max(r0 - pad, 0)
+        y1 = max(min(r1 + k - 1 - pad, h), y0)
+        a0, a1 = y0 - r0 + pad, y1 - r0 + pad  # the rows of taps that x fills
+        taps[:, :, :a0] = 0
+        taps[:, :, a1:] = 0
+        for j in range(k):
+            x0 = max(j - pad, 0)
+            x1 = max(min(wo + j - pad, w), x0)
+            b0, b1 = x0 - j + pad, x1 - j + pad
+            taps[:, j, a0:a1, :b0] = 0
+            taps[:, j, a0:a1, b1:] = 0
+            taps[:, j, a0:a1, b0:b1] = x[:, y0:y1, x0:x1]
+        yield r0, r1, taps.reshape(c * k, -1)
 
 
-def _conv_input_side(x, w, stride, padding, ho, wo):
-    """Taps gathered on the input side, block by block of output rows:
-    Y = Wm @ cols and dW = sum of G_b @ cols_b^T. At stride 1, dX is the same
-    gathered conv of G padded by k-1-p, with the flipped, transposed kernel; at
-    stride > 1, each block's dcols = Wm^T @ G_b is scattered back by k*k strided
-    adds. The backward re-pads x rather than keeping the forward's padded copy,
-    and skips dX (returning None) when need_dx is False."""
+def _tap_sum(wk, taps, step, out):
+    """out = sum over i of wk[i] @ (the columns of taps from i*step, as many as out has)."""
+    span = out.shape[1]
+    np.matmul(wk[0], taps[:, :span], out=out)
+    for i in range(1, len(wk)):
+        out += wk[i] @ taps[:, i * step:i * step + span]
+
+
+def _conv_row_taps(x, w, padding, ho, wo):
+    """Stride 1, from row taps (MEC, Cho & Brand 2017): the input is copied
+    k-fold along W, and the k vertical taps are views handed to the GEMM.
+    Y = sum over i of W_i @ tap_i, W_i = w[:, :, i, :] as C_out x C_in*k, block
+    by block of output rows. The backward builds G's row taps once, padded by
+    k-1-p: dX = sum over i of Wf_i @ tap_i with the flipped, transposed kernel,
+    and the G tap at row offset k-1-i times x^T, summed over blocks, is
+    dW[:, :, i, ::-1]. x is not expanded again, and dX is skipped (None) when
+    need_dx is False."""
+    cin, h, wd, n = x.shape
+    cout, _, k, _ = w.shape
+    wk = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
+    out = np.empty((cout, ho * wo * n), np.float32)
+    for r0, r1, taps in _row_blocks(x, k, padding, ho, wo):
+        _tap_sum(wk, taps, wo * n, out[:, r0 * wo * n:r1 * wo * n])
+
+    def grads(g, need_dx):
+        step = wd * n
+        if need_dx:
+            wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 1, 0, 3))
+            wf = wf.reshape(k, cin, cout * k)
+            dx = np.empty((cin, h * step), np.float32)
+        acc = np.zeros((k, cout * k, cin), np.float32)
+        for r0, r1, taps in _row_blocks(g, k, k - 1 - padding, h, wd):
+            xb = x[:, r0:r1].reshape(cin, -1)
+            for i in range(k):
+                acc[k - 1 - i] += taps[:, i * step:(i + r1 - r0) * step] @ xb.T
+            if need_dx:
+                _tap_sum(wf, taps, step, dx[:, r0 * step:r1 * step])
+        dw = acc.reshape(k, cout, k, cin).transpose(1, 3, 0, 2)[..., ::-1]
+        return (dx.reshape(x.shape) if need_dx else None), dw
+
+    return out.reshape(cout, ho, wo, n), grads
+
+
+def _conv_strided(x, w, stride, padding, ho, wo):
+    """Stride > 1, taps gathered by im2col, block by block of output rows:
+    Y = Wm @ cols and dW = sum of G_b @ cols_b^T, and each block's
+    dcols = Wm^T @ G_b is scattered back by k*k strided adds. The backward
+    re-pads x rather than keeping the forward's padded copy, and skips dX
+    (returning None) when need_dx is False."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     wm = w.reshape(cout, -1)
-    out = _gathered_conv(_pad(x, padding), wm, k, stride, ho, wo)
+    out = np.empty((cout, ho * wo * n), np.float32)
+    for r0, r1, cols in _col_blocks(_pad(x, padding), k, stride, ho, wo):
+        np.matmul(wm, cols, out=out[:, r0 * wo * n:r1 * wo * n])
 
     def grads(g, need_dx):
-        dx = None
-        scatter = need_dx and stride > 1
-        if need_dx and stride == 1:
-            wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            dx = _gathered_conv(_pad(g, k - 1 - padding), wf, k, 1, h, wd)
-        elif scatter:
+        if need_dx:
             dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, n), np.float32)
         dw = np.zeros((cout, cin * k * k), np.float32)
         for r0, r1, cols in _col_blocks(_pad(x, padding), k, stride, ho, wo):
             gb = g[:, r0:r1].reshape(cout, -1)
             dw += gb @ cols.T
-            if scatter:  # dcols overwrites the block's columns
+            if need_dx:  # dcols overwrites the block's columns
                 dcols = np.matmul(wm.T, gb, out=cols).reshape(cin, k, k, r1 - r0, wo, n)
                 for i in range(k):
                     for j in range(k):
                         dxp[:, i + stride * r0:i + stride * r1:stride,
                             j:j + stride * wo:stride] += dcols[:, i, j]
-        if scatter:
-            dx = dxp[:, padding:padding + h, padding:padding + wd]
+        dx = dxp[:, padding:padding + h, padding:padding + wd] if need_dx else None
         return dx, dw.reshape(w.shape)
 
-    return out, grads
+    return out.reshape(cout, ho, wo, n), grads
 
 
-def _conv_output_side(x, w, padding, ho, wo, upsample):
-    """Stride 1, taps shifted on the output side: Z = Ws @ X, and Y is the sum
-    of Z's k*k row blocks, each shifted by its tap offset. The backward shifts
-    G once into Gs; dX = Ws^T @ Gs and dWs = Gs @ X^T.
-
-    With upsample, X is the input before bilinear 2x upsampling: both maps are
-    linear, so Z is taken at the input's resolution and its k*k*C_out maps are
-    upsampled and padded before the shift-add (the backward upsamples Gs's
-    adjoint back down). Without upsample, the backward re-pads x for dWs
-    rather than keeping the forward's padded copy. dX is skipped (None) when
-    need_dx is False."""
+def _conv_upsampled(x, w, padding, ho, wo):
+    """The conv of bilinearly 2x-upsampled x, taps shifted on the output side:
+    Z = Ws @ X at x's resolution (both maps are linear), its k*k*C_out maps are
+    upsampled and padded, and Y is the sum of Z's k*k row blocks, each shifted
+    by its tap offset. The backward shifts G once into Gs and upsamples Gs's
+    adjoint back down; dX = Ws^T @ Gs and dWs = Gs @ X^T. dX is skipped (None)
+    when need_dx is False."""
     cin, h, wd, n = x.shape
     cout, _, k, _ = w.shape
     ws = w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-    if upsample:
-        a, b = _upsample_matrix(h), _upsample_matrix(wd)
-        z = _pad(_separable((ws @ x.reshape(cin, -1)).reshape(-1, h, wd, n), a, b), padding)
-        h, wd = 2 * h, 2 * wd
-    else:
-        z = ws @ _pad(x, padding).reshape(cin, -1)
-    hp, wp = h + 2 * padding, wd + 2 * padding
+    a, b = _upsample_matrix(h), _upsample_matrix(wd)
+    z = _pad(_separable((ws @ x.reshape(cin, -1)).reshape(-1, h, wd, n), a, b), padding)
+    hp, wp = 2 * h + 2 * padding, 2 * wd + 2 * padding
     # Tap (i, j) reads (i*Wp + j)*N further along the flattened (Hp, Wp, N)
     # grids: the same image, crossing into the next row only outside Ho x Wo.
     offsets = [(i * wp + j) * n for i in range(k) for j in range(k)]
@@ -365,19 +424,10 @@ def _conv_output_side(x, w, padding, ho, wo, upsample):
         gs = np.zeros((k * k, cout, size), np.float32)
         for t, off in enumerate(offsets):
             gs[t, :, off:] = gm[:, :size - off]
-        gs = gs.reshape(-1, hp, wp, n)
-        if upsample:  # the adjoint of padding and upsampling
-            gs = _separable(gs[:, padding:padding + h, padding:padding + wd], a.T, b.T)
-        grid = gs.shape[1:]
-        gs = gs.reshape(k * k * cout, -1)
-        dx = (ws.T @ gs).reshape((cin,) + grid) if need_dx else None
-        if upsample:
-            xm = x.reshape(cin, -1)
-        else:
-            if need_dx:
-                dx = dx[:, padding:padding + h, padding:padding + wd]
-            xm = _pad(x, padding).reshape(cin, -1)
-        dw = (gs @ xm.T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+        gs = gs.reshape(-1, hp, wp, n)[:, padding:padding + 2 * h, padding:padding + 2 * wd]
+        gs = _separable(gs, a.T, b.T).reshape(k * k * cout, -1)
+        dx = (ws.T @ gs).reshape(x.shape) if need_dx else None
+        dw = (gs @ x.reshape(cin, -1).T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         return dx, dw
 
     return out, grads
@@ -388,11 +438,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     """Direct cross-correlation (no kernel flip), zero padding, of a (C, H, W, N)
     batch or one C x H x W map.
 
-    The k*k taps are shifted on the side with fewer channels: the output side
-    for stride-1 convs with C_out < C_in, the input side, in blocks of output
-    rows, otherwise (measured faster at C_out == C_in).
-    upsample=True gives conv2d(upsample_bilinear2x(x)) with the output side's
-    taps mixed at x's resolution (stride 1 only). relu=True applies
+    Stride 1 runs on row taps and stride > 1 on im2col columns, both in blocks
+    of output rows of at most CONV_BLOCK_BYTES. upsample=True gives
+    conv2d(upsample_bilinear2x(x)) with its taps shifted on the output side and
+    mixed at x's resolution (stride 1 only). relu=True applies
     y * (y > 0) after the bias add; the backward masks G with the output's
     own sign (subgradient 0 at 0), in place, so no pre-activation is kept.
     """
@@ -413,10 +462,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     if ho < 1 or wo < 1:
         raise ValueError("kernel larger than padded input")
 
-    if upsample or (stride == 1 and cout < cin):
-        out, grads = _conv_output_side(x4, w.data, padding, ho, wo, upsample)
+    if upsample:
+        out, grads = _conv_upsampled(x4, w.data, padding, ho, wo)
+    elif stride == 1:
+        out, grads = _conv_row_taps(x4, w.data, padding, ho, wo)
     else:
-        out, grads = _conv_input_side(x4, w.data, stride, padding, ho, wo)
+        out, grads = _conv_strided(x4, w.data, stride, padding, ho, wo)
     out = np.ascontiguousarray(out)
     if b is not None:
         out += b.data[:, None, None, None]

@@ -77,8 +77,8 @@ def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
     occasional split plateaus placing +(pi-0.2) and -(pi-0.2) side by side,
     so plateaus straddling the +-pi branch cut occur by construction.
     """
-    if height < 64 or width < 64:
-        raise ValueError("object too small")
+    if min(height, width) < 64:
+        raise ValueError(f"need object_size >= 64, got {min(height, width)}")
     rng = np.random.default_rng(seed)
     amp = np.full((height, width), BACKGROUND_AMP, dtype=np.float32)
     phase = np.full((height, width), BACKGROUND_PHASE, dtype=np.float32)

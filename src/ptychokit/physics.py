@@ -36,8 +36,13 @@ def checked_probe(field):
 def make_probe(size=PROBE_SIZE, radius=PROBE_RADIUS, sigma=PROBE_SIGMA,
                curvature=PROBE_CURVATURE):
     """Hard aperture x centered Gaussian amplitude, phase = curvature * r^2."""
-    if not (0 < radius <= size / 2 * np.sqrt(2)):
-        raise ValueError(f"degenerate radius {radius} for size {size}")
+    if size < 1:
+        raise ValueError(f"need probe_size >= 1, got {size}")
+    if not 0 < radius <= size / 2 * np.sqrt(2):
+        raise ValueError(f"need 0 < probe_radius <= {size / 2 * np.sqrt(2):.4g} "
+                         f"(probe_size {size}), got {radius}")
+    if not sigma > 0:
+        raise ValueError(f"need probe_sigma > 0, got {sigma}")
     center = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size]
     r2 = (yy - center) ** 2 + (xx - center) ** 2

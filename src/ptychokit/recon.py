@@ -31,8 +31,8 @@ def iter_infer(frames, params, cfg, batch_size=32):
 
     A generator: it runs the model on `batch_size` frames when the previous
     batch has been consumed, so only one batch of predictions is alive. The
-    default batch is the training batch: at 64 frames the widest decoder
-    convs' im2col blocks outgrow the cache and a frame takes longer.
+    default batch is the training batch: at 64 frames a frame takes longer
+    (n_c=32, row-tap convs: 4.1-4.6 against 3.7-4.0 ms per frame on 2 cores).
     """
     for start in range(0, len(frames), batch_size):
         chunk = frames[start:start + batch_size]

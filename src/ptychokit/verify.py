@@ -56,10 +56,11 @@ def run_gradcheck(verbose=False):
     check("conv2d/input", lambda x: _wmean(ad.conv2d(x, w, b, 1, 1)), xin)
     check("conv2d/weight", lambda _: _wmean(ad.conv2d(xin, w, b, 1, 1)), w)
     check("conv2d/bias", lambda _: _wmean(ad.conv2d(xin, w, b, 1, 1)), b)
-    # the other conv shapes the model uses: strided encoder convs, decoder convs
-    # with C_out < C_in (taps shifted on the output side, here over a (C, H, W, N)
-    # batch), the bias-free 1x1 fusion, and the decoder tail (a conv of the
-    # upsampled map, taps mixed before upsampling)
+    # the other conv shapes the model uses: strided encoder convs (im2col
+    # blocks), a decoder conv with C_out < C_in (row taps, like the checks above,
+    # here over a (C, H, W, N) batch), the bias-free 1x1 fusion (row taps with
+    # k = 1), and the decoder tail (the upsample path: a conv of the upsampled
+    # map, taps shifted on the output side and mixed before upsampling)
     for label, wshape, bias, xshape, stride, pad, up, seed in (
             ("strided", (3, 2, 5, 5), True, (2, 7, 7), 2, 2, False, 39),
             ("narrow_out", (2, 4, 3, 3), True, (4, 5, 5, 2), 1, 1, False, 42),
@@ -74,7 +75,8 @@ def run_gradcheck(verbose=False):
 
         check(f"conv2d/{label}/input", lambda x: conv_loss(x, wc), xc)
         check(f"conv2d/{label}/weight", lambda wv: conv_loss(xc, wv), wc)
-    # conv2d with the ReLU epilogue, on an input-side and an output-side shape.
+    # conv2d with the ReLU epilogue, on two row-tap shapes: C_out > C_in and
+    # C_out < C_in.
     # Inputs are multiples of 1/2, weights of 1/4 and biases odd multiples of
     # 1/16, so every pre-activation is an odd multiple of 1/16: a STEP change of
     # one input or weight cannot carry it across the kink.

@@ -90,9 +90,10 @@ def test_nonfinite_forward_raises():
         ad.closed_form((a,), np.array([0.0, np.nan]), lambda: (np.ones(2),))
 
 
-# (stride, padding, k, C_in, C_out, bias, batched): input-side taps (C_in <= C_out or
-# stride > 1) and output-side taps (stride 1, C_out < C_in), on 6 x 7 grids; a
-# batched input is (C, H, W, N) with N = 2
+# (stride, padding, k, C_in, C_out, bias, batched): stride-1 convs (row taps, with
+# C_out above, equal to and below C_in, k of 1, 3 and 5) and strided convs (im2col
+# blocks), on 6 x 7 grids; a batched input is (C, H, W, N) with N = 2. The
+# upsample path has its own tests below.
 CONV_CASES = [
     (1, 1, 3, 2, 3, True, False),
     (2, 1, 3, 2, 3, True, False),
@@ -103,7 +104,8 @@ CONV_CASES = [
     (1, 0, 3, 4, 2, False, False),
     (1, 2, 3, 4, 1, False, True),
     (1, 0, 1, 4, 2, False, True),
-    (1, 3, 3, 2, 3, False, True),  # padding > k - 1: the stride-1 dX gather crops G
+    (1, 3, 3, 2, 3, False, True),  # padding > k - 1: G's row taps for dX crop G
+    (1, 2, 5, 3, 2, False, True),  # 4 halo rows: one-row blocks share input rows
 ]
 
 
@@ -133,9 +135,10 @@ def _conv_loop(x, w, b, stride, padding):
 
 
 # CONV_BLOCK_BYTES values to run each conv case under: the default, and one so
-# small that every input-side block is one output row. Every case has at least
-# two output rows, so it then spans two or more blocks, and the stride-2, k=5
-# case's blocks share input rows.
+# small that every block, of im2col columns or of row taps, is one output row.
+# Every case has at least two output rows, so it then spans two or more blocks:
+# the stride-2, k=5 case's im2col blocks share input rows, and the stride-1, k=5
+# case's row-tap blocks share their 4 halo rows (in the backward, G's rows).
 CONV_BUDGETS = (ad.CONV_BLOCK_BYTES, 1)
 
 
@@ -195,8 +198,8 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
 
 
-# (stride, padding, upsample, C_in, C_out, input shape): the input-side,
-# output-side, strided and upsample paths
+# (stride, padding, upsample, C_in, C_out, input shape): the row-tap path with
+# C_out > C_in and C_out < C_in, the strided path and the upsample path
 RELU_CASES = [
     (1, 1, False, 2, 3, (2, 6, 7, 2)),
     (1, 1, False, 4, 2, (4, 6, 7, 2)),
@@ -206,28 +209,30 @@ RELU_CASES = [
 
 
 @pytest.mark.parametrize("case", RELU_CASES)
-def test_conv2d_relu_epilogue_bitwise_equals_conv_then_relu(case):
+def test_conv2d_relu_epilogue_bitwise_equals_conv_then_relu(case, monkeypatch):
     # conv2d(..., relu=True) against conv2d followed by y * (y > 0), whose
     # backward masks the upstream gradient: values and gradients bit for bit
     stride, padding, up, cin, cout, xshape = case
-    results = []
-    for fused in (True, False):
-        x = Tensor(rand(xshape, 60), requires_grad=True)
-        w = Tensor(rand((cout, cin, 3, 3), 61), requires_grad=True)
-        b = Tensor(rand((cout,), 62), requires_grad=True)
-        with Tape() as tape:
-            if fused:
-                y = ad.conv2d(x, w, b, stride, padding, up, relu=True)
-            else:
-                pre = ad.conv2d(x, w, b, stride, padding, up)
-                mask = (pre.data > 0).astype(np.float32)
-                y = ad.closed_form((pre,), pre.data * mask, lambda: (mask,))
-            g = Tensor(rand(y.shape, 63))
-            backward(tape, wmean(y, g.data))
-        results.append((y.data, x.grad, w.grad, b.grad))
-    assert (results[1][0] < 0).sum() == 0 and (results[1][0] == 0).any(), case
-    for fused, plain in zip(*results):
-        assert np.array_equal(_bits(fused), _bits(plain)), case
+    for budget in CONV_BUDGETS:
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        results = []
+        for fused in (True, False):
+            x = Tensor(rand(xshape, 60), requires_grad=True)
+            w = Tensor(rand((cout, cin, 3, 3), 61), requires_grad=True)
+            b = Tensor(rand((cout,), 62), requires_grad=True)
+            with Tape() as tape:
+                if fused:
+                    y = ad.conv2d(x, w, b, stride, padding, up, relu=True)
+                else:
+                    pre = ad.conv2d(x, w, b, stride, padding, up)
+                    mask = (pre.data > 0).astype(np.float32)
+                    y = ad.closed_form((pre,), pre.data * mask, lambda: (mask,))
+                g = Tensor(rand(y.shape, 63))
+                backward(tape, wmean(y, g.data))
+            results.append((y.data, x.grad, w.grad, b.grad))
+        assert (results[1][0] < 0).sum() == 0 and (results[1][0] == 0).any(), case
+        for fused, plain in zip(*results):
+            assert np.array_equal(_bits(fused), _bits(plain)), (case, budget)
 
 
 @pytest.mark.parametrize("case", RELU_CASES + [(2, 2, False, 1, 4, (1, 9, 8, 3))])

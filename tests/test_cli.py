@@ -232,6 +232,20 @@ def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
     assert not os.path.exists(tmp_path / "d")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["object_size=10", "probe_size=0", "probe_size=-4",
+                                 "probe_radius=0", "probe_sigma=0", "probe_sigma=-1"])
+def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
+    # one error line naming the key; a numpy warning would be an error here
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
+                  + ["--set", bad])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need ") and err.count("\n") == 1, err
+    assert bad.split("=")[0] in err
+    assert not os.path.exists(tmp_path / "d")
+
+
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
                                  "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan",
                                  "half_cycle_epochs=0"])

@@ -212,9 +212,9 @@ from ptychokit.autodiff import Tensor
 rng = np.random.default_rng(0)
 cfg = model.ModelConfig(n_c=8, i_max=1.0, seed=0)
 params = model.init_params(cfg)
-intensity = rng.uniform(0.0, 1.0, (32, 1, 32, 32)).astype(np.float32)
-a = Tensor(rng.uniform(0.0, 1.0, (32, 1, 32, 32)))
-c, s = (Tensor(v) for v in circphase.embed(rng.uniform(-np.pi, np.pi, (32, 1, 32, 32))))
+intensity = rng.uniform(0.0, 1.0, (BATCH, 1, 32, 32)).astype(np.float32)
+a = Tensor(rng.uniform(0.0, 1.0, (BATCH, 1, 32, 32)))
+c, s = (Tensor(v) for v in circphase.embed(rng.uniform(-np.pi, np.pi, (BATCH, 1, 32, 32))))
 with ad.Tape() as tape:
     out = model.forward(intensity, params, cfg)
     total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
@@ -237,8 +237,11 @@ def _run_fresh(script, **env):
     return run.stdout.strip()
 
 
-def test_gradient_bitwise_equal_across_blas_threads():
-    digests = {_run_fresh(_GRAD_HASH, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
+@pytest.mark.parametrize("batch", [32, 11])
+def test_gradient_bitwise_equal_across_blas_threads(batch):
+    # 11 is the last, partial batch of each criterion-9 epoch (395 frames)
+    script = _GRAD_HASH.replace("BATCH", str(batch))
+    digests = {_run_fresh(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
     assert len(digests) == 1
 
 
