@@ -1,21 +1,25 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
-Ops: elementwise `scale`, `tanh`, `sigmoid`; `transpose`, `concat_channels`,
-`conv2d`, `upsample_bilinear2x`; and `closed_form`, a node over several inputs
-whose value is computed off the tape and whose derivatives are given in closed
-form and computed only in a backward (each loss, in float64, and the unit
+Ops: elementwise `scale`, `tanh`, `sigmoid`; `transpose`, `conv2d`,
+`upsample_bilinear2x`; and `closed_form`, a node over several inputs whose
+value is computed off the tape and whose derivatives are given in closed form
+and computed only in a backward (each loss, in float64, and the unit
 projection).
 
 Storage is float32, and the conv2d bias gradient accumulates in float64.
-`conv2d`, `upsample_bilinear2x` and `concat_channels` take activations in
-one layout, (C, H, W, N): channels outermost, batch innermost (a C x H x W
-map is N = 1). A convolution takes one of three paths, by what it is:
+`conv2d` and `upsample_bilinear2x` take activations in one layout,
+(C, H, W, N): channels outermost, batch innermost (a C x H x W map is N = 1).
+A stride-1 conv also takes a tuple of such parts and convolves their channel
+concatenation without building it (Pleiss et al. 2017), so a network that
+concatenates features keeps no concatenated copy on the tape. A convolution
+takes one of three paths, by what it is:
 - stride 1: row taps (MEC, Cho & Brand 2017). The input is copied k-fold, each
   copy shifted along W, and the k vertical taps are views of that copy handed
   to the GEMM, so the forward is k float32 GEMMs per block of output rows. The
   backward copies the output gradient G k-fold once, padded by k-1-p, and
   those taps serve both gradients: dX is the same sum with the flipped,
-  transposed kernel, and dW a sum of G taps times the unexpanded input.
+  transposed kernel, split into one view per part, and dW a sum of G taps
+  times the unexpanded input (one block's rows of the parts, stacked).
 - stride > 1 (the encoders and the skip path): im2col columns, one float32
   GEMM per block of output rows for the output and the weight gradient, and
   each block's column gradient scattered back.
@@ -33,11 +37,12 @@ gradients, on every path.
 results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
 over channels.
 
-The tape keeps only what a backward reads: a conv's closure holds its input,
-not a padded copy (a strided conv re-pads it in the backward). `backward`
-consumes the tape, popping each node and freeing its closure and its output's
-gradient as it passes; afterwards only leaf tensors hold gradients. A
-gradient array an op has just made is stored without a copy (`_accum`).
+The tape keeps only what a backward reads: a conv's closure holds its input
+parts, not a padded or concatenated copy (a strided conv re-pads its input in
+the backward). `backward` consumes the tape, popping each node and freeing its
+closure and its output's gradient as it passes; afterwards only leaf tensors
+hold gradients. A gradient array an op has just made is stored without a copy
+(`_accum`).
 """
 
 import functools
@@ -97,8 +102,10 @@ class Tape:
 def _accum(t, g):
     """Add g into t.grad. A first store keeps a C-contiguous g itself and copies a
     strided view (a crop of a padded map, a transpose), so a stored gradient is
-    C-ordered and keeps no larger buffer alive. No op hands one array to two
-    inputs, so a kept g is no other tensor's gradient."""
+    C-ordered; a conv over parts hands each part its channel slice of one dX,
+    which keeps that dX alive until every part's gradient is consumed. No op
+    hands one array, or overlapping views of one, to two inputs, so a kept g is
+    no other tensor's gradient."""
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=np.float32)
@@ -108,9 +115,10 @@ def _accum(t, g):
         t.grad += g
 
 
-# Every op computes its forward under this: _make rejects non-finite outputs,
-# so numpy's overflow and invalid-value warnings would only precede that error.
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# Every op computes its forward under this, and `train.adam_step` its update:
+# both refuse non-finite results with an error of their own, so numpy's
+# overflow and invalid-value warnings would only precede that error.
+quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _make(out_data, inputs, backward, name):
@@ -145,7 +153,7 @@ def backward(tape, loss):
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-@_quiet
+@quiet_fp
 def scale(a, k):
     k = float(k)
     out = a.data * k
@@ -156,7 +164,7 @@ def scale(a, k):
     return _make(out, (a,), bwd, "scale")
 
 
-@_quiet
+@quiet_fp
 def tanh(a):
     out = np.tanh(a.data)
 
@@ -166,7 +174,7 @@ def tanh(a):
     return _make(out, (a,), bwd, "tanh")
 
 
-@_quiet
+@quiet_fp
 def sigmoid(a):
     out = (1.0 / (1.0 + np.exp(-a.data.astype(np.float64)))).astype(np.float32)
 
@@ -179,7 +187,7 @@ def sigmoid(a):
 # ---------------------------------------------------------------------------
 # structural ops
 
-@_quiet
+@quiet_fp
 def transpose(x, axes):
     """x with its axes permuted, e.g. a model head from (1, H, W, N) to N x 1 x H x W."""
     axes = tuple(axes)
@@ -192,22 +200,7 @@ def transpose(x, axes):
     return _make(out, (x,), bwd, "transpose")
 
 
-@_quiet
-def concat_channels(a, b):
-    """Concatenation along axis 0, the channel axis of (C, H, W, N) and C x H x W maps."""
-    if a.data.ndim != b.data.ndim or a.shape[1:] != b.shape[1:]:
-        raise ValueError(f"spatial/batch mismatch {a.shape} vs {b.shape}")
-    c1 = a.shape[0]
-    out = np.concatenate([a.data, b.data], axis=0)
-
-    def bwd(g):
-        _accum(a, g[:c1])
-        _accum(b, g[c1:])
-
-    return _make(out, (a, b), bwd, "concat_channels")
-
-
-@_quiet
+@quiet_fp
 def closed_form(inputs, value, grad_fn):
     """A node of the given value over a tuple of inputs. grad_fn() gives, per
     input, the node's derivative with respect to it, which the backward
@@ -289,16 +282,19 @@ def _col_blocks(xp, k, stride, ho, wo):
         yield r0, r1, cols.reshape(c * k * k, -1)
 
 
-def _row_blocks(x, k, pad, ho, wo):
-    """Row taps of a (C, H, W, N) input zero-padded by pad, in blocks of output
-    rows: yields (r0, r1, taps), taps the (C*k, (r1-r0+k-1)*Wo*N) array whose row
-    (c, j) holds padded rows r0 .. r1+k-2 of channel c shifted by j along W, so
-    vertical tap i is the column range from i*Wo*N, a view of uniform row
-    stride. The padding is written as zeros around the copied rows (no padded
-    copy of x is made); a negative pad crops, as the backward of a conv padded
-    by more than k-1 asks. A block's taps, with their k-1 halo rows, take at
-    most CONV_BLOCK_BYTES, and each block overwrites the last one's buffer."""
-    c, h, w, n = x.shape
+def _row_blocks(xs, k, pad, ho, wo):
+    """Row taps of the channel concatenation of (C_p, H, W, N) parts xs, zero-padded
+    by pad, in blocks of output rows: yields (r0, r1, taps), taps the
+    (C*k, (r1-r0+k-1)*Wo*N) array whose row (c, j) holds padded rows
+    r0 .. r1+k-2 of channel c shifted by j along W, so vertical tap i is the
+    column range from i*Wo*N, a view of uniform row stride. Each part is copied
+    into its own channel rows and the padding is written as zeros around them
+    (neither a padded nor a concatenated copy is made); a negative pad crops, as
+    the backward of a conv padded by more than k-1 asks. A block's taps, with
+    their k-1 halo rows, take at most CONV_BLOCK_BYTES, and each block
+    overwrites the last one's buffer."""
+    _, h, w, n = xs[0].shape
+    c = sum(x.shape[0] for x in xs)
     rows, blocks = _blocks(ho, CONV_BLOCK_BYTES // (c * k * wo * n * 4) - (k - 1))
     buf = np.empty(c * k * (rows + k - 1) * wo * n, np.float32)
     for r0, r1 in blocks:
@@ -314,7 +310,10 @@ def _row_blocks(x, k, pad, ho, wo):
             b0, b1 = x0 - j + pad, x1 - j + pad
             taps[:, j, a0:a1, :b0] = 0
             taps[:, j, a0:a1, b1:] = 0
-            taps[:, j, a0:a1, b0:b1] = x[:, y0:y1, x0:x1]
+            c0 = 0
+            for x in xs:
+                taps[c0:c0 + x.shape[0], j, a0:a1, b0:b1] = x[:, y0:y1, x0:x1]
+                c0 += x.shape[0]
         yield r0, r1, taps.reshape(c * k, -1)
 
 
@@ -326,20 +325,22 @@ def _tap_sum(wk, taps, step, out):
         out += wk[i] @ taps[:, i * step:i * step + span]
 
 
-def _conv_row_taps(x, w, padding, ho, wo):
-    """Stride 1, from row taps (MEC, Cho & Brand 2017): the input is copied
-    k-fold along W, and the k vertical taps are views handed to the GEMM.
+def _conv_row_taps(xs, w, padding, ho, wo):
+    """Stride 1, from row taps (MEC, Cho & Brand 2017), of the channel
+    concatenation of the parts xs: the input is copied k-fold along W, and the
+    k vertical taps are views handed to the GEMM.
     Y = sum over i of W_i @ tap_i, W_i = w[:, :, i, :] as C_out x C_in*k, block
     by block of output rows. The backward builds G's row taps once, padded by
     k-1-p: dX = sum over i of Wf_i @ tap_i with the flipped, transposed kernel,
     and the G tap at row offset k-1-i times x^T, summed over blocks, is
-    dW[:, :, i, ::-1]. x is not expanded again, and dX is skipped (None) when
+    dW[:, :, i, ::-1], x^T being the block's rows of all parts, stacked. x is
+    not expanded again, and dX (of the concatenation) is skipped (None) when
     need_dx is False."""
-    cin, h, wd, n = x.shape
-    cout, _, k, _ = w.shape
+    _, h, wd, n = xs[0].shape
+    cout, cin, k, _ = w.shape
     wk = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
     out = np.empty((cout, ho * wo * n), np.float32)
-    for r0, r1, taps in _row_blocks(x, k, padding, ho, wo):
+    for r0, r1, taps in _row_blocks(xs, k, padding, ho, wo):
         _tap_sum(wk, taps, wo * n, out[:, r0 * wo * n:r1 * wo * n])
 
     def grads(g, need_dx):
@@ -349,14 +350,15 @@ def _conv_row_taps(x, w, padding, ho, wo):
             wf = wf.reshape(k, cin, cout * k)
             dx = np.empty((cin, h * step), np.float32)
         acc = np.zeros((k, cout * k, cin), np.float32)
-        for r0, r1, taps in _row_blocks(g, k, k - 1 - padding, h, wd):
-            xb = x[:, r0:r1].reshape(cin, -1)
+        for r0, r1, taps in _row_blocks((g,), k, k - 1 - padding, h, wd):
+            blocks = [x[:, r0:r1].reshape(x.shape[0], -1) for x in xs]
+            xb = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             for i in range(k):
                 acc[k - 1 - i] += taps[:, i * step:(i + r1 - r0) * step] @ xb.T
             if need_dx:
                 _tap_sum(wf, taps, step, dx[:, r0 * step:r1 * step])
         dw = acc.reshape(k, cout, k, cin).transpose(1, 3, 0, 2)[..., ::-1]
-        return (dx.reshape(x.shape) if need_dx else None), dw
+        return (dx.reshape(cin, h, wd, n) if need_dx else None), dw
 
     return out.reshape(cout, ho, wo, n), grads
 
@@ -433,10 +435,12 @@ def _conv_upsampled(x, w, padding, ho, wo):
     return out, grads
 
 
-@_quiet
+@quiet_fp
 def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     """Direct cross-correlation (no kernel flip), zero padding, of a (C, H, W, N)
-    batch or one C x H x W map.
+    batch or one C x H x W map, or of the channel concatenation of a tuple of
+    them (stride 1 only), which is never built: each part is copied into its
+    own channel rows of the row taps, and each takes its view of dX.
 
     Stride 1 runs on row taps and stride > 1 on im2col columns, both in blocks
     of output rows of at most CONV_BLOCK_BYTES. upsample=True gives
@@ -445,48 +449,56 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     y * (y > 0) after the bias add; the backward masks G with the output's
     own sign (subgradient 0 at 0), in place, so no pre-activation is kept.
     """
-    x4 = _as_chwn(x.data, "conv2d")
+    parts = x if isinstance(x, tuple) else (x,)
+    if len(parts) > 1 and (stride != 1 or upsample):
+        raise ValueError("a conv over a tuple of parts needs stride 1 and no upsample")
+    if any(p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ValueError(f"parts differ in H, W or N: {[p.shape for p in parts]}")
+    x4s = [_as_chwn(p.data, "conv2d") for p in parts]
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ValueError(f"weight must be Cout x Cin x k x k, got {w.shape}")
     cout, cin, k, _ = w.data.shape
-    if x4.shape[0] != cin:
-        raise ValueError(f"input channels {x4.shape[0]} != weight Cin {cin}")
+    if sum(x4.shape[0] for x4 in x4s) != cin:
+        raise ValueError(f"input channels {[x4.shape[0] for x4 in x4s]} != weight Cin {cin}")
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"bias shape {b.shape} != ({cout},)")
     if upsample and stride != 1:
         raise ValueError("upsample needs stride 1")
     scale = 2 if upsample else 1
-    _, h, wd, _ = x4.shape
+    _, h, wd, _ = x4s[0].shape
     ho = (scale * h + 2 * padding - k) // stride + 1
     wo = (scale * wd + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("kernel larger than padded input")
 
     if upsample:
-        out, grads = _conv_upsampled(x4, w.data, padding, ho, wo)
+        out, grads = _conv_upsampled(x4s[0], w.data, padding, ho, wo)
     elif stride == 1:
-        out, grads = _conv_row_taps(x4, w.data, padding, ho, wo)
+        out, grads = _conv_row_taps(x4s, w.data, padding, ho, wo)
     else:
-        out, grads = _conv_strided(x4, w.data, stride, padding, ho, wo)
+        out, grads = _conv_strided(x4s[0], w.data, stride, padding, ho, wo)
     out = np.ascontiguousarray(out)
     if b is not None:
         out += b.data[:, None, None, None]
     if relu:
         out *= out > 0
-    inputs = (x, w) if b is None else (x, w, b)
+    inputs = parts + ((w,) if b is None else (w, b))
 
     def bwd(g):
         g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
         if relu:
             g4 *= out > 0
-        dx, dw = grads(g4, x.requires_grad)
+        dx, dw = grads(g4, any(p.requires_grad for p in parts))
         _accum(w, dw)
         if b is not None:
             _accum(b, g4.sum(axis=(1, 2, 3), dtype=np.float64))
         if dx is not None:
-            _accum(x, dx.reshape(x.shape))
+            c0 = 0
+            for p in parts:
+                _accum(p, dx[c0:c0 + p.shape[0]].reshape(p.shape))
+                c0 += p.shape[0]
 
-    return _make(out.reshape(out.shape[:3] + x.shape[3:]), inputs, bwd, "conv2d")
+    return _make(out.reshape(out.shape[:3] + parts[0].shape[3:]), inputs, bwd, "conv2d")
 
 
 @functools.cache
@@ -503,7 +515,7 @@ def _upsample_matrix(n):
     return u
 
 
-@_quiet
+@quiet_fp
 def upsample_bilinear2x(x):
     """Bilinear 2x upsampling of a (C, H, W, N) array or a C x H x W map:
     Y[c] = U_H @ X[c] @ U_W^T for each channel c and batch entry n, with the

@@ -88,12 +88,18 @@ class RunConfig:
             if not math.isfinite(number):
                 raise ValueError(f"config key '{key}' needs a finite number, got '{value}'")
             value = int(number) if isinstance(default, int) else number
+        if key in SEED_KEYS and value < 0:
+            raise ValueError(f"need {key} >= 0, got {value}")
+        if key == "noise" and value not in (0, 1):
+            raise ValueError(f"need noise 0 or 1, got {value}")
         self.values[key] = value
 
     def __getitem__(self, key):
         return self.values[key]
 
     def set_master_seed(self, seed):
+        if seed < 0:
+            raise ValueError(f"need seed >= 0, got {seed}")
         for k in SEED_KEYS:
             self.values[k] = int(seed)
 

@@ -10,6 +10,7 @@ complex64 as well (see `physics`).
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -39,23 +40,30 @@ def write_grid(path, grid):
 
 
 def read_grid(path):
+    """A grid file's array. The header must be a JSON object whose shape is a
+    non-empty list of positive ints, and the file's size must match that shape
+    before any of the payload is read."""
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise GridFormatError(f"{path}: malformed header") from exc
+        if not isinstance(header, dict):
+            raise GridFormatError(f"{path}: header is not a JSON object")
         if header.get("magic") != MAGIC or header.get("version") != VERSION:
             raise GridFormatError(f"{path}: bad magic/version")
         if header.get("dtype") != "f32le" or header.get("order") != "row-major":
             raise GridFormatError(f"{path}: unsupported dtype/order")
-        shape = tuple(header.get("shape", ()))
-        if not shape or any(int(s) <= 0 for s in shape):
-            raise GridFormatError(f"{path}: bad shape {shape}")
-        count = int(np.prod(shape))
-        payload = fh.read(count * 4 + 1)
-    if len(payload) != count * 4:
-        raise GridFormatError(f"{path}: payload size {len(payload)} != {count * 4}")
+        shape = header.get("shape")
+        if (not isinstance(shape, list) or not shape
+                or not all(_has_type(s, int) and s > 0 for s in shape)):
+            raise GridFormatError(f"{path}: bad shape {shape!r}")
+        size = math.prod(shape) * 4
+        found = os.fstat(fh.fileno()).st_size - len(line)
+        if found != size:
+            raise GridFormatError(f"{path}: payload size {found} != {size}")
+        payload = fh.read(size)
     arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     if not np.all(np.isfinite(arr)):
         raise GridFormatError(f"{path}: non-finite values")

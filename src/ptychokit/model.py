@@ -2,8 +2,10 @@
 circular phase coordinates, plus the ablation variants.
 
 Inside `forward` every activation is (C, H, W, N), the layout `autodiff`'s
-conv, upsample and concat ops take: the input batch is transposed into it
-once, and each head out of it once, so callers see N x 1 x H x W. Each
+conv and upsample ops take: the input batch is transposed into it once, and
+each head out of it once, so callers see N x 1 x H x W. The fusion conv reads
+the encoders' features, and each decoder's `b2c1` conv its upsampled map and
+the skip features, as a tuple of parts: their concatenation is never built. Each
 decoder's tail, a 3x3 conv to one channel of the bilinearly upsampled
 2*n_c-channel map, runs as `conv2d(..., upsample=True)`: the 9 taps are mixed
 before upsampling (at 16x16 for 32x32 frames) and only those 9 maps are
@@ -151,9 +153,7 @@ def _decode(params, d, z, skip):
     h = _conv(params, f"dec_{d}_b1c1", z, relu=True)
     h = _conv(params, f"dec_{d}_b1c2", h, relu=True)
     h = ad.upsample_bilinear2x(h)
-    if skip is not None:
-        h = ad.concat_channels(h, skip)
-    h = _conv(params, f"dec_{d}_b2c1", h, relu=True)
+    h = _conv(params, f"dec_{d}_b2c1", h if skip is None else (h, skip), relu=True)
     h = _conv(params, f"dec_{d}_b2c2", h, relu=True)
     h = ad.upsample_bilinear2x(h)
     h = _conv(params, f"dec_{d}_b3c1", h, relu=True)
@@ -183,10 +183,7 @@ def forward(intensity, params, cfg):
     raw = _prep_input(intensity)
     branches = [Tensor(_gain_branch(raw, cfg, g)) for g in _gain_exponents(cfg)]
 
-    feats = [_encode(params, f"enc{i}", b) for i, b in enumerate(branches)]
-    z = feats[0]
-    for f in feats[1:]:
-        z = ad.concat_channels(z, f)
+    z = tuple(_encode(params, f"enc{i}", b) for i, b in enumerate(branches))
     if cfg.variant == "deep_fusion":
         z = _conv(params, "fusion_a", z, relu=True)
         z = _conv(params, "fusion_b", z)

@@ -49,7 +49,11 @@ def make_probe(size=PROBE_SIZE, radius=PROBE_RADIUS, sigma=PROBE_SIGMA,
     r = np.sqrt(r2)
     amp = (r <= radius) * np.exp(-r2 / (2.0 * sigma ** 2))
     phase = curvature * r2
-    return checked_probe(amp * np.exp(1j * phase))
+    probe = (amp * np.exp(1j * phase)).astype(np.complex64)
+    if not np.any(probe):  # the Gaussian underflows, or no pixel is in the aperture
+        raise ValueError(f"need probe_sigma and probe_radius that leave a non-zero probe, "
+                         f"got probe_sigma {sigma}, probe_radius {radius}")
+    return checked_probe(probe)
 
 
 def exit_wave(windows, probe):

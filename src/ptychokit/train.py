@@ -1,5 +1,6 @@
 """Optimization loop: Adam, triangular-2 cyclic learning rate, gradient
-clipping, validation-based model selection, and a per-epoch training record."""
+clipping, validation-based model selection through the checkpoint (the best
+epoch's parameters are kept on disk only), and a per-epoch training record."""
 
 import ctypes
 import math
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad, circphase, gridio, losses, model
-from .autodiff import Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -90,7 +90,11 @@ class AdamState:
         self.t = 0
 
 
+@ad.quiet_fp
 def adam_step(params, grads, state, lr):
+    """One Adam update in place. A parameter it makes non-finite ends it in a
+    FloatingPointError that names the parameter, the step and `eta`, from which
+    the schedule derives lr."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -103,12 +107,15 @@ def adam_step(params, grads, state, lr):
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         t.data -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(np.float32)
+        if not np.all(np.isfinite(t.data)):
+            raise FloatingPointError(f"non-finite parameter '{name}' after Adam step "
+                                     f"{state.t} at lr {lr:.3g}: training diverges, lower eta")
 
 
 @dataclass
 class TrainResult:
-    params: model.ModelParams
-    cfg: model.ModelConfig
+    """What a run returns beside its checkpoint directory, which holds the best
+    epoch's model (`model.load_checkpoint`)."""
     best_val: float
     best_epoch: int
     log_rows: list
@@ -201,9 +208,13 @@ def compute_i_max(frames, idx=None):
     return float(np.percentile(pixels, I_MAX_PERCENTILE))
 
 
-def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
+def train(frames, patches, model_cfg, train_cfg, ckpt_dir, config_hash="",
           log_path=None):
     """Train with per-epoch seeded shuffling and best-validation checkpointing.
+
+    Model selection goes through the checkpoint: each epoch whose validation
+    loss improves on the best so far overwrites ckpt_dir, and no other copy of
+    the best parameters is kept.
 
     With log_path, writes the per-step loss log there and the per-epoch record
     (TRAIN_LOG_FIELDS) as train_log.csv beside it; the record's times and page
@@ -229,7 +240,6 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
 
     log_rows, epoch_log = [], []
     best_val, best_epoch = float("inf"), -1
-    best_data = {n: t.data.copy() for n, t in params.named()}
     step = 0
     for epoch in range(train_cfg.epochs):
         t0, faults0 = time.perf_counter(), _minor_faults()
@@ -252,11 +262,8 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
                                          train_cfg.batch_size)
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
-            best_data = {n: t.data.copy() for n, t in params.named()}
-            if ckpt_dir is not None:
-                model.save_checkpoint(ckpt_dir, params, model_cfg,
-                                      seed=train_cfg.seed, epoch=epoch,
-                                      val_loss=val_loss, config_hash=config_hash)
+            model.save_checkpoint(ckpt_dir, params, model_cfg, seed=train_cfg.seed,
+                                  epoch=epoch, val_loss=val_loss, config_hash=config_hash)
         epoch_log.append({
             "epoch": epoch, "val_loss": val_loss, "ring_dev": ring_dev,
             "grad_norm_mean": float(np.mean(norms)), "grad_norm_max": float(max(norms)),
@@ -264,12 +271,10 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir=None, config_hash="",
             "lr_min": min(lrs), "lr_max": max(lrs), "steps_per_s": len(norms) / steps_s,
             "epoch_s": time.perf_counter() - t0, "faults_per_step": faults / len(norms)})
 
-    best_params = model.ModelParams(
-        tensors={n: Tensor(d, requires_grad=True) for n, d in best_data.items()})
     if log_path is not None:
         gridio.write_csv(log_path, ["step", "lr"] + list(losses.LossBreakdown.FIELDS), log_rows)
         gridio.write_csv(os.path.join(os.path.dirname(log_path), "train_log.csv"), TRAIN_LOG_FIELDS,
                          [[row[k] for k in TRAIN_LOG_FIELDS] for row in epoch_log])
-    return TrainResult(params=best_params, cfg=model_cfg, best_val=best_val,
-                       best_epoch=best_epoch, log_rows=log_rows, epoch_log=epoch_log)
+    return TrainResult(best_val=best_val, best_epoch=best_epoch, log_rows=log_rows,
+                       epoch_log=epoch_log)
 

@@ -15,12 +15,15 @@ def _rand(shape, seed, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape).astype(np.float32)
 
 
-def _wmean(y):
-    """mean(w * y) in float64 as one node, w a fixed weight in [-1, 1) of y's
-    shape: a mean keeps the checked value O(1), and a non-uniform w makes a
-    misrouted gradient show."""
-    w = _rand(y.shape, 0).astype(np.float64)
-    return ad.closed_form((y,), np.mean(w * y.data), lambda: (w / w.size,))
+def _wmean(*ys):
+    """mean(w * y) in float64 over the inputs together, as one node, w a fixed
+    weight in [-1, 1) of each y's shape (seeded by the input's position): a
+    mean keeps the checked value O(1), and a non-uniform w makes a misrouted
+    gradient show."""
+    ws = [_rand(y.shape, i).astype(np.float64) for i, y in enumerate(ys)]
+    n = sum(w.size for w in ws)
+    value = sum(np.sum(w * y.data) for w, y in zip(ws, ys)) / n
+    return ad.closed_form(ys, value, lambda: tuple(w / n for w in ws))
 
 
 def run_gradcheck(verbose=False):
@@ -95,16 +98,19 @@ def run_gradcheck(verbose=False):
 
         check(f"conv2d/relu/{label}input", lambda x: relu_loss(x, wr), xr)
         check(f"conv2d/relu/{label}weight", lambda wv: relu_loss(xr, wv), wr)
-    other = Tensor(_rand((2, 4, 4), 19))
-    check("concat_channels", lambda x: _wmean(ad.concat_channels(x, other)),
-          Tensor(_rand((1, 4, 4), 20), True))
+    # a conv over two parts, as the decoders' b2c1 over their upsampled map and
+    # the skip features: each part's gradient and the weight's, the other part
+    # also taking a gradient
+    p0, p1 = Tensor(_rand((3, 5, 5, 2), 19), True), Tensor(_rand((2, 5, 5, 2), 20), True)
+    wp = Tensor(_rand((2, 5, 3, 3), 21), True)
+    check("conv2d/parts/input0", lambda x: _wmean(ad.conv2d((x, p1), wp, None, 1, 1)), p0)
+    check("conv2d/parts/input1", lambda x: _wmean(ad.conv2d((p0, x), wp, None, 1, 1)), p1)
+    check("conv2d/parts/weight", lambda wv: _wmean(ad.conv2d((p0, p1), wv, None, 1, 1)), wp)
 
     # the unit projection, each input with the other also taking a gradient
     c_in, s_in = (Tensor(_rand((8, 8), seed, -0.9, 0.9), True) for seed in (29, 28))
-    check("unit_project/c",
-          lambda x: _wmean(ad.concat_channels(*circphase.unit_project(x, s_in))), c_in)
-    check("unit_project/s",
-          lambda x: _wmean(ad.concat_channels(*circphase.unit_project(c_in, x))), s_in)
+    check("unit_project/c", lambda x: _wmean(*circphase.unit_project(x, s_in)), c_in)
+    check("unit_project/s", lambda x: _wmean(*circphase.unit_project(c_in, x)), s_in)
 
     # losses; the scalar_phase objective (raw angles) with respect to each head,
     # the other also taking a gradient

@@ -256,7 +256,7 @@ def test_criterion_8_schedule():
 
 # -- 9. ablation direction check ---------------------------------------------
 
-def test_criterion_9_ablation_direction():
+def test_criterion_9_ablation_direction(tmp_path):
     t0 = time.time()
     amp, phase = dataset.gen_object(300, 170, seed=7)
     probe = physics.make_probe()
@@ -278,8 +278,10 @@ def test_criterion_9_ablation_direction():
         for variant in ("full", "scalar_phase"):
             mcfg = model.ModelConfig(n_c=8, variant=variant, seed=seed)
             tcfg = train.TrainConfig(epochs=25, batch_size=32, seed=seed)
-            res = train.train(frames, patches, mcfg, tcfg)
-            preds = recon.infer([frames[i] for i in test_idx], res.params, res.cfg)
+            ckpt = tmp_path / f"{variant}_{seed}"
+            train.train(frames, patches, mcfg, tcfg, ckpt)
+            params, best_cfg, _ = model.load_checkpoint(ckpt)
+            preds = recon.infer([frames[i] for i in test_idx], params, best_cfg)
             errs = [circphase.geodesic_dist(patches[i].phase, p)
                     for i, (_, p) in zip(test_idx, preds)]
             maes[variant] = float(np.mean(errs))

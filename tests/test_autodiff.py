@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -7,10 +8,17 @@ from ptychokit import autodiff as ad, verify
 from ptychokit.autodiff import NonFiniteError, Tape, Tensor, backward, finite_diff_check
 
 
+def wmean_parts(ys, ws):
+    """mean(w * y) over several inputs together, as one closed-form node: a node
+    with one gradient per input, as the gradient checks reduce."""
+    ws = [np.asarray(w, np.float64) for w in ws]
+    n = sum(w.size for w in ws)
+    value = sum(np.sum(w * y.data) for y, w in zip(ys, ws)) / n
+    return ad.closed_form(ys, value, lambda: tuple(w / n for w in ws))
+
+
 def wmean(y, w):
-    """mean(w * y) as one closed-form node, as the gradient checks reduce."""
-    w = np.asarray(w, np.float64)
-    return ad.closed_form((y,), np.mean(w * y.data), lambda: (w / w.size,))
+    return wmean_parts((y,), (w,))
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -37,7 +45,7 @@ def test_backward_accumulates_through_reuse():
     x = Tensor(rand((1, 4), 2), requires_grad=True)
     w = rand((2, 4), 3)
     with Tape() as tape:
-        backward(tape, wmean(ad.concat_channels(ad.tanh(x), ad.scale(x, 2.0)), w))
+        backward(tape, wmean_parts((ad.tanh(x), ad.scale(x, 2.0)), (w[:1], w[1:])))
     want = (w[0] * (1 - np.tanh(x.data.astype(np.float64)) ** 2) + 2 * w[1]) / 8
     assert np.allclose(x.grad, want, atol=1e-7)
 
@@ -51,7 +59,7 @@ def test_closed_form_gives_each_input_its_own_gradient():
     with Tape() as tape:
         a1 = ad.scale(a, 1.0)  # its backward runs last and adds into a.grad
         y = ad.closed_form((a, b), a.data + b.data, lambda: (ones, ones))
-        backward(tape, wmean(ad.concat_channels(y, a1), np.ones((6, 4))))
+        backward(tape, wmean_parts((y, a1), (ones, ones)))
     assert np.allclose(a.grad, 2 / 24, atol=1e-8)
     assert np.allclose(b.grad, 1 / 24, atol=1e-8)
     assert not np.shares_memory(a.grad, b.grad)
@@ -64,8 +72,8 @@ def test_backward_consumes_tape_and_keeps_leaf_grads():
     w = rand((2, 3, 4), 6)
     with Tape() as tape:
         a = ad.tanh(x)
-        b = ad.concat_channels(a, y)
-        loss = wmean(b, w)
+        b = ad.scale(y, 1.0)
+        loss = wmean_parts((a, b), (w[:1], w[1:]))
         backward(tape, loss)
     assert tape.nodes == []
     assert all(t.grad is None for t in (a, b, loss))
@@ -268,18 +276,52 @@ def test_conv2d_validates_shapes():
         ad.conv2d(Tensor(rand((2, 2, 2), 15)), Tensor(rand((1, 2, 5, 5), 16)))
     with pytest.raises(ValueError):
         ad.conv2d(x, Tensor(rand((3, 2, 3, 3), 13)), stride=2, upsample=True)
+    # a tuple of parts: stride 1 and no upsample, and parts of one H, W and N
+    a, b = Tensor(rand((2, 6, 6, 2), 20)), Tensor(rand((1, 6, 6, 2), 21))
+    w3 = Tensor(rand((2, 3, 3, 3), 22))
+    for bad in (dict(x=(a, b), stride=2), dict(x=(a, b), upsample=True),
+                dict(x=(a, Tensor(rand((1, 5, 6, 2), 23)))),   # H
+                dict(x=(a, Tensor(rand((1, 6, 5, 2), 24)))),   # W
+                dict(x=(a, Tensor(rand((1, 6, 6, 3), 25)))),   # N
+                dict(x=(a, b, b))):                            # channels
+        with pytest.raises(ValueError):
+            ad.conv2d(w=w3, padding=1, **bad)
 
 
-def test_concat_channels_and_grad_split():
-    a = Tensor(rand((2, 3, 3), 17), requires_grad=True)
-    b = Tensor(rand((1, 3, 3), 18), requires_grad=True)
-    with Tape() as tape:
-        backward(tape, wmean(ad.concat_channels(a, b), np.ones((3, 3, 3))))
-    n = 27.0
-    assert np.allclose(a.grad, 1 / n, atol=1e-7)
-    assert np.allclose(b.grad, 1 / n, atol=1e-7)
-    with pytest.raises(ValueError):
-        ad.concat_channels(a, Tensor(rand((1, 4, 4), 19)))
+# (k, padding, part channels, relu, bias, batched): the decoders' b2c1 (upsampled
+# map and skip features, 3x3), the fusion (1x1 over the encoders' features, no
+# bias), a three-encoder fusion, and 3x3 over a single part
+PARTS_CASES = [
+    (3, 1, (3, 2), True, True, True),
+    (1, 0, (4, 4), False, False, True),
+    (1, 0, (2, 3, 2), False, False, True),
+    (3, 1, (2, 1), True, True, False),
+    (3, 1, (3,), True, True, True),
+]
+
+
+def test_conv2d_over_parts_bitwise_equals_conv_of_concatenation(monkeypatch):
+    # values and every gradient, each part's against its channel slice of the
+    # concatenated input's, bit for bit: the same row taps, built per part
+    for budget, case in itertools.product(CONV_BUDGETS, PARTS_CASES):
+        k, padding, chans, relu, bias, batched = case
+        cin = sum(chans)
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        results = []
+        for split in (True, False):
+            xs = [Tensor(rand((c, 6, 7, 2) if batched else (c, 6, 7), 80 + i),
+                         requires_grad=True) for i, c in enumerate(chans)]
+            cat = Tensor(np.concatenate([x.data for x in xs]), requires_grad=True)
+            w = Tensor(rand((3, cin, k, k), 90), requires_grad=True)
+            b = Tensor(rand((3,), 91), requires_grad=True) if bias else None
+            with Tape() as tape:
+                y = ad.conv2d(tuple(xs) if split else cat, w, b, padding=padding, relu=relu)
+                backward(tape, wmean(y, rand(y.shape, 92)))
+            dx = [x.grad for x in xs] if split else np.split(cat.grad, np.cumsum(chans)[:-1])
+            results.append([y.data, w.grad] + ([b.grad] if bias else []) + list(dx))
+        assert results[0][0].shape[0] == 3, case
+        for split, whole in zip(*results):
+            assert np.array_equal(_bits(split), _bits(whole)), (case, budget)
 
 
 def test_upsample_bilinear_exact_on_linear_ramp():

@@ -221,6 +221,13 @@ def test_simulate_refuses_bad_split(capsys, tmp_path, sets):
     assert not os.path.exists(tmp_path / "d")
 
 
+def test_negative_master_seed_is_one_line_error(capsys, tmp_path):
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "-5"] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need seed >= 0, got -5\n"
+    assert not os.path.exists(tmp_path / "d")
+
+
 @pytest.mark.parametrize("bad", ["step=-8", "step=0", "jitter_max=-1", "cols=0"])
 def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
@@ -234,7 +241,8 @@ def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", ["object_size=10", "probe_size=0", "probe_size=-4",
-                                 "probe_radius=0", "probe_sigma=0", "probe_sigma=-1"])
+                                 "probe_radius=0", "probe_sigma=0", "probe_sigma=-1",
+                                 "probe_sigma=1e-3", "object_seed=-5", "noise=7"])
 def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
     # one error line naming the key; a numpy warning would be an error here
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
@@ -286,6 +294,40 @@ def test_negative_intensity_is_one_line_error(pipeline, capsys, tmp_path, stage)
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert err.endswith("00000_intensity.ptg: negative intensity")
+
+
+def _rewrite_grid(path, edit, keep_payload):
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read() if keep_payload else b""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(edit(header)).encode() + b"\n" + payload)
+
+
+# damage -> (stage, grid file, header edit, keep the payload): a header that is
+# no JSON object, a shape that is no list, and a shape of 4 PB with no payload
+DAMAGED_GRIDS = {
+    "header_list": ("train", "frames/00000_intensity.ptg", lambda h: [1, 2], True),
+    "shape_string": ("epie", "frames/00000_intensity.ptg", lambda h: {**h, "shape": "32"},
+                     True),
+    "shape_impossible": ("epie", "probe.ptg",
+                         lambda h: {**h, "shape": [1000000, 1000000, 1000]}, False),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_GRIDS))
+def test_damaged_grid_header_is_one_line_error(pipeline, capsys, tmp_path, damage):
+    _, data, _ = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    stage, target, edit, keep_payload = DAMAGED_GRIDS[damage]
+    _rewrite_grid(str(copy / target), edit, keep_payload)
+    args = [stage, "--seed", "1"] + TINY + ["--set", "epie_iters=1"]
+    rc = cli.main(args + ["--data", str(copy), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert target in err
 
 
 def _rewrite_json(path, edit):
@@ -352,13 +394,18 @@ def test_manifest_path_outside_dataset_is_one_line_error(pipeline, capsys, tmp_p
     assert "manifest.csv" in err and "outside the dataset" in err
 
 
-def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path):
+@pytest.mark.parametrize("eta", ["1e30", "1e300"])
+def test_diverging_training_is_one_line_error(pipeline, capsys, tmp_path, eta):
+    # 1e30 overflows a forward op; 1e300 overflows the first Adam update itself,
+    # whose error names the parameter, the step and eta
     _, data, _ = pipeline
-    args = ["train", "--data", data, "--seed", "1"] + TINY + ["--set", "eta=1e30"]
+    args = ["train", "--data", data, "--seed", "1"] + TINY + ["--set", f"eta={eta}"]
     rc = cli.main(args + ["--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: non-finite") and "\n" not in err
+    if eta == "1e300":
+        assert "Adam step 1" in err and "eta" in err
     # the whole stderr of the command, numpy warnings included, is that one line
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])

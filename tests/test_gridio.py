@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,33 @@ def test_malformed_header(tmp_path):
     path = tmp_path / "junk.ptg"
     path.write_bytes(b"not json\n\x00\x00\x00\x00")
     with pytest.raises(gridio.GridFormatError):
+        gridio.read_grid(path)
+
+
+def _header(**changes):
+    h = {"magic": "PTGRID", "version": 1, "shape": [2, 2], "dtype": "f32le",
+         "order": "row-major", **changes}
+    return json.dumps(h).encode() + b"\n"
+
+
+# damage -> file bytes: a header that is no JSON object, shapes that are no
+# non-empty list of positive ints, and a shape whose payload would take 4 PB
+# (no payload: the size check comes before any read)
+DAMAGED = {
+    "header_list": b"[1, 2]\n" + bytes(16),
+    "shape_string": _header(shape="32") + bytes(16),
+    "shape_bool": _header(shape=[True, 4]) + bytes(16),
+    "shape_float": _header(shape=[2.5, 2]) + bytes(20),
+    "shape_empty": _header(shape=[]) + bytes(4),
+    "shape_impossible": _header(shape=[1000000, 1000000, 1000]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED))
+def test_damaged_header_is_one_format_error(tmp_path, damage):
+    path = tmp_path / f"{damage}.ptg"
+    path.write_bytes(DAMAGED[damage])
+    with pytest.raises(gridio.GridFormatError, match=f"{damage}.ptg"):
         gridio.read_grid(path)
 
 

@@ -28,8 +28,10 @@ def test_make_probe_geometry():
     assert np.allclose(z, np.rot90(z), atol=1e-6)
     with pytest.raises(ValueError):
         physics.make_probe(radius=0.0)
-    with pytest.raises(ValueError, match="zero total intensity"):
+    with pytest.raises(ValueError, match="probe_sigma"):
         physics.make_probe(sigma=1e-3)  # the Gaussian underflows at every pixel
+    with pytest.raises(ValueError, match="zero total intensity"):
+        physics.checked_probe(np.zeros((4, 4)))  # a probe read from a file
 
 
 def test_exit_wave_and_diffract_oracle():
