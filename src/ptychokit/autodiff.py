@@ -1,18 +1,17 @@
 """Reverse-mode autodiff over dense float32 arrays.
 
-Ops: elementwise `scale`, `tanh`, `sigmoid`; `transpose`, `conv2d`,
-`upsample_bilinear2x`; and `closed_form`, a node over several inputs whose
-value is computed off the tape and whose derivatives are given in closed form
-and computed only in a backward (each loss, in float64, and the unit
-projection).
+Ops: elementwise `scale`, `tanh`, `sigmoid`; `transpose`, `conv2d`; and
+`closed_form`, a node over several inputs whose value is computed off the tape
+and whose derivatives are given in closed form (each loss, in float64, and the
+unit projection).
 
 Storage is float32, and the conv2d bias gradient accumulates in float64.
-`conv2d` and `upsample_bilinear2x` take activations in one layout,
-(C, H, W, N): channels outermost, batch innermost (a C x H x W map is N = 1).
-A stride-1 conv also takes a tuple of such parts and convolves their channel
-concatenation without building it (Pleiss et al. 2017), so a network that
-concatenates features keeps no concatenated copy on the tape. A convolution
-takes one of three paths, by what it is:
+`conv2d` takes activations in one layout, (C, H, W, N): channels outermost,
+batch innermost (a C x H x W map is N = 1). A stride-1 conv also takes a tuple
+of such parts and convolves their channel concatenation without building it
+(Pleiss et al. 2017), so a network that concatenates features keeps no
+concatenated copy on the tape. A convolution takes one of three paths, by what
+it is:
 - stride 1: row taps (MEC, Cho & Brand 2017). The input is copied k-fold, each
   copy shifted along W, and the k vertical taps are views of that copy handed
   to the GEMM, so the forward is k float32 GEMMs per block of output rows. The
@@ -23,26 +22,33 @@ takes one of three paths, by what it is:
 - stride > 1 (the encoders and the skip path): im2col columns, one float32
   GEMM per block of output rows for the output and the weight gradient, and
   each block's column gradient scattered back.
-- `conv2d(..., upsample=True)` (the decoder tail): a conv of the bilinearly
-  2x-upsampled input, its taps shifted on the output side and mixed at the
-  input's resolution. The forward, weight gradient and input gradient are one
-  GEMM each, and a tap is a flat shift of (i*Wp + j)*N over one padded buffer.
+- `conv2d(..., upsample=True)`: the conv of the bilinear 2x upsample of the
+  input, or of a tuple's first part (the others are at the output resolution
+  already). Bilinear upsampling is U_H X U_W^T, two batched float32 matrix
+  products (`_separable`), and its adjoint the same with U^T. The upsampled
+  map is never kept; the conv takes the side that upsamples fewer maps:
+  - the output side, for one part with k*k*C_out < C_in (the decoder tail): the
+    taps are mixed at the input's resolution and only those k*k*C_out maps are
+    upsampled. The forward, weight gradient and input gradient are one GEMM
+    each, and a tap is a flat shift of (i*Wp + j)*N over one padded buffer.
+  - the input side, otherwise: the forward upsamples the first part as a
+    transient and runs row taps on the parts; the backward upsamples it again
+    for the row-tap gradients (recomputing a cheap activation rather than
+    storing it; Chen et al. 2016) and applies the adjoint to its slice of dX.
 Blocks of row taps (halo rows included) and of im2col columns each take at
 most CONV_BLOCK_BYTES. `conv2d(..., relu=True)` applies ReLU in the conv's
 epilogue; its backward masks the output gradient in place with the output's
 sign, so no pre-activation is kept. The backward of a conv whose input takes
 no gradient (the network's raw intensity) computes only the weight and bias
-gradients, on every path.
-`upsample_bilinear2x` runs as two batched float32 matrix products. Forward
-results must be finite (`NonFiniteError`). No broadcasting beyond bias-add
-over channels.
+gradients, on every path. Forward results must be finite (`NonFiniteError`).
+No broadcasting beyond bias-add over channels.
 
 The tape keeps only what a backward reads: a conv's closure holds its input
-parts, not a padded or concatenated copy (a strided conv re-pads its input in
-the backward). `backward` consumes the tape, popping each node and freeing its
-closure and its output's gradient as it passes; afterwards only leaf tensors
-hold gradients. A gradient array an op has just made is stored without a copy
-(`_accum`).
+parts, not a padded, concatenated or upsampled copy (a strided conv re-pads its
+input in the backward). `backward` consumes the tape, popping each node and
+freeing its closure and its output's gradient as it passes; afterwards only
+leaf tensors hold gradients. A gradient array an op has just made is stored
+without a copy (`_accum`).
 """
 
 import functools
@@ -98,6 +104,11 @@ class Tape:
         Tape._active = self._prev
         return False
 
+    @staticmethod
+    def records(inputs):
+        """Whether an op over these inputs puts a node on the active tape."""
+        return Tape._active is not None and any(t.requires_grad for t in inputs)
+
 
 def _accum(t, g):
     """Add g into t.grad. A first store keeps a C-contiguous g itself and copies a
@@ -126,9 +137,8 @@ def _make(out_data, inputs, backward, name):
     if not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"non-finite values produced by op '{name}'")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = Tape._active
-    if tape is not None and out.requires_grad:
-        tape.nodes.append((out, backward))
+    if Tape.records(inputs):
+        Tape._active.nodes.append((out, backward))
     return out
 
 
@@ -206,7 +216,8 @@ def closed_form(inputs, value, grad_fn):
     input, the node's derivative with respect to it, which the backward
     multiplies by the output gradient: for a scalar node an array of the input's
     shape, for a node of its inputs' shape the elementwise derivative. grad_fn
-    runs only when a backward reaches the node."""
+    runs only when a backward reaches the node; it may return derivatives the
+    caller has already computed (`losses.total_loss` does)."""
     inputs = tuple(inputs)
 
     def bwd(g):
@@ -217,7 +228,7 @@ def closed_form(inputs, value, grad_fn):
 
 
 # ---------------------------------------------------------------------------
-# conv and upsampling, on (C, H, W, N) arrays
+# conv, on (C, H, W, N) arrays
 
 def _as_chwn(x, what):
     """A (C, H, W, N) view of a 4-D array, or of a C x H x W map as N = 1."""
@@ -330,37 +341,63 @@ def _conv_row_taps(xs, w, padding, ho, wo):
     concatenation of the parts xs: the input is copied k-fold along W, and the
     k vertical taps are views handed to the GEMM.
     Y = sum over i of W_i @ tap_i, W_i = w[:, :, i, :] as C_out x C_in*k, block
-    by block of output rows. The backward builds G's row taps once, padded by
-    k-1-p: dX = sum over i of Wf_i @ tap_i with the flipped, transposed kernel,
-    and the G tap at row offset k-1-i times x^T, summed over blocks, is
-    dW[:, :, i, ::-1], x^T being the block's rows of all parts, stacked. x is
-    not expanded again, and dX (of the concatenation) is skipped (None) when
-    need_dx is False."""
-    _, h, wd, n = xs[0].shape
+    by block of output rows."""
+    n = xs[0].shape[3]
     cout, cin, k, _ = w.shape
     wk = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
     out = np.empty((cout, ho * wo * n), np.float32)
     for r0, r1, taps in _row_blocks(xs, k, padding, ho, wo):
         _tap_sum(wk, taps, wo * n, out[:, r0 * wo * n:r1 * wo * n])
+    return out.reshape(cout, ho, wo, n)
+
+
+def _row_tap_grads(xs, w, padding, g, need_dx):
+    """The backward of `_conv_row_taps` over the parts xs, for output gradient g:
+    G's row taps are built once, padded by k-1-p, dX = sum over i of Wf_i @ tap_i
+    with the flipped, transposed kernel, and the G tap at row offset k-1-i times
+    x^T, summed over blocks, is dW[:, :, i, ::-1], x^T being the block's rows of
+    all parts, stacked. x is not expanded again. Returns (dX of each part, dW),
+    the first None when need_dx is False."""
+    _, h, wd, n = xs[0].shape
+    cout, cin, k, _ = w.shape
+    step = wd * n
+    if need_dx:
+        wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 1, 0, 3))
+        wf = wf.reshape(k, cin, cout * k)
+        dx = np.empty((cin, h * step), np.float32)
+    acc = np.zeros((k, cout * k, cin), np.float32)
+    for r0, r1, taps in _row_blocks((g,), k, k - 1 - padding, h, wd):
+        blocks = [x[:, r0:r1].reshape(x.shape[0], -1) for x in xs]
+        xb = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for i in range(k):
+            acc[k - 1 - i] += taps[:, i * step:(i + r1 - r0) * step] @ xb.T
+        if need_dx:
+            _tap_sum(wf, taps, step, dx[:, r0 * step:r1 * step])
+    dw = acc.reshape(k, cout, k, cin).transpose(1, 3, 0, 2)[..., ::-1]
+    if not need_dx:
+        return None, dw
+    dx = dx.reshape(cin, h, wd, n)
+    bounds = np.cumsum([0] + [x.shape[0] for x in xs])
+    return [dx[c0:c1] for c0, c1 in zip(bounds[:-1], bounds[1:])], dw
+
+
+def _conv_upsampled_input(xs, w, padding, ho, wo):
+    """Row taps over the parts xs with xs[0] bilinearly 2x-upsampled, which is
+    never kept: the forward upsamples it as a transient, and the backward
+    upsamples it again for dW and applies the upsampling's adjoint to its slice
+    of dX."""
+    a, b = _upsample_matrix(xs[0].shape[1]), _upsample_matrix(xs[0].shape[2])
+
+    def upsampled():
+        return (_separable(xs[0], a, b),) + tuple(xs[1:])
 
     def grads(g, need_dx):
-        step = wd * n
+        dxs, dw = _row_tap_grads(upsampled(), w, padding, g, need_dx)
         if need_dx:
-            wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 1, 0, 3))
-            wf = wf.reshape(k, cin, cout * k)
-            dx = np.empty((cin, h * step), np.float32)
-        acc = np.zeros((k, cout * k, cin), np.float32)
-        for r0, r1, taps in _row_blocks((g,), k, k - 1 - padding, h, wd):
-            blocks = [x[:, r0:r1].reshape(x.shape[0], -1) for x in xs]
-            xb = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            for i in range(k):
-                acc[k - 1 - i] += taps[:, i * step:(i + r1 - r0) * step] @ xb.T
-            if need_dx:
-                _tap_sum(wf, taps, step, dx[:, r0 * step:r1 * step])
-        dw = acc.reshape(k, cout, k, cin).transpose(1, 3, 0, 2)[..., ::-1]
-        return (dx.reshape(cin, h, wd, n) if need_dx else None), dw
+            dxs[0] = _separable(dxs[0], a.T, b.T)
+        return dxs, dw
 
-    return out.reshape(cout, ho, wo, n), grads
+    return _conv_row_taps(upsampled(), w, padding, ho, wo), grads
 
 
 def _conv_strided(x, w, stride, padding, ho, wo):
@@ -389,7 +426,7 @@ def _conv_strided(x, w, stride, padding, ho, wo):
                     for j in range(k):
                         dxp[:, i + stride * r0:i + stride * r1:stride,
                             j:j + stride * wo:stride] += dcols[:, i, j]
-        dx = dxp[:, padding:padding + h, padding:padding + wd] if need_dx else None
+        dx = [dxp[:, padding:padding + h, padding:padding + wd]] if need_dx else None
         return dx, dw.reshape(w.shape)
 
     return out.reshape(cout, ho, wo, n), grads
@@ -428,7 +465,7 @@ def _conv_upsampled(x, w, padding, ho, wo):
             gs[t, :, off:] = gm[:, :size - off]
         gs = gs.reshape(-1, hp, wp, n)[:, padding:padding + 2 * h, padding:padding + 2 * wd]
         gs = _separable(gs, a.T, b.T).reshape(k * k * cout, -1)
-        dx = (ws.T @ gs).reshape(x.shape) if need_dx else None
+        dx = [(ws.T @ gs).reshape(x.shape)] if need_dx else None
         dw = (gs @ x.reshape(cin, -1).T).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
         return dx, dw
 
@@ -443,17 +480,26 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
     own channel rows of the row taps, and each takes its view of dX.
 
     Stride 1 runs on row taps and stride > 1 on im2col columns, both in blocks
-    of output rows of at most CONV_BLOCK_BYTES. upsample=True gives
-    conv2d(upsample_bilinear2x(x)) with its taps shifted on the output side and
-    mixed at x's resolution (stride 1 only). relu=True applies
-    y * (y > 0) after the bias add; the backward masks G with the output's
-    own sign (subgradient 0 at 0), in place, so no pre-activation is kept.
+    of output rows of at most CONV_BLOCK_BYTES. upsample=True (stride 1 only)
+    convolves the bilinear 2x upsample of x, or of a tuple's first part, the
+    others being at the output resolution already; the upsampled map is never
+    kept. It takes the side that upsamples fewer maps: the output side (taps
+    mixed at x's resolution, `_conv_upsampled`) for one part with
+    k*k*C_out < C_in, else the input side (`_conv_upsampled_input`). relu=True
+    applies y * (y > 0) after the bias add; the backward masks G with the
+    output's own sign (subgradient 0 at 0), in place, so no pre-activation is
+    kept.
     """
     parts = x if isinstance(x, tuple) else (x,)
-    if len(parts) > 1 and (stride != 1 or upsample):
-        raise ValueError("a conv over a tuple of parts needs stride 1 and no upsample")
-    if any(p.shape[1:] != parts[0].shape[1:] for p in parts):
-        raise ValueError(f"parts differ in H, W or N: {[p.shape for p in parts]}")
+    if len(parts) > 1 and stride != 1:
+        raise ValueError("a conv over a tuple of parts needs stride 1")
+    if upsample and stride != 1:
+        raise ValueError("upsample needs stride 1")
+    scale = 2 if upsample else 1
+    size = tuple(scale * d for d in parts[0].shape[1:3]) + parts[0].shape[3:]
+    if any(p.shape[1:] != size for p in parts[1:]):
+        raise ValueError("parts must share H, W and N (the first one's doubled if "
+                         f"upsampled), got {[p.shape for p in parts]}")
     x4s = [_as_chwn(p.data, "conv2d") for p in parts]
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ValueError(f"weight must be Cout x Cin x k x k, got {w.shape}")
@@ -462,19 +508,18 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
         raise ValueError(f"input channels {[x4.shape[0] for x4 in x4s]} != weight Cin {cin}")
     if b is not None and b.data.shape != (cout,):
         raise ValueError(f"bias shape {b.shape} != ({cout},)")
-    if upsample and stride != 1:
-        raise ValueError("upsample needs stride 1")
-    scale = 2 if upsample else 1
-    _, h, wd, _ = x4s[0].shape
-    ho = (scale * h + 2 * padding - k) // stride + 1
-    wo = (scale * wd + 2 * padding - k) // stride + 1
+    ho = (size[0] + 2 * padding - k) // stride + 1
+    wo = (size[1] + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("kernel larger than padded input")
 
-    if upsample:
+    if upsample and len(parts) == 1 and k * k * cout < cin:
         out, grads = _conv_upsampled(x4s[0], w.data, padding, ho, wo)
+    elif upsample:
+        out, grads = _conv_upsampled_input(x4s, w.data, padding, ho, wo)
     elif stride == 1:
-        out, grads = _conv_row_taps(x4s, w.data, padding, ho, wo)
+        out = _conv_row_taps(x4s, w.data, padding, ho, wo)
+        grads = functools.partial(_row_tap_grads, x4s, w.data, padding)
     else:
         out, grads = _conv_strided(x4s[0], w.data, stride, padding, ho, wo)
     out = np.ascontiguousarray(out)
@@ -488,22 +533,22 @@ def conv2d(x, w, b=None, stride=1, padding=0, upsample=False, relu=False):
         g4 = _as_chwn(np.asarray(g, dtype=np.float32), "conv2d")
         if relu:
             g4 *= out > 0
-        dx, dw = grads(g4, any(p.requires_grad for p in parts))
+        dxs, dw = grads(g4, any(p.requires_grad for p in parts))
         _accum(w, dw)
         if b is not None:
             _accum(b, g4.sum(axis=(1, 2, 3), dtype=np.float64))
-        if dx is not None:
-            c0 = 0
-            for p in parts:
-                _accum(p, dx[c0:c0 + p.shape[0]].reshape(p.shape))
-                c0 += p.shape[0]
+        if dxs is not None:
+            for p, dx in zip(parts, dxs):
+                _accum(p, dx.reshape(p.shape))
 
     return _make(out.reshape(out.shape[:3] + parts[0].shape[3:]), inputs, bwd, "conv2d")
 
 
 @functools.cache
 def _upsample_matrix(n):
-    """(2n x n) bilinear matrix: src = (dst + 0.5)/2 - 0.5, clamped."""
+    """(2n x n) bilinear matrix: src = (dst + 0.5)/2 - 0.5, clamped. The bilinear 2x
+    upsample of a (C, H, W, N) array is `_separable` with the H and W matrices,
+    and its adjoint `_separable` with their transposes."""
     u = np.zeros((2 * n, n), dtype=np.float32)
     for d in range(2 * n):
         s = np.clip((d + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
@@ -513,22 +558,6 @@ def _upsample_matrix(n):
         u[d, i0] += 1.0 - w
         u[d, i1] += w
     return u
-
-
-@quiet_fp
-def upsample_bilinear2x(x):
-    """Bilinear 2x upsampling of a (C, H, W, N) array or a C x H x W map:
-    Y[c] = U_H @ X[c] @ U_W^T for each channel c and batch entry n, with the
-    (2n x n) matrices of `_upsample_matrix`. The backward is U_H^T @ G @ U_W."""
-    x4 = _as_chwn(x.data, "upsample_bilinear2x")
-    a, b = _upsample_matrix(x4.shape[1]), _upsample_matrix(x4.shape[2])
-    out = _separable(x4, a, b)
-
-    def bwd(g):
-        g4 = _as_chwn(np.asarray(g, dtype=np.float32), "upsample_bilinear2x")
-        _accum(x, _separable(g4, a.T, b.T).reshape(x.shape))
-
-    return _make(out.reshape(out.shape[:3] + x.shape[3:]), (x,), bwd, "upsample_bilinear2x")
 
 
 # ---------------------------------------------------------------------------

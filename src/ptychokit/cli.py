@@ -23,14 +23,16 @@ from .config import RunConfig
 
 
 def _build_config(args):
+    """The config file's values, then --seed, then each --set: an explicit
+    `--set *_seed=...` wins over --seed."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    if args.seed is not None:
+        cfg.set_master_seed(args.seed)
     for kv in args.set or []:
         if "=" not in kv:
             raise ValueError(f"--set expects key=value, got '{kv}'")
         key, value = kv.split("=", 1)
         cfg.set(key.strip(), value.strip())
-    if args.seed is not None:
-        cfg.set_master_seed(args.seed)
     return cfg
 
 
@@ -119,11 +121,20 @@ def cmd_infer(args):
 
 
 def _read_predictions(pred_dir, rows):
-    """Each row's (amplitude, phase) prediction files, read one pair at a time."""
+    """Each row's (amplitude, phase) prediction files, read one pair at a time;
+    every file must have the first one's shape."""
+    shape = None
     for row in rows:
-        i = row["index"]
-        yield (gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_amp.ptg")),
-               gridio.read_grid(os.path.join(pred_dir, "pred", f"{i:05d}_phase.ptg")))
+        pair = []
+        for kind in ("amp", "phase"):
+            path = os.path.join(pred_dir, "pred", f"{row['index']:05d}_{kind}.ptg")
+            grid = gridio.read_grid(path)
+            shape = shape or grid.shape
+            if grid.shape != shape:
+                raise ValueError(f"{path}: shape {grid.shape} is not the first "
+                                 f"prediction's {shape}")
+            pair.append(grid)
+        yield tuple(pair)
 
 
 def cmd_stitch(args):
@@ -197,7 +208,8 @@ def _add_common(sp):
     sp.add_argument("--config", help="config file (key = value lines)")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override one config key")
-    sp.add_argument("--seed", type=int, help="master seed for all stages")
+    sp.add_argument("--seed", type=int,
+                    help="master seed for all stages; an explicit --set *_seed=... wins")
     sp.add_argument("--force", action="store_true",
                     help="proceed despite config-hash mismatch")
 

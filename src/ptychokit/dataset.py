@@ -264,7 +264,8 @@ def read_table(path, fields, int_fields):
 def load_frames(indir, split=None):
     """Frames, probe and meta, without the ground truth; with `split`, only that
     split's intensity files are read. Every intensity path must lie inside
-    `indir`, and no intensity may be negative."""
+    `indir`, every intensity must have the probe's shape, and none may be
+    negative."""
     meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
     manifest = os.path.join(indir, "manifest.csv")
@@ -278,6 +279,9 @@ def load_frames(indir, split=None):
             raise ValueError(f"{manifest}: intensity path '{row['intensity']}' of frame "
                              f"{row['index']} lies outside the dataset")
         intensity = gridio.read_grid(path)
+        if intensity.shape != probe.shape:
+            raise ValueError(f"{path}: intensity shape {intensity.shape} is not the "
+                             f"probe's {probe.shape}")
         if np.any(intensity < 0):
             raise ValueError(f"{path}: negative intensity")
         frames.append(DiffractionFrame(

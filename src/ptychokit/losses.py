@@ -2,13 +2,15 @@
 circular geodesic loss, and unit-circle consistency.
 
 Each term is one private float64 kernel that returns its value and a thunk for
-its gradient in closed form, run only when a backward reaches the node.
-`total_loss` is one `autodiff.closed_form` node over the five model heads,
-and `scalar_phase_loss` one over the scalar_phase variant's two heads, built
-from the MSE kernel; `ssim` and `circular_loss` are one node over one kernel
-each, and `ssim_value` and `circular_loss_value` are kernel values for
-evaluation. SSIM is written once (`_ssim_terms`); its gradient is Wang &
-Simoncelli's (2008)."""
+its gradient in closed form. `total_loss` is one `autodiff.closed_form` node
+over the five model heads: when a tape records it, it computes the terms one at
+a time, adds each term's gradient into the heads' float64 arrays and drops the
+term's intermediates, so the node keeps only those arrays; without a tape no
+gradient is computed. `scalar_phase_loss` is one node over the scalar_phase
+variant's two heads, built from the MSE kernel; `ssim` and `circular_loss` are
+one node over one kernel each, whose thunk runs when a backward reaches it, and
+`ssim_value` and `circular_loss_value` are kernel values for evaluation. SSIM is
+written once (`_ssim_terms`); its gradient is Wang & Simoncelli's (2008)."""
 
 import functools
 import math
@@ -62,13 +64,17 @@ class LossBreakdown:
 
 
 def _pair(x, xhat):
-    """(x, xhat, xhat's data) for a constant x of xhat's shape, x and the data float64."""
+    """(x's data, xhat) for a constant x of xhat's shape, as float32 and a Tensor."""
     x, xhat = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, xhat))
     if x.requires_grad:
         raise ValueError("the target takes no gradient")
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    return x.data.astype(np.float64), xhat, xhat.data.astype(np.float64)
+    return x.data, xhat
+
+
+def _f64(*arrays):
+    return [np.asarray(v, np.float64) for v in arrays]
 
 
 # Kernels: float64 arrays in, (value, thunk) out; the thunk gives the gradient
@@ -151,10 +157,10 @@ def _ssim(x, y):
     def grad():
         # -(B^T a + x B^T b + y B^T c) / (number of windows), B^T the adjoint blur
         s, k = a1 * a2 / den, -1.0 / a1.size
-        a = k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2))
         bh, bw = _blur_matrix(xs.shape[1]).T, _blur_matrix(xs.shape[2]).T
-        g = (_blur(a, bh, bw) + xs * _blur(k * 2 * a1 / den, bh, bw)
-             + ys * _blur(k * -2 * s / b2, bh, bw))
+        g = _blur(k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2)), bh, bw)
+        g += xs * _blur(k * 2 * a1 / den, bh, bw)  # summed in place: the same bits, one
+        g += ys * _blur(k * -2 * s / b2, bh, bw)   # grid-sized array fewer
         return (g.reshape(y.shape),)
 
     return np.mean(((b1 - a1) * b2 + a1 * (b2 - a2)) / den), grad
@@ -170,22 +176,23 @@ def ssim_value(x, xhat):
 
 def ssim(x, xhat):
     """The SSIM loss (`_ssim`) of H x W grids or a stack, as one tape node."""
-    x, xhat, y = _pair(x, xhat)
-    return ad.closed_form((xhat,), *_ssim(x, y))
+    x, xhat = _pair(x, xhat)
+    return ad.closed_form((xhat,), *_ssim(*_f64(x, xhat.data)))
 
 
 def circular_loss(c, c_hat, s, s_hat):
     """The circular loss as one tape node over the projected (c_hat, s_hat)."""
-    (c, c_hat, ch), (s, s_hat, sh) = _pair(c, c_hat), _pair(s, s_hat)
-    return ad.closed_form((c_hat, s_hat), *_circular(c, ch, s, sh))
+    (c, c_hat), (s, s_hat) = _pair(c, c_hat), _pair(s, s_hat)
+    return ad.closed_form((c_hat, s_hat), *_circular(*_f64(c, c_hat.data, s, s_hat.data)))
 
 
 def scalar_phase_loss(a, a_hat, phi, phi_hat):
     """The scalar_phase variant's objective, the MSE of a_hat plus that of the raw
     angle phi_hat, as one tape node over the two heads; returns (scalar Tensor,
     LossBreakdown) with the sum as base and total and every other field 0."""
-    (a, a_hat, ah), (phi, phi_hat, ph) = _pair(a, a_hat), _pair(phi, phi_hat)
-    (v_amp, g_amp), (v_phase, g_phase) = _mse(a, ah), _mse(phi, ph)
+    (a, a_hat), (phi, phi_hat) = _pair(a, a_hat), _pair(phi, phi_hat)
+    v_amp, g_amp = _mse(*_f64(a, a_hat.data))
+    v_phase, g_phase = _mse(*_f64(phi, phi_hat.data))
     total = float(v_amp + v_phase)
     return (ad.closed_form((a_hat, phi_hat), total, lambda: g_amp() + g_phase()),
             LossBreakdown(total, *[0.0] * 8, total))
@@ -193,7 +200,7 @@ def scalar_phase_loss(a, a_hat, phi, phi_hat):
 
 def circular_loss_value(c, c_hat, s, s_hat):
     """The circular loss of plain arrays, in float64 (evaluation path)."""
-    return float(_circular(*(np.asarray(v, np.float64) for v in (c, c_hat, s, s_hat)))[0])
+    return float(_circular(*_f64(c, c_hat, s, s_hat))[0])
 
 
 def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,
@@ -207,28 +214,37 @@ def total_loss(a, a_hat, c, c_hat_pre, s, s_hat_pre, c_hat_proj, s_hat_proj,
     w = weights or LossWeights()
     pairs = [_pair(x, y) for x, y in ((a, a_hat), (c, c_hat_pre), (s, s_hat_pre),
                                       (c, c_hat_proj), (s, s_hat_proj))]
-    heads = tuple(p[1] for p in pairs)
-    (a, _, ah), (c, _, cp), (s, _, sp), (_, _, cj), (_, _, sj) = pairs
-    ssims, grads, mses = ([f(x, y) for x, y in ((a, ah), (c, cp), (s, sp))]
-                          for f in (_ssim, _grad_l1, _mse))
-    circ, cons = _circular(c, cj, s, sj), _consistency(cp, sp)
+    heads = tuple(y for _, y in pairs)
+    (a, ah), (c, cp), (s, sp), (_, cj), (_, sj) = [(x, y.data) for x, y in pairs]
     chan_w = (w.w_a, w.w_p, w.w_p)  # the amplitude term, then the phase term twice
-    terms = ([(w.w_b, (i,), m) for i, m in enumerate(mses)]  # (weight, heads, kernel)
-             + [(k * w.lam_g, (i,), g) for i, (k, g) in enumerate(zip(chan_w, grads))]
-             + [(k * w.lam_s, (i,), r) for i, (k, r) in enumerate(zip(chan_w, ssims))]
-             + [(w.w_p * w.lam_circ, (3, 4), circ), (w.w_c, (1, 2), cons)])
-
-    def grad():
-        out = [np.zeros(h.shape) for h in heads]
-        for k, idx, (_, thunk) in terms:
+    per_head = list(enumerate(zip(chan_w, ((a, ah), (c, cp), (s, sp)))))
+    # (weight, heads, kernel, arguments), in the order the gradients are summed
+    terms = ([(w.w_b, (i,), _mse, xy) for i, (_, xy) in per_head]
+             + [(k * w.lam_g, (i,), _grad_l1, xy) for i, (k, xy) in per_head]
+             + [(k * w.lam_s, (i,), _ssim, xy) for i, (k, xy) in per_head]
+             + [(w.w_p * w.lam_circ, (3, 4), _circular, (c, cj, s, sj)),
+                (w.w_c, (1, 2), _consistency, (cp, sp))])
+    # On a tape, each term's gradient is added into its heads' float64 arrays as
+    # soon as the term is computed, so no term's intermediates outlive it. The
+    # inputs are converted per term and a head's array is made at its first term,
+    # so the working set beside the tape is about one term's.
+    grads = [None] * len(heads) if ad.Tape.records(heads) else None
+    values = []
+    for k, idx, kernel, args in terms:
+        value, thunk = kernel(*_f64(*args))
+        values.append(value)
+        if grads is not None:
             for i, g in zip(idx, thunk()):
-                out[i] += k * g
-        return out
-
-    base, g_ph, s_ph = (float(sum(r[0] for r in rs)) for rs in (mses, grads[1:], ssims[1:]))
-    g_amp, s_amp, v_circ, v_cons = (float(r[0]) for r in (grads[0], ssims[0], circ, cons))
+                if grads[i] is None:
+                    grads[i] = np.zeros(g.shape)
+                grads[i] += k * g
+        del thunk
+    mses, l1s, ssims = values[:3], values[3:6], values[6:9]
+    v_circ, v_cons = float(values[9]), float(values[10])
+    base, g_ph, s_ph = (float(sum(rs)) for rs in (mses, l1s[1:], ssims[1:]))
+    g_amp, s_amp = float(l1s[0]), float(ssims[0])
     amp = w.lam_g * g_amp + w.lam_s * s_amp
     phase = w.lam_g * g_ph + w.lam_s * s_ph + w.lam_circ * v_circ
     total = w.w_b * base + w.w_a * amp + w.w_p * phase + w.w_c * v_cons
-    return ad.closed_form(heads, total, grad), LossBreakdown(
+    return ad.closed_form(heads, total, lambda: grads), LossBreakdown(
         base, amp, phase, v_cons, v_circ, g_amp, s_amp, g_ph, s_ph, total)

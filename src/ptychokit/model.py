@@ -2,14 +2,16 @@
 circular phase coordinates, plus the ablation variants.
 
 Inside `forward` every activation is (C, H, W, N), the layout `autodiff`'s
-conv and upsample ops take: the input batch is transposed into it once, and
-each head out of it once, so callers see N x 1 x H x W. The fusion conv reads
-the encoders' features, and each decoder's `b2c1` conv its upsampled map and
-the skip features, as a tuple of parts: their concatenation is never built. Each
-decoder's tail, a 3x3 conv to one channel of the bilinearly upsampled
-2*n_c-channel map, runs as `conv2d(..., upsample=True)`: the 9 taps are mixed
-before upsampling (at 16x16 for 32x32 frames) and only those 9 maps are
-upsampled. Every ReLU is the epilogue of the conv before it,
+conv takes: the input batch is transposed into it once, and each head out of
+it once, so callers see N x 1 x H x W. The fusion conv reads the encoders'
+features as a tuple of parts, so their concatenation is never built. Each
+decoder upsamples twice, each time inside the conv that reads the upsampled
+map, `conv2d(..., upsample=True)`, so no upsampled map is kept on the tape:
+`b2c1` convolves the upsample of its map together with the skip features (a
+tuple of parts), and `b3c1` the upsample of its map. The tail, a 3x3 conv to
+one channel of the upsampled 2*n_c-channel map, mixes its 9 taps before
+upsampling (at 16x16 for 32x32 frames) when 9 < 2*n_c, and only those 9 maps
+are upsampled. Every ReLU is the epilogue of the conv before it,
 `conv2d(..., relu=True)`, so the tape keeps no pre-activation maps."""
 
 import math
@@ -152,11 +154,10 @@ def _encode(params, branch, x):
 def _decode(params, d, z, skip):
     h = _conv(params, f"dec_{d}_b1c1", z, relu=True)
     h = _conv(params, f"dec_{d}_b1c2", h, relu=True)
-    h = ad.upsample_bilinear2x(h)
-    h = _conv(params, f"dec_{d}_b2c1", h if skip is None else (h, skip), relu=True)
+    h = _conv(params, f"dec_{d}_b2c1", h if skip is None else (h, skip), upsample=True,
+              relu=True)
     h = _conv(params, f"dec_{d}_b2c2", h, relu=True)
-    h = ad.upsample_bilinear2x(h)
-    h = _conv(params, f"dec_{d}_b3c1", h, relu=True)
+    h = _conv(params, f"dec_{d}_b3c1", h, upsample=True, relu=True)
     h = _conv(params, f"dec_{d}_b3c2", h, relu=True)
     # conv of the upsampled map, (1, H, W, N) -> N x 1 x H x W
     return ad.transpose(_conv(params, f"dec_{d}_out", h, upsample=True), (3, 0, 1, 2))

@@ -45,11 +45,6 @@ def run_gradcheck(verbose=False):
     check("closed_form",
           lambda x: _wmean(ad.closed_form((x, y), x.data * y.data, lambda: (y.data, x.data))),
           Tensor(_rand((4, 4), 3), True))
-    check("upsample_bilinear2x", lambda x: _wmean(ad.upsample_bilinear2x(x)),
-          Tensor(_rand((2, 4, 4), 15), True))
-    # non-square grids in a (C, H, W, N) batch: shows swapped axes
-    check("upsample_bilinear2x/batch", lambda x: _wmean(ad.upsample_bilinear2x(x)),
-          Tensor(_rand((2, 3, 5, 2), 38), True))
     check("transpose", lambda x: _wmean(ad.transpose(x, (3, 0, 1, 2))),
           Tensor(_rand((2, 3, 4, 5), 52), True))
 
@@ -62,13 +57,16 @@ def run_gradcheck(verbose=False):
     # the other conv shapes the model uses: strided encoder convs (im2col
     # blocks), a decoder conv with C_out < C_in (row taps, like the checks above,
     # here over a (C, H, W, N) batch), the bias-free 1x1 fusion (row taps with
-    # k = 1), and the decoder tail (the upsample path: a conv of the upsampled
-    # map, taps shifted on the output side and mixed before upsampling)
+    # k = 1), and convs of the bilinearly upsampled map on non-square grids (a
+    # swapped axis would show): the decoder tail on the output side (9 * C_out <
+    # C_in, taps mixed before upsampling) and a decoder conv on the input side
+    # (the map upsampled, then row taps)
     for label, wshape, bias, xshape, stride, pad, up, seed in (
             ("strided", (3, 2, 5, 5), True, (2, 7, 7), 2, 2, False, 39),
             ("narrow_out", (2, 4, 3, 3), True, (4, 5, 5, 2), 1, 1, False, 42),
             ("1x1", (2, 4, 1, 1), False, (4, 3, 3), 1, 0, False, 45),
-            ("upsample", (1, 4, 3, 3), True, (4, 3, 4, 2), 1, 1, True, 48)):
+            ("upsample_output_side", (1, 10, 3, 3), True, (10, 3, 4, 2), 1, 1, True, 48),
+            ("upsample_input_side", (3, 2, 3, 3), True, (2, 3, 4, 2), 1, 1, True, 15)):
         wc = Tensor(_rand(wshape, seed), True)
         bc = Tensor(_rand(wshape[:1], seed + 1), True) if bias else None
         xc = Tensor(_rand(xshape, seed + 2), True)
@@ -106,6 +104,16 @@ def run_gradcheck(verbose=False):
     check("conv2d/parts/input0", lambda x: _wmean(ad.conv2d((x, p1), wp, None, 1, 1)), p0)
     check("conv2d/parts/input1", lambda x: _wmean(ad.conv2d((p0, x), wp, None, 1, 1)), p1)
     check("conv2d/parts/weight", lambda wv: _wmean(ad.conv2d((p0, p1), wv, None, 1, 1)), wp)
+    # the same over the upsample of the first part, as b2c1 reads the decoder's
+    # map and the skip features at twice its resolution
+    q0, q1 = Tensor(_rand((3, 3, 4, 2), 38), True), Tensor(_rand((2, 6, 8, 2), 40), True)
+
+    def up_parts_loss(x0, x1, wv):
+        return _wmean(ad.conv2d((x0, x1), wv, None, 1, 1, upsample=True))
+
+    check("conv2d/upsample_parts/input0", lambda x: up_parts_loss(x, q1, wp), q0)
+    check("conv2d/upsample_parts/input1", lambda x: up_parts_loss(q0, x, wp), q1)
+    check("conv2d/upsample_parts/weight", lambda wv: up_parts_loss(q0, q1, wv), wp)
 
     # the unit projection, each input with the other also taking a gradient
     c_in, s_in = (Tensor(_rand((8, 8), seed, -0.9, 0.9), True) for seed in (29, 28))

@@ -179,10 +179,26 @@ def test_conv2d_backward_is_adjoint(case, monkeypatch):
             assert dual == pytest.approx(inner, rel=1e-5, abs=1e-5), (case, budget)
 
 
+def _upsampled(x):
+    """The bilinear 2x upsample of a (C, H, W, N) array."""
+    a, b = ad._upsample_matrix(x.shape[1]), ad._upsample_matrix(x.shape[2])
+    return ad._separable(x, a, b)
+
+
+def upsample(x):
+    """`_upsampled` of a tensor as a tape op of its own, the adjoint being
+    `_separable` with the transposed matrices: the reference for
+    conv2d(..., upsample=True)."""
+    a, b = ad._upsample_matrix(x.shape[1]), ad._upsample_matrix(x.shape[2])
+    return ad._make(_upsampled(x.data), (x,),
+                    lambda g: ad._accum(x, ad._separable(g, a.T, b.T)), "upsample")
+
+
 @pytest.mark.parametrize("n_c", [4, 32])
 def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
     # the decoder tail: 3x3 conv to one channel of a 2*n_c-channel map upsampled
-    # from 16 x 16, with the taps mixed before upsampling
+    # from 16 x 16. At n_c = 32 the taps are mixed before upsampling (the output
+    # side, 9 < 64 input channels); at n_c = 4 the conv takes the input side.
     results = []
     for fused in (True, False):
         x = Tensor(rand((2 * n_c, 16, 16, 3), 40), requires_grad=True)
@@ -192,7 +208,7 @@ def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
             if fused:
                 y = ad.conv2d(x, w, b, padding=1, upsample=True)
             else:
-                y = ad.conv2d(ad.upsample_bilinear2x(x), w, b, padding=1)
+                y = ad.conv2d(upsample(x), w, b, padding=1)
             g = Tensor(rand(y.shape, 43))
             backward(tape, wmean(y, g.data))
         results.append((y.data, x.grad, w.grad, b.grad))
@@ -202,17 +218,52 @@ def test_conv2d_upsample_equals_conv_of_upsampled(n_c):
         assert np.allclose(fused, plain, rtol=0, atol=1e-5 * scale)
 
 
+# (part channels, C_out, relu): the input side of conv2d(..., upsample=True),
+# k*k*C_out >= C_in, over one map (a decoder's b3c1) and over an upsampled map
+# and the skip features (its b2c1)
+UPSAMPLE_INPUT_CASES = [((3,), 2, True), ((3, 2), 2, True), ((2, 3), 4, False)]
+
+
+def test_conv2d_upsample_input_side_bitwise_equals_upsample_then_conv(monkeypatch):
+    # values and every gradient bit for bit: the same upsampling and row taps,
+    # the upsampled map made again in the backward instead of kept
+    for budget, case in itertools.product(CONV_BUDGETS, UPSAMPLE_INPUT_CASES):
+        chans, cout, relu = case
+        monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", budget)
+        results = []
+        for fused in (True, False):
+            xs = [Tensor(rand((c,) + ((4, 5) if i == 0 else (8, 10)) + (2,), 100 + i),
+                         requires_grad=True) for i, c in enumerate(chans)]
+            w = Tensor(rand((cout, sum(chans), 3, 3), 110), requires_grad=True)
+            b = Tensor(rand((cout,), 111), requires_grad=True)
+            with Tape() as tape:
+                if fused:
+                    y = ad.conv2d(tuple(xs) if len(xs) > 1 else xs[0], w, b, padding=1,
+                                  upsample=True, relu=relu)
+                    assert len(tape.nodes) == 1
+                else:
+                    y = ad.conv2d(tuple([upsample(xs[0])] + xs[1:]), w, b, padding=1,
+                                  relu=relu)
+                backward(tape, wmean(y, rand(y.shape, 112)))
+            results.append([y.data, w.grad, b.grad] + [x.grad for x in xs])
+        assert results[0][0].shape == (cout, 8, 10, 2), case
+        for fused, plain in zip(*results):
+            assert np.array_equal(_bits(fused), _bits(plain)), (case, budget)
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
 
 
 # (stride, padding, upsample, C_in, C_out, input shape): the row-tap path with
-# C_out > C_in and C_out < C_in, the strided path and the upsample path
+# C_out > C_in and C_out < C_in, the strided path, and the upsample path on its
+# input side (9 * C_out >= C_in) and its output side (9 * C_out < C_in)
 RELU_CASES = [
     (1, 1, False, 2, 3, (2, 6, 7, 2)),
     (1, 1, False, 4, 2, (4, 6, 7, 2)),
     (2, 2, False, 3, 2, (3, 6, 7)),
     (1, 1, True, 4, 1, (4, 5, 6, 2)),
+    (1, 1, True, 10, 1, (10, 5, 6, 2)),
 ]
 
 
@@ -276,7 +327,8 @@ def test_conv2d_validates_shapes():
         ad.conv2d(Tensor(rand((2, 2, 2), 15)), Tensor(rand((1, 2, 5, 5), 16)))
     with pytest.raises(ValueError):
         ad.conv2d(x, Tensor(rand((3, 2, 3, 3), 13)), stride=2, upsample=True)
-    # a tuple of parts: stride 1 and no upsample, and parts of one H, W and N
+    # a tuple of parts: stride 1, and parts of one H, W and N, the first one's
+    # doubled if it is upsampled
     a, b = Tensor(rand((2, 6, 6, 2), 20)), Tensor(rand((1, 6, 6, 2), 21))
     w3 = Tensor(rand((2, 3, 3, 3), 22))
     for bad in (dict(x=(a, b), stride=2), dict(x=(a, b), upsample=True),
@@ -328,26 +380,23 @@ def test_upsample_bilinear_exact_on_linear_ramp():
     # bilinear interpolation reproduces an affine ramp away from the borders
     n = 8
     ramp = np.add.outer(np.arange(n, dtype=np.float32), np.zeros(n, np.float32))
-    out = ad.upsample_bilinear2x(Tensor(ramp[None])).data[0]
+    out = _upsampled(ramp[None, :, :, None])[0, :, :, 0]
     assert out.shape == (2 * n, 2 * n)
     interior = out[1:-1, 0]
     expected = (np.arange(1, 2 * n - 1) + 0.5) / 2.0 - 0.5
     assert np.allclose(interior, expected, atol=1e-6)
 
 
-def test_upsample_bilinear2x_matches_matrix_products():
-    # Y[c] = U_H @ X[c] @ U_W^T on a non-square grid, for every channel and batch entry
+def test_upsample_matrix_separable_matches_matrix_products():
+    # Y[c] = U_H @ X[c] @ U_W^T on a non-square grid, for every channel and batch
+    # entry, N = 1 (one GEMM along W) included
     a, b = (ad._upsample_matrix(n).astype(np.float64) for n in (4, 5))
-    x = Tensor(rand((2, 4, 5), 25))
-    out = ad.upsample_bilinear2x(x).data
-    ref = np.einsum("ph,nhw,qw->npq", a, x.data.astype(np.float64), b)
-    assert out.shape == (2, 8, 10)
-    assert np.allclose(out, ref, atol=1e-6)
-    x4 = Tensor(rand((2, 4, 5, 3), 26))
-    ref = np.einsum("ph,chwn,qw->cpqn", a, x4.data.astype(np.float64), b)
-    assert np.allclose(ad.upsample_bilinear2x(x4).data, ref, atol=1e-6)
-    with pytest.raises(ValueError):
-        ad.upsample_bilinear2x(Tensor(rand((4, 5), 27)))  # no channel axis
+    for n in (1, 3):
+        x = rand((2, 4, 5, n), 25 + n)
+        ref = np.einsum("ph,chwn,qw->cpqn", a, x.astype(np.float64), b)
+        out = _upsampled(x)
+        assert out.shape == (2, 8, 10, n)
+        assert np.allclose(out, ref, atol=1e-6)
 
 
 def test_transpose_routes_gradients():
@@ -379,7 +428,7 @@ def test_every_tape_op_has_a_gradient_check():
     # each public function that makes tape nodes is checked under its name
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and not name.startswith("_")
-           and "_make(" in inspect.getsource(fn)}
+           and "_make" in inspect.unwrap(fn).__code__.co_names}
     checked = {name.split("/")[0] for name, *_ in verify.run_gradcheck()}
     assert "conv2d" in ops and "closed_form" in ops
     assert ops <= checked, sorted(ops - checked)

@@ -228,6 +228,15 @@ def test_negative_master_seed_is_one_line_error(capsys, tmp_path):
     assert not os.path.exists(tmp_path / "d")
 
 
+def test_explicit_set_seed_wins_over_master_seed(tmp_path):
+    # --seed sets every *_seed key before the --set overrides, so an explicit key stays
+    out = tmp_path / "d"
+    assert cli.main(["simulate", "--out", str(out), "--set", "object_seed=5", "--seed", "1"]
+                    + TINY) == 0
+    lines = (out / "config.txt").read_text().splitlines()
+    assert "object_seed = 5" in lines and "scan_seed = 1" in lines
+
+
 @pytest.mark.parametrize("bad", ["step=-8", "step=0", "jitter_max=-1", "cols=0"])
 def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
@@ -294,6 +303,30 @@ def test_negative_intensity_is_one_line_error(pipeline, capsys, tmp_path, stage)
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert err.endswith("00000_intensity.ptg: negative intensity")
+
+
+@pytest.mark.parametrize("stage", ["train", "epie", "stitch"])
+def test_wrong_frame_or_prediction_shape_is_one_line_error(pipeline, capsys, tmp_path, stage):
+    # one 16 x 16 file among 32 x 32 ones: a frame intensity (train, epie) or a
+    # prediction (stitch) is refused by name
+    _, data, run = pipeline
+    if stage == "stitch":
+        pred = tmp_path / "pred"
+        assert cli.main(["infer", "--ckpt", os.path.join(run, "checkpoint"), "--data", data,
+                         "--out", str(pred)]) == 0
+        target = pred / "pred" / "00001_amp.ptg"
+        args = ["stitch", "--pred", str(pred)] + TINY
+    else:
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        target = copy / "frames" / "00001_intensity.ptg"
+        args = [stage, "--data", str(copy), "--seed", "1"] + TINY + ["--set", "epie_iters=1"]
+    gridio.write_grid(target, gridio.read_grid(target)[:16, :16])
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{target}: " in err and "(16, 16)" in err
 
 
 def _rewrite_grid(path, edit, keep_payload):

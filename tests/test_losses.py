@@ -227,9 +227,11 @@ def test_total_loss_matches_float64_oracle():
 
 
 def test_total_loss_is_one_tape_node_and_lazy(monkeypatch):
-    # one n_c=8, batch-32 step: the model makes 44 nodes (its convs read
-    # concatenated features as parts, with no concat node) and the loss one;
-    # the terms' gradient thunks run only in a backward
+    # one n_c=8, batch-32 step: the model makes 38 nodes (its convs read
+    # concatenated features as parts and upsample inside the conv, with no concat
+    # or upsample node) and the loss one. Without a tape no term's gradient thunk
+    # runs; under one, each runs once as the loss node is made, and none in the
+    # backward, which reads only the heads' gradients.
     calls = []
 
     def counted(kernel):
@@ -248,13 +250,14 @@ def test_total_loss_is_one_tape_node_and_lazy(monkeypatch):
     params = model.init_params(cfg)
     with Tape() as tape:
         out = model.forward(rand((32, 1, 32, 32), 1), params, cfg)
-        assert len(tape.nodes) == 44
+        assert len(tape.nodes) == 38
         total, _ = losses.total_loss(a, out["amp"], c, out["c_pre"], s, out["s_pre"],
                                      out["c_proj"], out["s_proj"])
-        assert len(tape.nodes) == 45
+        assert len(tape.nodes) == 39
+        assert sorted(calls) == sorted(["_mse"] * 3 + ["_grad_l1"] * 3 + ["_ssim"] * 3
+                                       + ["_circular", "_consistency"])
         backward(tape, total)
-    assert sorted(calls) == sorted(["_mse"] * 3 + ["_grad_l1"] * 3 + ["_ssim"] * 3
-                                   + ["_circular", "_consistency"])
+    assert len(calls) == 11
     assert all(t.grad is not None for t in params.tensors.values())
 
 
