@@ -143,14 +143,14 @@ def cmd_stitch(args):
                               PRED_FIELDS[:-1])
     if not rows:
         raise ValueError(f"no predictions in {args.pred}/predictions.csv")
-    amp, phase, mask = recon.stitch_amp_phase(
+    amp, phase, mask, origin = recon.stitch_amp_phase(
         _read_predictions(args.pred, rows), [(row["y"], row["x"]) for row in rows],
         weight_floor=cfg["stitch_weight_floor"])
     os.makedirs(args.out, exist_ok=True)
-    gridio.write_grid(os.path.join(args.out, "stitched_amp.ptg"), amp)
-    gridio.write_grid(os.path.join(args.out, "stitched_phase.ptg"), phase)
-    gridio.write_grid(os.path.join(args.out, "coverage.ptg"), mask)
-    print(f"stitch: canvas {mask.shape} -> {args.out}")
+    for name, field in (("stitched_amp", amp), ("stitched_phase", phase), ("coverage", mask)):
+        recon.write_field(os.path.join(args.out, name + ".ptg"), field, origin)
+    canvas = tuple(o + n for o, n in zip(origin, mask.shape))
+    print(f"stitch: canvas {canvas} -> {args.out}")
     return 0
 
 
@@ -275,7 +275,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, FloatingPointError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 
-from . import dataset, losses, model, physics, recon, train
+from . import dataset, gridio, losses, model, physics, recon, train
 
 # the keys of ModelConfig, TrainConfig and LossWeights are their field names,
 # except for these two seeds; i_max is computed from the training frames, and
@@ -112,16 +112,20 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
+        """A config of the defaults and the UTF-8 file's `key = value` lines; a bad
+        line is one error of `set`'s class naming the path and line."""
         cfg = cls()
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
+        for lineno, line in enumerate(gridio.read_text(path).splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            try:
                 cfg.set(key, value)
+            except (KeyError, ValueError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc.args[0]}") from None
         return cfg
 
     def save(self, path):

@@ -1,6 +1,7 @@
 """Synthetic bar-target objects, scan simulation, splits, and dataset persistence."""
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -22,9 +23,11 @@ PHASE_LEVELS = (-(np.pi - 0.2), -1.2, 0.0, 1.2, np.pi - 0.2)
 BACKGROUND_AMP = 0.55
 BACKGROUND_PHASE = 0.0
 
-# windows per exit_wave/diffract call: a few MB of complex128 per block, where
-# one stack of all 3,721 default windows would double the simulation's peak RSS
-SIM_BLOCK = 256
+# windows per exit_wave/diffract call. On the default plan make_dataset's traced
+# peak is 23.3 MB (10^6 bytes) at 64, of which it holds 17.6 MB when it returns;
+# 256 peaked at 34.4 MB, and one stack of all 3,721 windows would double the
+# simulation's peak RSS. 64 is no slower than 256 (0.10 against 0.12 s)
+SIM_BLOCK = 64
 
 
 @dataclass
@@ -232,32 +235,36 @@ def save_dataset(outdir, frames, amplitude, phase, probe, meta):
 
 
 def read_table(path, fields, int_fields):
-    """Rows of a CSV table with a split column (manifest.csv, predictions.csv):
-    each has every field in `fields`, the `int_fields` as ints, y and x >= 0,
-    and a known split."""
+    """Rows of a UTF-8 CSV table with a split column (manifest.csv,
+    predictions.csv): its header names every field in `fields`, and each row has
+    them all, the `int_fields` as ints, y and x >= 0, and a known split."""
+    reader = csv.DictReader(io.StringIO(gridio.read_text(path), newline=""))
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty file, no header")
+    lacking = [k for k in fields if k not in reader.fieldnames]
+    if lacking:
+        raise ValueError(f"{path}:1: header lacks {', '.join(lacking)}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row:
-                raise ValueError(f"{where}: more fields than the header")
-            missing = [k for k in fields if not row.get(k)]
-            if missing:
-                raise ValueError(f"{where}: missing {', '.join(missing)}")
-            for k in int_fields:
-                try:
-                    row[k] = int(row[k])
-                except ValueError:
-                    raise ValueError(f"{where}: '{k}' must be an integer, "
-                                     f"got '{row[k]}'") from None
-            for k in ("y", "x"):
-                if row[k] < 0:
-                    raise ValueError(f"{where}: '{k}' must be >= 0, got {row[k]}")
-            if row["split"] not in SPLITS:
-                raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
-                                 f"got '{row['split']}'")
-            rows.append(row)
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in row:
+            raise ValueError(f"{where}: more fields than the header")
+        missing = [k for k in fields if not row.get(k)]
+        if missing:
+            raise ValueError(f"{where}: missing {', '.join(missing)}")
+        for k in int_fields:
+            try:
+                row[k] = int(row[k])
+            except ValueError:
+                raise ValueError(f"{where}: '{k}' must be an integer, "
+                                 f"got '{row[k]}'") from None
+        for k in ("y", "x"):
+            if row[k] < 0:
+                raise ValueError(f"{where}: '{k}' must be >= 0, got {row[k]}")
+        if row["split"] not in SPLITS:
+            raise ValueError(f"{where}: split must be one of {', '.join(SPLITS)}, "
+                             f"got '{row['split']}'")
+        rows.append(row)
     return rows
 
 
@@ -270,8 +277,11 @@ def load_frames(indir, split=None):
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
     manifest = os.path.join(indir, "manifest.csv")
     root = os.path.realpath(indir)
+    rows = read_table(manifest, MANIFEST_FIELDS, MANIFEST_INT_FIELDS)
+    if not rows:
+        raise ValueError(f"{manifest}: no frames")
     frames = []
-    for row in read_table(manifest, MANIFEST_FIELDS, MANIFEST_INT_FIELDS):
+    for row in rows:
         if split is not None and row["split"] != split:
             continue
         path = os.path.realpath(os.path.join(indir, row["intensity"]))

@@ -1,6 +1,7 @@
 """PTGRID v1 file format: one JSON header line + raw little-endian f32 payload,
 and the one writer of each other file kind beside the grids: CSV tables and
-JSON objects, with the checked reader of the JSON objects.
+JSON objects, with the checked reader of the JSON objects and the reader of
+UTF-8 text that the JSON, CSV and config readers share.
 
 Complex grids are stored with a trailing dimension of extent 2 (re, im), so
 writing one rounds each part to float32, the same rounding as complex64;
@@ -123,7 +124,22 @@ def write_json(path, obj):
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
+def read_text(path):
+    """A UTF-8 text file's contents; other bytes are one ValueError naming the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_json(path, types, required=()):
-    """A JSON object file, checked with `check_fields`."""
-    with open(path) as fh:
-        return check_fields(json.load(fh), types, required, path)
+    """A JSON object file, checked with `check_fields`; malformed JSON is one
+    ValueError naming the path and line."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg} "
+                         f"(column {exc.colno})") from None
+    return check_fields(obj, types, required, path)

@@ -18,6 +18,7 @@ class ReconReport:
     stitched: dict
     spectra: dict  # kind -> radial_psd (radii, curve, bands) of the covered box
     fields: dict  # stitched grids: amp_hat, phase_hat, amp_gt, phase_gt, mask
+    origin: tuple  # (y, x) of the fields' box; `write_field` embeds them
     config_hash: str = ""
     seed: int = 0
 
@@ -68,8 +69,10 @@ def _blend(items, positions, canvas_shape, weight_floor, channels):
 
     `channels(item)` gives an item's k patches. Items are added one at a time
     to k float64 channel sums and one shared weight sum, and the sums are
-    divided in place; uncovered pixels are 0. With no `canvas_shape` the
-    canvas just covers every position. Returns (k mean grids, coverage mask).
+    divided in place; uncovered pixels are 0. A `canvas_shape` canvas starts at
+    (0, 0); with none the canvas is the positions' bounding box, [min y, max y +
+    p) x [min x, max x + p). Returns (k mean grids, coverage mask, the canvas's
+    (y, x) origin).
     """
     if not weight_floor >= 0:
         raise ValueError(f"weight_floor must be >= 0, got {weight_floor}")
@@ -79,12 +82,14 @@ def _blend(items, positions, canvas_shape, weight_floor, channels):
         if weight is None:
             p = patches[0].shape[0]
             kernel = stitch_kernel(p, weight_floor)
+            oy, ox = 0, 0
             if canvas_shape is None:
-                canvas_shape = (max(y for y, _ in positions) + p,
-                                max(x for _, x in positions) + p)
+                oy, ox = min(y for y, _ in positions), min(x for _, x in positions)
+                canvas_shape = (max(y for y, _ in positions) + p - oy,
+                                max(x for _, x in positions) + p - ox)
             sums = [np.zeros(canvas_shape, dtype=np.float64) for _ in patches]
             weight = np.zeros(canvas_shape, dtype=np.float64)
-        window = (slice(y, y + p), slice(x, x + p))
+        window = (slice(y - oy, y - oy + p), slice(x - ox, x - ox + p))
         for acc, patch in zip(sums, patches):
             acc[window] += patch.astype(np.float64) * kernel
         weight[window] += kernel
@@ -95,7 +100,7 @@ def _blend(items, positions, canvas_shape, weight_floor, channels):
     for acc in sums:
         np.divide(acc, weight, out=acc, where=mask)
         acc[uncovered] = 0.0  # a zero-weight pixel may hold -0.0
-    return sums, mask
+    return sums, mask, (oy, ox)
 
 
 def _cos_sin(phase):
@@ -107,22 +112,23 @@ def stitch(patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
     """Per-pixel weighted mean of overlapping patches; returns (grid, coverage mask).
 
     The weights are `stitch_kernel`'s; `patches` may be any iterable."""
-    (out,), mask = _blend(patches, positions, canvas_shape, weight_floor, lambda p: (p,))
+    (out,), mask, _ = _blend(patches, positions, canvas_shape, weight_floor, lambda p: (p,))
     return out, mask
 
 
 def stitch_phase(phase_patches, positions, canvas_shape, weight_floor=WEIGHT_FLOOR):
     """Circular-mean stitching: blend in (cos, sin) space, recover by atan2."""
-    (c, s), mask = _blend(phase_patches, positions, canvas_shape, weight_floor, _cos_sin)
+    (c, s), mask, _ = _blend(phase_patches, positions, canvas_shape, weight_floor, _cos_sin)
     return circphase.recover_phase(c, s), mask
 
 
 def stitch_amp_phase(pairs, positions, weight_floor=WEIGHT_FLOOR):
     """`stitch` of the amplitudes and `stitch_phase` of the phases of a stream of
-    (amplitude, phase) patches, read once; returns (amplitude, phase, mask)."""
-    (amp, c, s), mask = _blend(pairs, positions, None, weight_floor,
-                               lambda pair: (pair[0],) + _cos_sin(pair[1]))
-    return amp, circphase.recover_phase(c, s), mask
+    (amplitude, phase) patches, read once, on the canvas of the positions'
+    bounding box; returns (amplitude, phase, mask, the box's (y, x) origin)."""
+    (amp, c, s), mask, origin = _blend(pairs, positions, None, weight_floor,
+                                       lambda pair: (pair[0],) + _cos_sin(pair[1]))
+    return amp, circphase.recover_phase(c, s), mask, origin
 
 
 def _psnr(mse_val, data_range):
@@ -205,8 +211,7 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_ha
     if len(gt_patches) != len(frames):
         raise ValueError("frames, predictions, and ground truth must align")
     at = ([(f.y, f.x) for f in frames], weight_floor)
-    amp_gt_full, phi_gt_full, _ = stitch_amp_phase(
-        ((p.amplitude, p.phase) for p in gt_patches), *at)
+    amp_gt, phi_gt, _, _ = stitch_amp_phase(((p.amplitude, p.phase) for p in gt_patches), *at)
 
     per = {"amplitude": {m: [] for m in METRIC_NAMES},
            "phase": {m: [] for m in METRIC_NAMES}}
@@ -224,25 +229,24 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_ha
         if count != len(frames) or next(predictions, None) is not None:
             raise ValueError("frames, predictions, and ground truth must align")
 
-    amp_hat_full, phi_hat_full, mask = stitch_amp_phase(scored(), *at)
+    amp_hat, phi_hat, mask, origin = stitch_amp_phase(scored(), *at)
     per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
 
     ys, xs = np.where(mask)
     box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
     stitched = {}
-    for kind, gt, pred in (("amplitude", amp_gt_full, amp_hat_full),
-                           ("phase", phi_gt_full, phi_hat_full)):
+    for kind, gt, pred in (("amplitude", amp_gt, amp_hat), ("phase", phi_gt, phi_hat)):
         vals = metrics(gt[box], pred[box], kind)
         stitched[kind] = dict(zip(METRIC_NAMES, vals))
 
     side = min(sl.stop - sl.start for sl in box)  # of the box's top-left square
     spectra = {kind: radial_psd(pred[box][:side, :side])
-               for kind, pred in (("amplitude", amp_hat_full), ("phase", phi_hat_full))}
+               for kind, pred in (("amplitude", amp_hat), ("phase", phi_hat))}
 
-    fields = {"amp_hat": amp_hat_full, "phase_hat": phi_hat_full,
-              "amp_gt": amp_gt_full, "phase_gt": phi_gt_full, "mask": mask}
+    fields = {"amp_hat": amp_hat, "phase_hat": phi_hat,
+              "amp_gt": amp_gt, "phase_gt": phi_gt, "mask": mask}
     return ReconReport(per_sample=per, stitched=stitched, spectra=spectra, fields=fields,
-                       config_hash=config_hash, seed=seed)
+                       origin=origin, config_hash=config_hash, seed=seed)
 
 
 def write_psd(path, radii, curve):
@@ -250,6 +254,16 @@ def write_psd(path, radii, curve):
     with open(path, "w") as fh:
         for rbin, val in zip(radii, curve):
             fh.write(f"{rbin} {val:.10g}\n")
+
+
+def write_field(path, field, origin):
+    """A stitched field as a grid that starts at (0, 0): the field at its (y, x)
+    `origin` in a float32 canvas of zeros of shape origin + field.shape (max y +
+    p, max x + p). The field is rounded to float32, as `write_grid` rounds."""
+    (y, x), (h, w) = origin, field.shape
+    canvas = np.zeros((y + h, x + w), dtype=np.float32)
+    canvas[y:, x:] = field
+    gridio.write_grid(path, canvas)
 
 
 def write_report(outdir, rep):
@@ -278,6 +292,6 @@ def write_report(outdir, rep):
     gridio.write_csv(os.path.join(outdir, "report.csv"), ["metric", "modality", "mean", "std"],
                      csv_rows)
     for name in ("amp_hat", "phase_hat", "amp_gt", "phase_gt"):
-        gridio.write_grid(os.path.join(outdir, name + ".ptg"), rep.fields[name])
+        write_field(os.path.join(outdir, name + ".ptg"), rep.fields[name], rep.origin)
     for kind, (radii, curve, _) in rep.spectra.items():
         write_psd(os.path.join(outdir, f"psd_{kind}.txt"), radii, curve)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptychokit import cli, gridio
+from ptychokit import cli, gridio, recon
 
 TINY = ["--set", "rows=4", "--set", "cols=4", "--set", "train_rows=3",
         "--set", "test_rows=1", "--set", "object_size=100",
@@ -482,6 +482,107 @@ def test_malformed_predictions_is_one_line_error(capsys, tmp_path, row):
     assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "predictions.csv:2" in err and "\n" not in err
+
+
+def test_stitch_writes_the_box_on_the_full_canvas(capsys, tmp_path):
+    # windows away from (0, 0): the files equal the explicit full-canvas stitch
+    pred = tmp_path / "pred"
+    (pred / "pred").mkdir(parents=True)
+    positions = [(40, 24), (40, 50), (61, 24), (61, 50)]
+    rng = np.random.default_rng(5)
+    amps = [rng.uniform(0.1, 1.0, (32, 32)) for _ in positions]
+    phases = [rng.uniform(-np.pi, np.pi, (32, 32)) for _ in positions]
+    rows = []
+    for i, ((y, x), amp, phase) in enumerate(zip(positions, amps, phases)):
+        gridio.write_grid(pred / "pred" / f"{i:05d}_amp.ptg", amp)
+        gridio.write_grid(pred / "pred" / f"{i:05d}_phase.ptg", phase)
+        rows.append([i, 0, i, y, x, "test"])
+    gridio.write_csv(pred / "predictions.csv", cli.PRED_FIELDS, rows)
+    assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 0
+    assert "canvas (93, 82)" in capsys.readouterr().out
+    # the predictions as read back, rounded to float32
+    amps = [gridio.read_grid(pred / "pred" / f"{i:05d}_amp.ptg") for i in range(4)]
+    phases = [gridio.read_grid(pred / "pred" / f"{i:05d}_phase.ptg") for i in range(4)]
+    amp, mask = recon.stitch(amps, positions, (93, 82))
+    phase, _ = recon.stitch_phase(phases, positions, (93, 82))
+    for name, want in (("stitched_amp", amp), ("stitched_phase", phase), ("coverage", mask)):
+        gridio.write_grid(tmp_path / "want.ptg", want)
+        written = (tmp_path / "s" / f"{name}.ptg").read_bytes()
+        assert written == (tmp_path / "want.ptg").read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def predicted(pipeline):
+    """The pipeline with predictions for all frames under root/pred_all."""
+    root, data, run = pipeline
+    pred = str(root / "pred_all")
+    assert cli.main(["infer", "--ckpt", os.path.join(run, "checkpoint"), "--data", data,
+                     "--out", pred, "--split", "all"]) == 0
+    return root, data, run, pred
+
+
+# file kind -> (stage that reads it, the file under the copied run)
+READ_FILES = {
+    "frame_grid": ("infer", "data/frames/00000_intensity.ptg"),
+    "probe_grid": ("infer", "data/probe.ptg"),
+    "object_grid": ("evaluate", "data/object_amplitude.ptg"),
+    "parameter_grid": ("infer", "checkpoint/params/dec_amp_b1c1.w.ptg"),
+    "prediction_grid": ("stitch", "pred/pred/00000_amp.ptg"),
+    "meta_json": ("infer", "data/meta.json"),
+    "checkpoint_manifest_json": ("infer", "checkpoint/manifest.json"),
+    "manifest_csv": ("infer", "data/manifest.csv"),
+    "predictions_csv": ("stitch", "pred/predictions.csv"),
+    "config": ("stitch", "run.cfg"),
+}
+TINY_CONFIG = "".join(f"{kv.replace('=', ' = ')}\n" for kv in TINY[1::2])
+# damage -> the file's bytes made into the damaged file's
+DAMAGES = {
+    "empty": lambda b: b"",
+    "truncated": lambda b: b[:-3],
+    "non_utf8_header": lambda b: b"\xff" + b,
+    "header_only": lambda b: b.split(b"\n")[0] + b"\n",
+    "no_newline": lambda b: b.split(b"\n")[0],
+    "unknown_key": lambda b: b + b"bogus = 1\n",
+}
+# a config has no header, and an empty one is no config: these leave a valid
+# file; an unknown key is damage to a config only
+VALID_AFTER = {("config", "empty"), ("config", "header_only"), ("config", "no_newline")}
+READ_CASES = [(kind, damage) for kind in READ_FILES for damage in DAMAGES
+              if (kind, damage) not in VALID_AFTER
+              and (damage != "unknown_key" or kind == "config")]
+
+
+@pytest.mark.parametrize("kind,damage", READ_CASES)
+def test_damaged_input_file_is_one_line_error_naming_it(predicted, capsys, tmp_path, kind,
+                                                        damage):
+    _, data, run, pred = predicted
+    shutil.copytree(data, tmp_path / "data")
+    shutil.copytree(os.path.join(run, "checkpoint"), tmp_path / "checkpoint")
+    shutil.copytree(pred, tmp_path / "pred")
+    (tmp_path / "run.cfg").write_text(TINY_CONFIG)
+    stage, target = READ_FILES[kind]
+    path = tmp_path / target
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    out = ["--out", str(tmp_path / "out")]
+    if stage == "stitch":
+        args = ["stitch", "--pred", str(tmp_path / "pred"), "--config", str(tmp_path / "run.cfg")]
+    else:
+        args = [stage, "--ckpt", str(tmp_path / "checkpoint"), "--data", str(tmp_path / "data"),
+                "--split", "all"]
+    assert cli.main(args + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert target in err and not err.startswith("error: \"")
+
+
+def test_table_header_without_a_column_is_one_line_error(capsys, tmp_path):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "predictions.csv").write_text("index,row,col,x,split\n0,1,2,4,test\n")
+    assert cli.main(["stitch", "--pred", str(pred), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "predictions.csv:1: header lacks y" in err
 
 
 def test_simulate_deterministic(tmp_path):

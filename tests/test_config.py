@@ -80,6 +80,20 @@ def test_from_file_parses_comments(tmp_path):
         RunConfig.from_file(bad)
 
 
+def test_from_file_errors_name_the_file_and_line(tmp_path):
+    # an unknown key stays a KeyError and a bad value a ValueError
+    path = tmp_path / "c.cfg"
+    path.write_text("rows = 10\nbogus = 1\n")
+    with pytest.raises(KeyError, match=r"c\.cfg:2: unknown config key 'bogus'"):
+        RunConfig.from_file(path)
+    path.write_text("# rows\n\nrows = ten\n")
+    with pytest.raises(ValueError, match=r"c\.cfg:3: config key 'rows' needs an integer"):
+        RunConfig.from_file(path)
+    path.write_bytes(b"rows = 10\n\xff\n")
+    with pytest.raises(ValueError, match=r"c\.cfg: not UTF-8"):
+        RunConfig.from_file(path)
+
+
 def test_builders():
     cfg = RunConfig()
     assert cfg.model_cfg() == ModelConfig()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ def test_make_dataset_blocks_equal_per_frame_reference():
     obj = amp.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
     for f in frames:
         assert np.array_equal(f.intensity, reference_intensity(obj, probe, f.y, f.x))
+
+
+def test_make_dataset_peak_memory_on_the_default_plan():
+    # beside the frames it returns and the complex object it cuts windows from,
+    # the simulation holds one block's transients: 1.4 MB at 64 windows a
+    # block, 12.5 MB at 256
+    amp, phase = dataset.gen_object()
+    probe = physics.make_probe()
+    plan = dataset.plan_scan()
+    tracemalloc.start()
+    try:
+        frames, _ = dataset.make_dataset(amp, phase, probe, plan)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 3721
+    assert peak < held + amp.size * 16 + 6e6
 
 
 def test_make_dataset_rejects_small_object():

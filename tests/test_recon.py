@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ptychokit import circphase, dataset, model, recon
+from ptychokit import circphase, dataset, gridio, model, recon
 
 
 def test_stitch_kernel_shape_and_positivity():
@@ -167,8 +167,8 @@ def test_written_psd_is_that_of_the_covered_box(tmp_path):
     rep = recon.report([frames[i] for i in keep], [preds[i] for i in keep],
                        [gt[i] for i in keep])
     recon.write_report(str(tmp_path), rep)
+    assert rep.origin == (frames[keep[0]].y, 0)
     ys, xs = np.where(rep.fields["mask"])
-    assert ys.min() > 0
     for kind, name in (("amplitude", "amp_hat"), ("phase", "phase_hat")):
         crop = rep.fields[name][ys.min():ys.max() + 1, xs.min():xs.max() + 1]
         side = min(crop.shape)
@@ -177,3 +177,49 @@ def test_written_psd_is_that_of_the_covered_box(tmp_path):
         assert np.array_equal(written[:, 0], radii)
         assert np.allclose(written[:, 1], curve, rtol=1e-9, atol=0)
         assert rep.bands[kind] == bands
+
+
+def _part_of_scan(keep, n_side=20, step=24):
+    """`_scan`'s frames, ground truth and predictions for the frames `keep` takes."""
+    frames, gt, predictions = _scan(n_side=n_side, step=step)
+    kept = [i for i, f in enumerate(frames) if keep(f)]
+    preds = list(predictions())
+    return [frames[i] for i in kept], [gt[i] for i in kept], [preds[i] for i in kept]
+
+
+def test_report_fields_are_the_scan_box_and_written_on_the_full_canvas(tmp_path):
+    frames, gt, preds = _part_of_scan(lambda f: f.row >= 15 and f.col >= 15)
+    p = gt[0].amplitude.shape[0]
+    rep = recon.report(frames, preds, gt)
+    origin = (frames[0].y, frames[0].x)
+    full = (frames[-1].y + p, frames[-1].x + p)
+    assert origin == (15 * 24, 15 * 24) and rep.origin == origin
+    for field in rep.fields.values():
+        assert field.shape == (full[0] - origin[0], full[1] - origin[1])
+    recon.write_report(str(tmp_path / "rep"), rep)
+    positions = [(f.y, f.x) for f in frames]
+    for name, pairs in (("hat", preds), ("gt", [(g.amplitude, g.phase) for g in gt])):
+        amp, mask = recon.stitch([a for a, _ in pairs], positions, full)
+        phase, _ = recon.stitch_phase([phi for _, phi in pairs], positions, full)
+        for kind, want in (("amp", amp), ("phase", phase)):
+            gridio.write_grid(tmp_path / "want.ptg", want)
+            written = (tmp_path / "rep" / f"{kind}_{name}.ptg").read_bytes()
+            assert written == (tmp_path / "want.ptg").read_bytes()
+    assert np.array_equal(rep.fields["mask"], mask[origin[0]:, origin[1]:])
+    assert not mask[:origin[0]].any() and not mask[:, :origin[1]].any()
+
+
+def test_report_peak_memory_scales_with_the_scan_box():
+    # a scan of the last row only: each blend holds four canvases at once (three
+    # channel sums and the weight), so a peak below four full canvases shows the
+    # blends, the fields and the metrics work on the scan's box
+    frames, gt, preds = _part_of_scan(lambda f: f.row == 19)
+    p = gt[0].amplitude.shape[0]
+    canvas_bytes = (frames[-1].y + p) * (frames[-1].x + p) * 8
+    tracemalloc.start()
+    try:
+        recon.report(frames, iter(preds), gt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * canvas_bytes
