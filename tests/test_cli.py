@@ -544,12 +544,11 @@ DAMAGES = {
     "no_newline": lambda b: b.split(b"\n")[0],
     "unknown_key": lambda b: b + b"bogus = 1\n",
 }
-# a config has no header, and an empty one is no config: these leave a valid
-# file; an unknown key is damage to a config only
-VALID_AFTER = {("config", "empty"), ("config", "header_only"), ("config", "no_newline")}
+# a config file has no header, and an empty one is a valid config (the
+# defaults), so it takes the damages that leave it invalid, and an unknown key
+CONFIG_DAMAGES = ("truncated", "non_utf8_header", "unknown_key")
 READ_CASES = [(kind, damage) for kind in READ_FILES for damage in DAMAGES
-              if (kind, damage) not in VALID_AFTER
-              and (damage != "unknown_key" or kind == "config")]
+              if (damage in CONFIG_DAMAGES if kind == "config" else damage != "unknown_key")]
 
 
 @pytest.mark.parametrize("kind,damage", READ_CASES)
