@@ -12,6 +12,7 @@ of layers at 4 x 4).
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -95,7 +96,8 @@ def _load_ckpt_and_data(args, load):
     _check_hash(manifest.get("config_hash"), meta.get("config_hash"),
                 args.force, "checkpoint vs dataset")
     if not frames:
-        raise ValueError(f"no frames in split '{args.split}'")
+        raise ValueError(f"{os.path.join(args.data, 'manifest.csv')}: no frames in split "
+                         f"'{args.split}'")
     return params, mcfg, manifest, data
 
 
@@ -156,8 +158,10 @@ def cmd_stitch(args):
 
 def cmd_evaluate(args):
     cfg = _build_config(args)
+    # the frames are streamed: a batch's intensities are read when `iter_infer`
+    # builds it, and the report is written after the last batch
     params, mcfg, _, (frames, patches, _probe, meta) = _load_ckpt_and_data(
-        args, dataset.load_dataset)
+        args, functools.partial(dataset.load_dataset, stream=True))
     rep = recon.report(frames, recon.iter_infer(frames, params, mcfg), patches,
                        weight_floor=cfg["stitch_weight_floor"],
                        config_hash=meta.get("config_hash", ""), seed=args.seed or 0)

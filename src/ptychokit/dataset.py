@@ -268,11 +268,44 @@ def read_table(path, fields, int_fields):
     return rows
 
 
-def load_frames(indir, split=None):
+def read_intensity(path, shape):
+    """One frame's intensity file, which must have the probe's `shape` and no
+    negative value; each refusal names the file."""
+    intensity = gridio.read_grid(path)
+    if intensity.shape != shape:
+        raise ValueError(f"{path}: intensity shape {intensity.shape} is not the "
+                         f"probe's {shape}")
+    if np.any(intensity < 0):
+        raise ValueError(f"{path}: negative intensity")
+    return intensity
+
+
+@dataclass
+class StoredFrame:
+    """A stored frame whose intensity stays in its file: each access of
+    `intensity` reads it with `read_intensity`."""
+
+    path: str
+    shape: tuple
+    row: int
+    col: int
+    y: int
+    x: int
+    noisy: bool
+    split: str
+
+    @property
+    def intensity(self):
+        return read_intensity(self.path, self.shape)
+
+
+def load_frames(indir, split=None, stream=False):
     """Frames, probe and meta, without the ground truth; with `split`, only that
-    split's intensity files are read. Every intensity path must lie inside
-    `indir`, every intensity must have the probe's shape, and none may be
-    negative."""
+    split's frames. Each intensity is read with `read_intensity`: all of them
+    here, or with `stream`, each time a frame's intensity is used (the frames
+    are `StoredFrame`s). Every intensity path must lie inside `indir`: each
+    directory is resolved once, and a path whose last component is a symbolic
+    link is resolved in full."""
     meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
     probe = physics.checked_probe(gridio.read_complex_grid(os.path.join(indir, "probe.ptg")))
     manifest = os.path.join(indir, "manifest.csv")
@@ -280,46 +313,58 @@ def load_frames(indir, split=None):
     rows = read_table(manifest, MANIFEST_FIELDS, MANIFEST_INT_FIELDS)
     if not rows:
         raise ValueError(f"{manifest}: no frames")
+    resolved = {}  # directory -> its real path
     frames = []
     for row in rows:
         if split is not None and row["split"] != split:
             continue
-        path = os.path.realpath(os.path.join(indir, row["intensity"]))
+        path = os.path.join(indir, row["intensity"])
+        head, name = os.path.split(path)
+        if name in ("", os.curdir, os.pardir) or os.path.islink(path):
+            path = os.path.realpath(path)
+        else:
+            if head not in resolved:
+                resolved[head] = os.path.realpath(head)
+            path = os.path.join(resolved[head], name)
         if os.path.commonpath([root, path]) != root:
             raise ValueError(f"{manifest}: intensity path '{row['intensity']}' of frame "
                              f"{row['index']} lies outside the dataset")
-        intensity = gridio.read_grid(path)
-        if intensity.shape != probe.shape:
-            raise ValueError(f"{path}: intensity shape {intensity.shape} is not the "
-                             f"probe's {probe.shape}")
-        if np.any(intensity < 0):
-            raise ValueError(f"{path}: negative intensity")
-        frames.append(DiffractionFrame(
-            intensity=intensity, row=row["row"], col=row["col"],
-            y=row["y"], x=row["x"], noisy=bool(row["noisy"]), split=row["split"]))
+        fields = dict(row=row["row"], col=row["col"], y=row["y"], x=row["x"],
+                      noisy=bool(row["noisy"]), split=row["split"])
+        frames.append(StoredFrame(path, probe.shape, **fields) if stream else
+                      DiffractionFrame(read_intensity(path, probe.shape), **fields))
     return frames, probe, meta
 
 
-def load_dataset(indir, split=None):
-    """Frames, patches, probe and meta; with `split`, only that split's frames.
+def load_dataset(indir, split=None, stream=False):
+    """Frames, patches, probe and meta; with `split`, only that split's frames,
+    and with `stream`, frames whose intensities are read when used (see
+    `load_frames`).
 
-    The object grids are read once, and each frame's patch is a read-only
-    view of them at its (y, x), the size of the probe.
+    Of each object grid only the box the frames' windows cover, [min y, max y +
+    p) x [min x, max x + p), is kept, and each frame's patch is a read-only
+    view of that copy at its (y, x), the size of the probe.
     """
-    frames, probe, meta = load_frames(indir, split)
+    frames, probe, meta = load_frames(indir, split, stream)
     grids = []
     for kind in ("amplitude", "phase"):
         grid = gridio.read_grid(os.path.join(indir, f"object_{kind}.ptg"))
         if grid.ndim != 2 or (grids and grid.shape != grids[0].shape):
             raise ValueError(f"{indir}: object_{kind}.ptg has shape {grid.shape}")
-        grid.flags.writeable = False
         grids.append(grid)
     (h, w), p = grids[0].shape, probe.shape[0]
-    patches = []
     for f in frames:
         if not (0 <= f.y <= h - p and 0 <= f.x <= w - p):
             raise ValueError(f"{indir}: frame at ({f.y}, {f.x}) lies outside the "
                              f"{h} x {w} object")
-        window = (slice(f.y, f.y + p), slice(f.x, f.x + p))
+    y0, x0 = min((f.y for f in frames), default=0), min((f.x for f in frames), default=0)
+    box = (slice(y0, max((f.y + p for f in frames), default=0)),
+           slice(x0, max((f.x + p for f in frames), default=0)))
+    for i, grid in enumerate(grids):
+        grids[i] = grid[box].copy()
+        grids[i].flags.writeable = False
+    patches = []
+    for f in frames:
+        window = (slice(f.y - y0, f.y - y0 + p), slice(f.x - x0, f.x - x0 + p))
         patches.append(ObjectPatch(amplitude=grids[0][window], phase=grids[1][window]))
     return frames, patches, probe, meta

@@ -14,9 +14,19 @@ is read after all earlier overlapping positions were written, and no member
 reads or writes another member's pixels. The error sums still add the
 per-frame terms in visit order.
 
+Precision: ePIE computes in single precision, the precision of its data
+(float32 intensities, a complex64 probe). The canvas, probe, update gain and
+FFTs are complex64, and the measured and estimated Fourier magnitudes float32;
+the gain is formed in double precision and rounded once. Each frame's error
+terms are summed in float64, and so are their visit-order sums. Before, the
+whole solver ran in complex128: on the default scan after 10 sweeps the
+single-precision object differs from the double-precision one over the
+well-lit region by at most 8.7e-3 rad in phase (mean 1.4e-5 rad) and 9.7e-4
+in amplitude, and the final error reads 0.0245223595 against 0.0245223593.
+
 Measured amplitudes are streamed: a run's sqrt(I) is taken from its members'
-float32 intensities, widened to float64, when the run is updated, so no
-scan-sized float64 array is kept (the whole default scan's would be 30.5 MB).
+float32 intensities when the run is updated, so no scan-sized array is kept
+beyond the intensities themselves.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +41,7 @@ MAG_GUARD = 1e-12
 
 @dataclass
 class EpieState:
-    object_est: np.ndarray  # complex canvas
+    object_est: np.ndarray  # complex64 canvas
     iterations: int
     error_history: list = field(default_factory=list)
 
@@ -68,17 +78,18 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
         raise ValueError(f"need iters >= 1, got {iters}")
     if not (0 < beta <= 1):
         raise ValueError("beta must be in (0, 1]")
-    p_field = probe.astype(np.complex128)
-    p = p_field.shape[0]
-    pmax2 = float(np.max(np.abs(p_field) ** 2))
+    probe = probe.astype(np.complex128)
+    p = probe.shape[0]
+    pmax2 = float(np.max(np.abs(probe) ** 2))
     if pmax2 == 0:
         raise ValueError("degenerate probe")
     ys = [int(y) for y, _ in positions]
     xs = [int(x) for _, x in positions]
     if min(ys) < 0 or min(xs) < 0:
         raise ValueError("scan position outside the canvas (negative y or x)")
-    obj = np.ones((max(ys) + p, max(xs) + p), dtype=np.complex128)
-    update_gain = beta * np.conj(p_field) / pmax2
+    obj = np.ones((max(ys) + p, max(xs) + p), dtype=np.complex64)
+    p_field = probe.astype(np.complex64)
+    update_gain = (beta * np.conj(probe) / pmax2).astype(np.complex64)
 
     n = len(positions)
     intensities = [f.intensity for f in frames]
@@ -96,8 +107,9 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
             window = windows[at]
             psi = p_field * window
             psi_f = np.fft.fft2(psi, norm="ortho")
-            meas = np.sqrt(np.stack([intensities[j] for j in run]).astype(np.float64))
-            nums = ((meas - np.abs(psi_f)) ** 2).reshape(len(run), -1).sum(axis=1)
+            meas = np.sqrt(np.stack([intensities[j] for j in run], dtype=np.float32))
+            residual = (meas - np.abs(psi_f)).astype(np.float64)
+            nums = (residual ** 2).reshape(len(run), -1).sum(axis=1)
             for j, num in zip(run, nums.tolist()):
                 err_num += num
                 err_den += err_den_terms[j]

@@ -25,7 +25,9 @@ class GridFormatError(ValueError):
 
 
 def write_grid(path, grid):
-    arr = np.ascontiguousarray(grid, dtype=np.float32)
+    """Write `grid` as a PTGRID file. A C-contiguous little-endian float32 array
+    is written from its own buffer; any other array is converted once."""
+    arr = np.ascontiguousarray(grid, dtype="<f4")
     if not np.all(np.isfinite(arr)):
         raise ValueError("refusing to write non-finite grid")
     header = {
@@ -37,7 +39,7 @@ def write_grid(path, grid):
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(arr.astype("<f4").tobytes())
+        fh.write(arr.data)
 
 
 def read_grid(path):

@@ -31,7 +31,9 @@ def iter_infer(frames, params, cfg, batch_size=32):
     """Per-frame (amplitude, phase) predictions in frame order; deterministic.
 
     A generator: it runs the model on `batch_size` frames when the previous
-    batch has been consumed, so only one batch of predictions is alive. The
+    batch has been consumed, so only one batch of predictions is alive; a
+    frame's intensity is taken when its batch is built, so streamed frames
+    (`dataset.StoredFrame`) are read one batch at a time. The
     default batch is the training batch: at 64 frames a frame takes longer
     (n_c=32, row-tap convs: 4.1-4.6 against 3.7-4.0 ms per frame on 2 cores).
     """
@@ -176,7 +178,7 @@ def radial_psd(x):
     f = np.fft.fftshift(np.fft.fft2(x - x.mean()))
     psd2 = np.abs(f) ** 2
     center = n // 2
-    yy, xx = np.mgrid[0:n, 0:n]
+    yy, xx = np.ogrid[0:n, 0:n]
     r = np.rint(np.sqrt((yy - center) ** 2 + (xx - center) ** 2)).astype(int)
     nyq = n // 2
     r = np.minimum(r, nyq)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptychokit import cli, gridio, recon
+from ptychokit import cli, gridio, model, recon
 
 TINY = ["--set", "rows=4", "--set", "cols=4", "--set", "train_rows=3",
         "--set", "test_rows=1", "--set", "object_size=100",
@@ -101,7 +101,51 @@ def test_empty_split_is_one_line_error(pipeline, capsys, tmp_path):
                    "--out", str(tmp_path / "p"), "--split", "val", "--force"])
     assert rc == 1
     err = capsys.readouterr().err.strip()
-    assert err == "error: no frames in split 'val'"
+    assert err == f"error: {data}/manifest.csv: no frames in split 'val'"
+
+
+# 64 frames: two batches of `recon.iter_infer`
+EIGHT_BY_EIGHT = TINY + ["--set", "rows=8", "--set", "cols=8", "--set", "train_rows=7"]
+
+
+def test_evaluate_reads_each_batch_after_the_previous_forward(pipeline, tmp_path,
+                                                             monkeypatch):
+    _, _, run = pipeline
+    data = str(tmp_path / "d")
+    assert cli.main(["simulate", "--out", data, "--seed", "1"] + EIGHT_BY_EIGHT) == 0
+    events = []
+    read_grid, forward = gridio.read_grid, model.forward
+
+    def counted_read(path):
+        if str(path).endswith("_intensity.ptg"):
+            events.append("read")
+        return read_grid(path)
+
+    def counted_forward(intensity, *args, **kwargs):
+        events.append(("forward", len(intensity)))
+        return forward(intensity, *args, **kwargs)
+
+    monkeypatch.setattr(gridio, "read_grid", counted_read)
+    monkeypatch.setattr(model, "forward", counted_forward)
+    assert cli.main(["evaluate", "--ckpt", os.path.join(run, "checkpoint"), "--data", data,
+                     "--out", str(tmp_path / "ev"), "--split", "all", "--force"]
+                    + EIGHT_BY_EIGHT) == 0
+    assert events == (["read"] * 32 + [("forward", 32)]) * 2
+
+
+def test_evaluate_with_a_damaged_last_frame_writes_nothing(pipeline, capsys, tmp_path):
+    # frames are read batch by batch, and the report only after the last batch
+    _, _, run = pipeline
+    data = str(tmp_path / "d")
+    assert cli.main(["simulate", "--out", data, "--seed", "1"] + EIGHT_BY_EIGHT) == 0
+    path = os.path.join(data, "frames", "00063_intensity.ptg")
+    gridio.write_grid(path, -gridio.read_grid(path))
+    out = tmp_path / "ev"
+    rc = cli.main(["evaluate", "--ckpt", os.path.join(run, "checkpoint"), "--data", data,
+                   "--out", str(out), "--split", "all", "--force"] + EIGHT_BY_EIGHT)
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {path}: negative intensity"
+    assert not out.exists()
 
 
 def test_train_refuses_empty_val_split(capsys, tmp_path):
@@ -409,16 +453,25 @@ def test_malformed_file_is_one_line_error(pipeline, capsys, tmp_path, case):
     assert os.path.basename(target) in err
 
 
-@pytest.mark.parametrize("where", ["absolute", "parent_dir"])
+@pytest.mark.parametrize("where", ["absolute", "parent_dir", "file_symlink", "dir_symlink"])
 def test_manifest_path_outside_dataset_is_one_line_error(pipeline, capsys, tmp_path, where):
+    # the manifest names a path outside the dataset, or its path inside the
+    # dataset is a symbolic link to a file, or into a directory, outside it
     _, data, run = pipeline
     copy = tmp_path / "data"
     shutil.copytree(data, copy)
     outside = tmp_path / "outside.ptg"
     shutil.copy(copy / "frames" / "00000_intensity.ptg", outside)
-    path = str(outside) if where == "absolute" else "../outside.ptg"
-    _rewrite_first_row(str(copy / "manifest.csv"),
-                       lambda r: r.replace("frames/00000_intensity.ptg", path, 1))
+    if where == "file_symlink":
+        os.remove(copy / "frames" / "00000_intensity.ptg")
+        os.symlink(outside, copy / "frames" / "00000_intensity.ptg")
+    elif where == "dir_symlink":
+        shutil.move(copy / "frames", tmp_path / "frames")
+        os.symlink(tmp_path / "frames", copy / "frames")
+    else:
+        path = str(outside) if where == "absolute" else "../outside.ptg"
+        _rewrite_first_row(str(copy / "manifest.csv"),
+                           lambda r: r.replace("frames/00000_intensity.ptg", path, 1))
     rc = cli.main(["infer", "--ckpt", os.path.join(run, "checkpoint"), "--data", str(copy),
                    "--out", str(tmp_path / "p"), "--split", "all"])
     assert rc == 1

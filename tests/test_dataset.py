@@ -196,6 +196,39 @@ def test_load_dataset_patches_are_read_only_views(tmp_path):
         a.amplitude[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("split", [None, "test"], ids=["all", "test"])
+def test_load_dataset_keeps_the_covered_box_and_its_patches_are_the_full_grids_windows(
+        tmp_path, split):
+    saved_dataset(tmp_path, 10)
+    frames, patches, probe, _ = dataset.load_dataset(tmp_path, split=split)
+    full = {kind: gridio.read_grid(tmp_path / f"object_{kind}.ptg")
+            for kind in ("amplitude", "phase")}
+    p = probe.shape[0]
+    for f, patch in zip(frames, patches):
+        for kind, grid in full.items():
+            got = getattr(patch, kind)
+            assert got.tobytes() == grid[f.y:f.y + p, f.x:f.x + p].tobytes()
+    box = (max(f.y for f in frames) + p - min(f.y for f in frames),
+           max(f.x for f in frames) + p - min(f.x for f in frames))
+    assert patches[0].amplitude.base.shape == patches[0].phase.base.shape == box
+    assert box != full["amplitude"].shape
+
+
+def test_streamed_frames_read_their_files_when_used(tmp_path):
+    saved_dataset(tmp_path, 11)
+    eager, _, _ = dataset.load_frames(tmp_path, split="test")
+    streamed, _, _ = dataset.load_frames(tmp_path, split="test", stream=True)
+    assert [(f.row, f.col, f.y, f.x, f.noisy, f.split) for f in streamed] == \
+        [(f.row, f.col, f.y, f.x, f.noisy, f.split) for f in eager]
+    assert all(np.array_equal(a.intensity, b.intensity) for a, b in zip(eager, streamed))
+    # the checks of an eager load apply when a streamed frame is read
+    path = tmp_path / "frames" / "00035_intensity.ptg"
+    gridio.write_grid(path, -gridio.read_grid(path))
+    streamed, _, _ = dataset.load_frames(tmp_path, split="test", stream=True)
+    with pytest.raises(ValueError, match=f"{path}: negative intensity"):
+        streamed[-1].intensity
+
+
 def test_load_dataset_rejects_window_outside_object(tmp_path):
     saved_dataset(tmp_path, 9)
     manifest = tmp_path / "manifest.csv"

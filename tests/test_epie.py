@@ -16,13 +16,17 @@ def make_scan(seed=0, rows=8, cols=8, size=110, step=8, jitter=3):
 
 
 def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
-    """ePIE visiting one position at a time, each window read right after the previous write."""
-    p_field = probe.astype(np.complex128)
+    """ePIE visiting one position at a time, each window read right after the previous write,
+    in the module's precision: complex64 canvas, probe, gain and FFTs, float32 magnitudes,
+    and float64 error terms."""
+    probe = probe.astype(np.complex128)
+    p_field = probe.astype(np.complex64)
     p = p_field.shape[0]
     obj = np.ones((max(y for y, _ in positions) + p, max(x for _, x in positions) + p),
-                  dtype=np.complex128)
-    gain = beta * np.conj(p_field) / float(np.max(np.abs(p_field) ** 2))
-    sqrt_i = [np.sqrt(f.intensity.astype(np.float64)) for f in frames]
+                  dtype=np.complex64)
+    gain = (beta * np.conj(probe) / float(np.max(np.abs(probe) ** 2))).astype(np.complex64)
+    sqrt_i = [np.sqrt(f.intensity.astype(np.float32)) for f in frames]
+    den = [float(np.sum(np.sqrt(f.intensity.astype(np.float64)) ** 2)) for f in frames]
     history = []
     for sweep in range(iters):
         err_num, err_den = 0.0, 0.0
@@ -31,8 +35,8 @@ def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
             window = obj[y:y + p, x:x + p]
             psi = p_field * window
             psi_f = np.fft.fft2(psi, norm="ortho")
-            err_num += float(np.sum((sqrt_i[j] - np.abs(psi_f)) ** 2))
-            err_den += float(np.sum(sqrt_i[j] ** 2))
+            err_num += float(np.sum((sqrt_i[j] - np.abs(psi_f)).astype(np.float64) ** 2))
+            err_den += den[j]
             psi2 = np.fft.ifft2(epie.fourier_magnitude_project(psi_f, sqrt_i[j]), norm="ortho")
             obj[y:y + p, x:x + p] = window + gain * (psi2 - psi)
         history.append(err_num / max(err_den, 1e-300))
@@ -57,6 +61,7 @@ def test_run_batched_matches_one_at_a_time(scan, runs_per_sweep):
             "one": len(runs) == 1}[runs_per_sweep]
     state = epie.epie_reconstruct(frames, positions, probe, iters=3, seed=4)
     obj, history = reference_epie(frames, positions, probe, iters=3, seed=4)
+    assert state.object_est.dtype == obj.dtype == np.complex64
     assert np.array_equal(state.object_est, obj)
     assert state.error_history == history
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,26 @@ def test_complex_roundtrip(tmp_path):
     # the payload is H x W x 2 (re, im)
     re_im = np.stack([z.real, z.imag], axis=-1).astype(np.float32)
     assert np.array_equal(gridio.read_grid(path), re_im)
+
+
+def test_write_grid_writes_a_float32_array_from_its_own_buffer(tmp_path):
+    # no copy of a C-contiguous float32 array: the traced peak stays below 1.1x
+    # its size (the finiteness check takes a quarter); a float64 or strided
+    # array is converted once, and every form writes the same bytes
+    arr = np.random.default_rng(3).uniform(0, 1, (518, 518)).astype(np.float32)
+    path = tmp_path / "canvas.ptg"
+    tracemalloc.start()
+    try:
+        gridio.write_grid(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * arr.nbytes
+    written = path.read_bytes()
+    assert written.endswith(arr.tobytes())
+    for other in (arr.astype(np.float64), np.asfortranarray(arr), arr.astype(">f4")):
+        gridio.write_grid(tmp_path / "other.ptg", other)
+        assert (tmp_path / "other.ptg").read_bytes() == written
 
 
 def test_rejects_nonfinite(tmp_path):
