@@ -206,14 +206,14 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_ha
     """Per-sample and stitched metrics plus band energies for amplitude and phase.
 
     `predictions` is an iterable of (amplitude, phase), one per frame in frame
-    order, read once: the ground truth is stitched first, then each prediction
-    is scored and added to the stitch as it arrives, so `iter_infer` keeps one
-    batch of predictions alive. The count is checked at the end.
+    order, read once: each prediction is scored and added to the stitch as it
+    arrives, so `iter_infer` keeps one batch of predictions alive, and the
+    ground truth is stitched after the last one, so its fields are not held
+    while the model runs. The count is checked at the end.
     """
     if len(gt_patches) != len(frames):
         raise ValueError("frames, predictions, and ground truth must align")
     at = ([(f.y, f.x) for f in frames], weight_floor)
-    amp_gt, phi_gt, _, _ = stitch_amp_phase(((p.amplitude, p.phase) for p in gt_patches), *at)
 
     per = {"amplitude": {m: [] for m in METRIC_NAMES},
            "phase": {m: [] for m in METRIC_NAMES}}
@@ -232,6 +232,7 @@ def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_ha
             raise ValueError("frames, predictions, and ground truth must align")
 
     amp_hat, phi_hat, mask, origin = stitch_amp_phase(scored(), *at)
+    amp_gt, phi_gt, _, _ = stitch_amp_phase(((p.amplitude, p.phase) for p in gt_patches), *at)
     per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
 
     ys, xs = np.where(mask)
