@@ -6,13 +6,13 @@ Every stage is deterministic for a fixed BLAS thread count. Matrix products may
 run on several BLAS threads (OpenBLAS), and results need not be bitwise equal
 across thread counts: the test suite checks that training gradients at batch
 32 and at batch 11 (an epoch's last, partial batch in criterion 9) are
-identical under OPENBLAS_NUM_THREADS=1 and 2, and of the batch sizes 1-32 only
-29 and 31 give weight gradients that differ in their last bits (9 of them, all
+identical under OPENBLAS_NUM_THREADS=1 and 2, and that at 29 and 31, the only
+such sizes of 1-32, weight gradients differ in their last bits (9 of them, all
 of layers at 4 x 4).
 """
 
 import argparse
-import functools
+import ctypes
 import os
 import sys
 
@@ -59,25 +59,25 @@ def cmd_simulate(args):
     probe = cfg.make_probe()
     plan = dataset.plan_scan(v["rows"], v["cols"], v["step"], v["jitter_max"],
                              v["probe_size"], v["scan_seed"])
-    frames, _ = dataset.make_dataset(amp, phase, probe, plan, cfg.noise_cfg())
-    dataset.split_rows(frames, v["rows"], v["train_rows"], v["test_rows"],
-                       v["val_fraction"], v["split_seed"])
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, plan, cfg.noise_cfg())
+    table["split"] = dataset.split_rows(table["row"], v["rows"], v["train_rows"],
+                                        v["test_rows"], v["val_fraction"], v["split_seed"])
     meta = {"config_hash": cfg.data_hash(), "rows": v["rows"], "cols": v["cols"],
             "step": v["step"], "jitter_max": v["jitter_max"],
             "probe_size": v["probe_size"], "probe_radius": v["probe_radius"],
             "probe_sigma": v["probe_sigma"], "probe_curvature": v["probe_curvature"]}
-    dataset.save_dataset(args.out, frames, amp, phase, probe, meta)
+    dataset.save_dataset(args.out, intensity, table, amp, phase, probe, meta)
     _persist_config(cfg, args.out)
-    print(f"simulate: {len(frames)} frames -> {args.out} (hash {meta['config_hash']})")
+    print(f"simulate: {len(table)} frames -> {args.out} (hash {meta['config_hash']})")
     return 0
 
 
 def cmd_train(args):
     cfg = _build_config(args)
-    frames, patches, _probe, meta = dataset.load_dataset(args.data)
+    intensity, table, truth, _probe, meta = dataset.load_dataset(args.data)
     _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
     os.makedirs(args.out, exist_ok=True)
-    result = train_mod.train(frames, patches, cfg.model_cfg(), cfg.train_cfg(),
+    result = train_mod.train(intensity[:], table, truth, cfg.model_cfg(), cfg.train_cfg(),
                              ckpt_dir=os.path.join(args.out, "checkpoint"),
                              config_hash=meta.get("config_hash", ""),
                              log_path=os.path.join(args.out, "loss_log.csv"))
@@ -88,14 +88,13 @@ def cmd_train(args):
 
 
 def _load_ckpt_and_data(args, load):
-    """The checkpoint and what `load` returns for `args.split` (frames first, meta
-    last); only that split's files are read."""
+    """The checkpoint and what `load` returns for `args.split` (intensities first,
+    meta last); only that split's files are read."""
     params, mcfg, manifest = model.load_checkpoint(args.ckpt)
     data = load(args.data, split=None if args.split == "all" else args.split)
-    frames, meta = data[0], data[-1]
-    _check_hash(manifest.get("config_hash"), meta.get("config_hash"),
+    _check_hash(manifest.get("config_hash"), data[-1].get("config_hash"),
                 args.force, "checkpoint vs dataset")
-    if not frames:
+    if not len(data[0]):
         raise ValueError(f"{os.path.join(args.data, 'manifest.csv')}: no frames in split "
                          f"'{args.split}'")
     return params, mcfg, manifest, data
@@ -105,15 +104,15 @@ PRED_FIELDS = ["index", "row", "col", "y", "x", "split"]
 
 
 def cmd_infer(args):
-    params, mcfg, manifest, (frames, _probe, _meta) = _load_ckpt_and_data(
+    params, mcfg, manifest, (intensity, table, _probe, _meta) = _load_ckpt_and_data(
         args, dataset.load_frames)
     os.makedirs(os.path.join(args.out, "pred"), exist_ok=True)
     rows = []
-    for i, ((amp, phase), frame) in enumerate(zip(recon.iter_infer(frames, params, mcfg),
-                                                  frames)):
+    for i, ((amp, phase), entry) in enumerate(zip(
+            recon.iter_infer(intensity[:], params, mcfg), table[PRED_FIELDS[1:]].tolist())):
         gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_amp.ptg"), amp)
         gridio.write_grid(os.path.join(args.out, "pred", f"{i:05d}_phase.ptg"), phase)
-        rows.append([i, frame.row, frame.col, frame.y, frame.x, frame.split])
+        rows.append([i, *entry])
     gridio.write_csv(os.path.join(args.out, "predictions.csv"), PRED_FIELDS, rows)
     gridio.write_json(os.path.join(args.out, "pred_meta.json"),
                       {"config_hash": manifest.get("config_hash", ""),
@@ -158,15 +157,14 @@ def cmd_stitch(args):
 
 def cmd_evaluate(args):
     cfg = _build_config(args)
-    # the frames are streamed: a batch's intensities are read when `iter_infer`
-    # builds it, and the report is written after the last batch
-    params, mcfg, _, (frames, patches, _probe, meta) = _load_ckpt_and_data(
-        args, functools.partial(dataset.load_dataset, stream=True))
-    rep = recon.report(frames, recon.iter_infer(frames, params, mcfg), patches,
-                       weight_floor=cfg["stitch_weight_floor"],
+    # `iter_infer` reads a batch's files when it slices it; the report follows the last
+    params, mcfg, _, (intensity, table, truth, _probe, meta) = _load_ckpt_and_data(
+        args, dataset.load_dataset)
+    rep = recon.report(dataset.positions(table), recon.iter_infer(intensity, params, mcfg),
+                       truth, weight_floor=cfg["stitch_weight_floor"],
                        config_hash=meta.get("config_hash", ""), seed=args.seed or 0)
     recon.write_report(args.out, rep)
-    print(f"evaluate: {len(frames)} frames ({args.split}) -> {args.out}/report.txt")
+    print(f"evaluate: {len(intensity)} frames ({args.split}) -> {args.out}/report.txt")
     return 0
 
 
@@ -184,12 +182,17 @@ def cmd_spectrum(args):
 
 def cmd_epie(args):
     cfg = _build_config(args)
-    frames, probe, meta = dataset.load_frames(args.data)
+    intensity, table, probe, meta = dataset.load_frames(args.data)
     _check_hash(cfg.data_hash(), meta.get("config_hash"), args.force, "dataset")
-    positions = [(f.y, f.x) for f in frames]
-    state = epie_mod.epie_reconstruct(frames, positions, probe,
+    # the scan's (N, p, p) stack takes one contiguous block, which cannot reuse the
+    # heap holes that earlier stages of this process freed: hand those back to the
+    # OS before the stack is read and after it is freed (glibc; elsewhere nothing)
+    trim_heap = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)
+    trim_heap(0)
+    state = epie_mod.epie_reconstruct(intensity[:], dataset.positions(table), probe,
                                       iters=cfg["epie_iters"], beta=cfg["epie_beta"],
                                       seed=cfg["epie_seed"])
+    trim_heap(0)
     os.makedirs(args.out, exist_ok=True)
     gridio.write_grid(os.path.join(args.out, "epie_amplitude.ptg"), np.abs(state.object_est))
     gridio.write_grid(os.path.join(args.out, "epie_phase.ptg"), np.angle(state.object_est))

@@ -54,6 +54,12 @@ DEFAULTS = {
 
 SEED_KEYS = [k for k in DEFAULTS if k.endswith("_seed")]
 
+# key -> (its range as an error states it, the test of a value), checked by `set`
+RANGES = {**{k: (f"{k} >= 0", lambda v: v >= 0) for k in SEED_KEYS + ["stitch_weight_floor"]},
+          "noise": ("noise 0 or 1", lambda v: v in (0, 1)),
+          "epie_iters": ("epie_iters >= 1", lambda v: v >= 1),
+          "epie_beta": ("0 < epie_beta <= 1", lambda v: 0 < v <= 1)}
+
 # keys that determine the dataset contents; their hash travels with the data
 DATA_KEYS = ("object_size", "object_seed", "rows", "cols", "step", "jitter_max",
              "scan_seed", "probe_size", "probe_radius", "probe_sigma",
@@ -88,10 +94,8 @@ class RunConfig:
             if not math.isfinite(number):
                 raise ValueError(f"config key '{key}' needs a finite number, got '{value}'")
             value = int(number) if isinstance(default, int) else number
-        if key in SEED_KEYS and value < 0:
-            raise ValueError(f"need {key} >= 0, got {value}")
-        if key == "noise" and value not in (0, 1):
-            raise ValueError(f"need noise 0 or 1, got {value}")
+        if key in RANGES and not RANGES[key][1](value):
+            raise ValueError(f"need {RANGES[key][0]}, got {value}")
         self.values[key] = value
 
     def __getitem__(self, key):

@@ -47,23 +47,38 @@ class ScanPlan:
         return need(self.rows), need(self.cols)
 
 
+# A scan's table: one entry per frame, in frame order; a split is a mask of it
+TABLE = np.dtype([("row", np.int64), ("col", np.int64), ("y", np.int64), ("x", np.int64),
+                  ("noisy", bool), ("split", "U5")])
+
+
 @dataclass
-class ObjectPatch:
-    """Ground truth for one frame: float32 amplitude and phase windows."""
+class Truth:
+    """A scan's ground truth: the box of the float32 amplitude and phase grids
+    that its p x p windows cover, [min y, max y + p) x [min x, max x + p)."""
 
     amplitude: np.ndarray
     phase: np.ndarray
+    origin: tuple  # the box's (y, x) in the object
+    p: int
+
+    def windows(self, y, x):
+        """The (amplitude, phase) windows at object positions (y, x): views at one
+        position, (n, p, p) stacks gathered at arrays of n."""
+        at = (np.subtract(y, self.origin[0]), np.subtract(x, self.origin[1]))
+        return tuple(sliding_window_view(grid, (self.p, self.p))[at]
+                     for grid in (self.amplitude, self.phase))
 
 
-@dataclass
-class DiffractionFrame:
-    intensity: np.ndarray
-    row: int
-    col: int
-    y: int
-    x: int
-    noisy: bool = False
-    split: str = "train"
+def _box(table, p):
+    """(y, x) slices of the box that the table's p x p windows cover."""
+    return tuple(slice(min(v, default=0), max(v, default=-p) + p)
+                 for v in (table["y"].tolist(), table["x"].tolist()))
+
+
+def positions(table):
+    """The table's window positions, as (y, x) pairs of ints."""
+    return list(zip(table["y"].tolist(), table["x"].tolist()))
 
 
 @dataclass
@@ -141,7 +156,8 @@ def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
 
 
 def make_dataset(amplitude, phase, probe, plan, noise=None):
-    """Extract ground-truth windows at jittered positions and simulate frames.
+    """Simulate a scan: its float32 (N, p, p) intensity stack, its table (every
+    frame in the train split) and its `Truth`, whose box is a view of the object.
 
     Frames are simulated SIM_BLOCK windows at a time; each frame's intensity
     is bitwise the same as simulating it alone.
@@ -154,34 +170,31 @@ def make_dataset(amplitude, phase, probe, plan, noise=None):
     if need_h > h or need_w > w:
         raise ValueError(f"scan extent {(need_h, need_w)} exceeds object {amplitude.shape}")
 
-    obj = amplitude.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
-    windows = sliding_window_view(obj, (p, p))  # windows[y, x] is the p x p window at (y, x)
-    ys = np.array([y for _, _, y, _ in plan.positions], dtype=np.intp)
-    xs = np.array([x for _, _, _, x in plan.positions], dtype=np.intp)
+    table = np.array([(r, c, y, x, noise is not None, "train") for r, c, y, x in plan.positions],
+                     dtype=TABLE)
+    ys, xs = table["y"], table["x"]
     if np.any(ys < 0) or np.any(xs < 0):  # a negative index would wrap around
         raise ValueError("scan position outside the object (negative y or x)")
-    clean = np.empty((len(ys), p, p), dtype=np.float32)
-    for start in range(0, len(ys), SIM_BLOCK):
+    obj = amplitude.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
+    windows = sliding_window_view(obj, (p, p))  # windows[y, x] is the p x p window at (y, x)
+    intensity = np.empty((len(table), p, p), dtype=np.float32)
+    for start in range(0, len(table), SIM_BLOCK):
         block = slice(start, start + SIM_BLOCK)
-        clean[block] = physics.diffract(physics.exit_wave(windows[ys[block], xs[block]], probe))
-    frames = [DiffractionFrame(intensity=clean[i], row=r, col=c, y=y, x=x)
-              for i, (r, c, y, x) in enumerate(plan.positions)]
-    patches = [ObjectPatch(amplitude=amplitude[y:y + p, x:x + p], phase=phase[y:y + p, x:x + p])
-               for (_, _, y, x) in plan.positions]
-
+        intensity[block] = physics.diffract(physics.exit_wave(windows[ys[block], xs[block]], probe))
     if noise is not None:
-        ref_max = float(clean.max())
-        for i, frame in enumerate(frames):
-            frame.intensity = physics.add_noise(
-                clean[i], peak_photons=noise.peak_photons, read_sigma=noise.read_sigma,
+        ref_max = float(intensity.max())
+        for i, clean in enumerate(intensity):
+            intensity[i] = physics.add_noise(
+                clean, peak_photons=noise.peak_photons, read_sigma=noise.read_sigma,
                 seed=noise.seed, frame_index=i, ref_max=ref_max)
-            frame.noisy = True
-    return frames, patches
+    box = _box(table, p)
+    return intensity, table, Truth(amplitude[box], phase[box], (box[0].start, box[1].start), p)
 
 
-def split_rows(frames, rows=DEFAULT_ROWS, train_rows=49, test_rows=12,
+def split_rows(frame_rows, rows=DEFAULT_ROWS, train_rows=49, test_rows=12,
                val_fraction=0.05, seed=0):
-    """Tag frames: first train_rows rows -> train (minus seeded val sample), last rows -> test."""
+    """Split labels of frames in scan rows `frame_rows`: the first train_rows rows
+    -> train (minus a seeded val sample), the last test_rows rows -> test."""
     if train_rows < 1:
         raise ValueError(f"need train_rows >= 1, got {train_rows}")
     if test_rows < 0:
@@ -190,14 +203,13 @@ def split_rows(frames, rows=DEFAULT_ROWS, train_rows=49, test_rows=12,
         raise ValueError(f"need 0 <= val_fraction < 1, got {val_fraction}")
     if train_rows + test_rows != rows:
         raise ValueError(f"train_rows + test_rows != rows ({train_rows}+{test_rows} != {rows})")
-    train_pool = [i for i, f in enumerate(frames) if f.row < train_rows]
-    for i, f in enumerate(frames):
-        f.split = "train" if f.row < train_rows else "test"
+    in_train = np.asarray(frame_rows) < train_rows
+    labels = np.where(in_train, "train", "test")
+    train_pool = np.flatnonzero(in_train)
     n_val = int(round(val_fraction * len(train_pool)))
     rng = np.random.default_rng(seed)
-    for i in rng.choice(len(train_pool), size=n_val, replace=False):
-        frames[train_pool[int(i)]].split = "val"
-    return frames
+    labels[train_pool[rng.choice(len(train_pool), size=n_val, replace=False)]] = "val"
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +224,23 @@ META_TYPES = {"config_hash": str, "rows": int, "cols": int, "step": int, "jitter
               "probe_curvature": float}
 
 
-def save_dataset(outdir, frames, amplitude, phase, probe, meta):
+def save_dataset(outdir, intensity, table, amplitude, phase, probe, meta):
     """Object grids, probe, meta, manifest and per-frame files: each frame's
     intensity and the object's amplitude and phase windows at its (y, x),
     which `load_dataset` cuts from the object grids instead of reading."""
     os.makedirs(os.path.join(outdir, "frames"), exist_ok=True)
     gridio.write_grid(os.path.join(outdir, "object_amplitude.ptg"), amplitude)
     gridio.write_grid(os.path.join(outdir, "object_phase.ptg"), phase)
+    p = intensity.shape[-1]
     rows = []
-    for i, frame in enumerate(frames):
-        p = frame.intensity.shape[0]
-        window = (slice(frame.y, frame.y + p), slice(frame.x, frame.x + p))
+    for i, (frame, (r, c, y, x, noisy, split)) in enumerate(zip(intensity, table.tolist())):
+        window = (slice(y, y + p), slice(x, x + p))
         names = {k: f"frames/{i:05d}_{k}.ptg" for k in ("intensity", "amplitude", "phase")}
-        gridio.write_grid(os.path.join(outdir, names["intensity"]), frame.intensity)
+        gridio.write_grid(os.path.join(outdir, names["intensity"]), frame)
         gridio.write_grid(os.path.join(outdir, names["amplitude"]), amplitude[window])
         gridio.write_grid(os.path.join(outdir, names["phase"]), phase[window])
-        rows.append([i, names["intensity"], names["amplitude"], names["phase"], frame.row,
-                     frame.col, frame.y, frame.x, int(frame.noisy), frame.split])
+        rows.append([i, names["intensity"], names["amplitude"], names["phase"], r, c, y, x,
+                     int(noisy), split])
     gridio.write_csv(os.path.join(outdir, "manifest.csv"), MANIFEST_FIELDS, rows)
     gridio.write_complex_grid(os.path.join(outdir, "probe.ptg"), probe)
     gridio.write_json(os.path.join(outdir, "meta.json"), meta)
@@ -280,30 +292,30 @@ def read_intensity(path, shape):
     return intensity
 
 
-@dataclass
-class StoredFrame:
-    """A stored frame whose intensity stays in its file: each access of
-    `intensity` reads it with `read_intensity`."""
+class IntensityFiles:
+    """A stored scan's intensity files as a stack read on demand: its length is
+    the frame count, and a slice reads those frames' files with
+    `read_intensity` into one new float32 (n, p, p) array."""
 
-    path: str
-    shape: tuple
-    row: int
-    col: int
-    y: int
-    x: int
-    noisy: bool
-    split: str
+    def __init__(self, paths, shape):
+        self.paths, self.shape = paths, shape
 
-    @property
-    def intensity(self):
-        return read_intensity(self.path, self.shape)
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, frames):
+        paths = self.paths[frames]
+        stack = np.empty((len(paths),) + self.shape, dtype=np.float32)
+        for i, path in enumerate(paths):
+            stack[i] = read_intensity(path, self.shape)
+        return stack
 
 
-def load_frames(indir, split=None, stream=False):
-    """Frames, probe and meta, without the ground truth; with `split`, only that
-    split's frames. Each intensity is read with `read_intensity`: all of them
-    here, or with `stream`, each time a frame's intensity is used (the frames
-    are `StoredFrame`s). Every intensity path must lie inside `indir`: each
+def load_frames(indir, split=None):
+    """The intensities, table, probe and meta of a stored scan, without the
+    ground truth; with `split`, only that split's frames. The intensities are
+    an `IntensityFiles`, which reads no file until sliced: `[:]` reads them all
+    into one stack. Every intensity path must lie inside `indir`: each
     directory is resolved once, and a path whose last component is a symbolic
     link is resolved in full."""
     meta = gridio.read_json(os.path.join(indir, "meta.json"), META_TYPES)
@@ -314,7 +326,7 @@ def load_frames(indir, split=None, stream=False):
     if not rows:
         raise ValueError(f"{manifest}: no frames")
     resolved = {}  # directory -> its real path
-    frames = []
+    paths, entries = [], []
     for row in rows:
         if split is not None and row["split"] != split:
             continue
@@ -329,42 +341,30 @@ def load_frames(indir, split=None, stream=False):
         if os.path.commonpath([root, path]) != root:
             raise ValueError(f"{manifest}: intensity path '{row['intensity']}' of frame "
                              f"{row['index']} lies outside the dataset")
-        fields = dict(row=row["row"], col=row["col"], y=row["y"], x=row["x"],
-                      noisy=bool(row["noisy"]), split=row["split"])
-        frames.append(StoredFrame(path, probe.shape, **fields) if stream else
-                      DiffractionFrame(read_intensity(path, probe.shape), **fields))
-    return frames, probe, meta
+        paths.append(path)
+        entries.append(tuple(row[k] for k in TABLE.names))
+    return IntensityFiles(paths, probe.shape), np.array(entries, dtype=TABLE), probe, meta
 
 
-def load_dataset(indir, split=None, stream=False):
-    """Frames, patches, probe and meta; with `split`, only that split's frames,
-    and with `stream`, frames whose intensities are read when used (see
-    `load_frames`).
+def load_dataset(indir, split=None):
+    """`load_frames`' intensities and table, the scan's `Truth`, probe and meta.
 
-    Of each object grid only the box the frames' windows cover, [min y, max y +
-    p) x [min x, max x + p), is kept, and each frame's patch is a read-only
-    view of that copy at its (y, x), the size of the probe.
+    Each object grid is cut to the box the frames' windows cover as soon as it
+    is read, so at most one whole grid is alive; the box is a read-only copy.
     """
-    frames, probe, meta = load_frames(indir, split, stream)
-    grids = []
+    intensity, table, probe, meta = load_frames(indir, split)
+    p, box = probe.shape[0], _box(table, probe.shape[0])
+    shape, grids = None, []
     for kind in ("amplitude", "phase"):
         grid = gridio.read_grid(os.path.join(indir, f"object_{kind}.ptg"))
-        if grid.ndim != 2 or (grids and grid.shape != grids[0].shape):
+        if grid.ndim != 2 or grid.shape != (shape or grid.shape):
             raise ValueError(f"{indir}: object_{kind}.ptg has shape {grid.shape}")
-        grids.append(grid)
-    (h, w), p = grids[0].shape, probe.shape[0]
-    for f in frames:
-        if not (0 <= f.y <= h - p and 0 <= f.x <= w - p):
-            raise ValueError(f"{indir}: frame at ({f.y}, {f.x}) lies outside the "
-                             f"{h} x {w} object")
-    y0, x0 = min((f.y for f in frames), default=0), min((f.x for f in frames), default=0)
-    box = (slice(y0, max((f.y + p for f in frames), default=0)),
-           slice(x0, max((f.x + p for f in frames), default=0)))
-    for i, grid in enumerate(grids):
-        grids[i] = grid[box].copy()
-        grids[i].flags.writeable = False
-    patches = []
-    for f in frames:
-        window = (slice(f.y - y0, f.y - y0 + p), slice(f.x - x0, f.x - x0 + p))
-        patches.append(ObjectPatch(amplitude=grids[0][window], phase=grids[1][window]))
-    return frames, patches, probe, meta
+        (h, w) = shape = grid.shape
+        outside = np.flatnonzero((table["y"] > h - p) | (table["x"] > w - p))
+        if outside.size:
+            y, x = table[["y", "x"]][outside[0]].tolist()
+            raise ValueError(f"{indir}: frame at ({y}, {x}) lies outside the {h} x {w} object")
+        grids.append(grid[box].copy())
+        grids[-1].flags.writeable = False
+        del grid  # before the next grid is read
+    return intensity, table, Truth(*grids, (box[0].start, box[1].start), p), probe, meta

@@ -24,9 +24,9 @@ single-precision object differs from the double-precision one over the
 well-lit region by at most 8.7e-3 rad in phase (mean 1.4e-5 rad) and 9.7e-4
 in amplitude, and the final error reads 0.0245223595 against 0.0245223593.
 
-Measured amplitudes are streamed: a run's sqrt(I) is taken from its members'
-float32 intensities when the run is updated, so no scan-sized array is kept
-beyond the intensities themselves.
+A run's measured amplitudes sqrt(I) are taken from its members' rows of the
+float32 intensity stack when the run is updated, so no scan-sized array is
+kept beyond the stack itself.
 """
 
 from dataclasses import dataclass, field
@@ -72,8 +72,9 @@ def _disjoint_runs(ys, xs, order, p):
     return runs
 
 
-def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
-    """Object-only updates on a 1+0i canvas that just covers every scan window."""
+def epie_reconstruct(intensity, positions, probe, iters=300, beta=0.9, seed=0):
+    """Object-only updates on a 1+0i canvas that just covers every scan window,
+    from an (N, p, p) float32 intensity stack measured at the N (y, x) `positions`."""
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     if not (0 < beta <= 1):
@@ -92,8 +93,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
     update_gain = (beta * np.conj(probe) / pmax2).astype(np.complex64)
 
     n = len(positions)
-    intensities = [f.intensity for f in frames]
-    err_den_terms = [float(np.sum(np.sqrt(i.astype(np.float64)) ** 2)) for i in intensities]
+    err_den_terms = [float(np.sum(np.sqrt(i.astype(np.float64)) ** 2)) for i in intensity]
     # windows[y, x] is the p x p window at (y, x); a run's windows are disjoint,
     # so writing them through this overlapping view is safe
     windows = sliding_window_view(obj, (p, p), writeable=True)
@@ -107,7 +107,7 @@ def epie_reconstruct(frames, positions, probe, iters=300, beta=0.9, seed=0):
             window = windows[at]
             psi = p_field * window
             psi_f = np.fft.fft2(psi, norm="ortho")
-            meas = np.sqrt(np.stack([intensities[j] for j in run], dtype=np.float32))
+            meas = np.sqrt(intensity[run], dtype=np.float32)
             residual = (meas - np.abs(psi_f)).astype(np.float64)
             nums = (residual ** 2).reshape(len(run), -1).sum(axis=1)
             for j, num in zip(run, nums.tolist()):

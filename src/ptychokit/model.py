@@ -46,8 +46,9 @@ class ModelConfig:
         for need, ok in (("n_c >= 1", self.n_c >= 1), ("i_max > 0", self.i_max > 0),
                          ("finite i_sat > 0", 0 < self.i_sat < math.inf),
                          ("finite alpha > 0", 0 < self.alpha < math.inf),
-                         ("finite g0", -math.inf < self.g0 < math.inf),
-                         ("finite g_l < g_h", -math.inf < self.g_l < self.g_h < math.inf)):
+                         # gain_factor's 2.0 ** g overflows from g = 1024 on
+                         ("finite g0 < 1024", -math.inf < self.g0 < 1024),
+                         ("finite g_l < g_h < 1024", -math.inf < self.g_l < self.g_h < 1024)):
             if not ok:
                 raise ValueError(f"need {need}")
 

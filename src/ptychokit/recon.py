@@ -27,33 +27,26 @@ class ReconReport:
         return {kind: bands for kind, (_, _, bands) in self.spectra.items()}
 
 
-def iter_infer(frames, params, cfg, batch_size=32):
+def iter_infer(intensity, params, cfg, batch_size=32):
     """Per-frame (amplitude, phase) predictions in frame order; deterministic.
 
-    A generator: it runs the model on `batch_size` frames when the previous
-    batch has been consumed, so only one batch of predictions is alive; a
-    frame's intensity is taken when its batch is built, so streamed frames
-    (`dataset.StoredFrame`) are read one batch at a time. The
-    default batch is the training batch: at 64 frames a frame takes longer
+    A generator over an (N, p, p) intensity stack, or anything sliceable with a
+    length, such as `dataset.IntensityFiles`: it slices `batch_size` frames and
+    runs the model on them when the previous batch has been consumed, so only
+    one batch of predictions is alive, and files are read one batch at a time.
+    The default batch is the training batch: at 64 frames a frame takes longer
     (n_c=32, row-tap convs: 4.1-4.6 against 3.7-4.0 ms per frame on 2 cores).
     """
-    for start in range(0, len(frames), batch_size):
-        chunk = frames[start:start + batch_size]
-        intensity = np.stack([f.intensity for f in chunk])[:, None]
-        res = model.forward(intensity, params, cfg)
+    for start in range(0, len(intensity), batch_size):
+        res = model.forward(intensity[start:start + batch_size][:, None], params, cfg)
         amps = res["amp"].data[:, 0]
         if cfg.variant == "scalar_phase":
             phases = res["phase"].data[:, 0].astype(np.float64)
         else:
             phases = circphase.recover_phase(res["c_proj"].data[:, 0],
                                              res["s_proj"].data[:, 0])
-        for i in range(len(chunk)):
+        for i in range(len(amps)):
             yield amps[i].copy(), phases[i].copy()
-
-
-def infer(frames, params, cfg, batch_size=32):
-    """All of `iter_infer`'s predictions as a list."""
-    return list(iter_infer(frames, params, cfg, batch_size))
 
 
 @functools.cache
@@ -125,7 +118,7 @@ def stitch_phase(phase_patches, positions, canvas_shape, weight_floor=WEIGHT_FLO
 
 
 def stitch_amp_phase(pairs, positions, weight_floor=WEIGHT_FLOOR):
-    """`stitch` of the amplitudes and `stitch_phase` of the phases of a stream of
+    """`stitch` of the amplitudes and `stitch_phase` of the phases of an iterable of
     (amplitude, phase) patches, read once, on the canvas of the positions'
     bounding box; returns (amplitude, phase, mask, the box's (y, x) origin)."""
     (amp, c, s), mask, origin = _blend(pairs, positions, None, weight_floor,
@@ -202,37 +195,34 @@ def radial_psd(x):
 METRIC_NAMES = ("mse", "mae", "psnr", "ssim")
 
 
-def report(frames, predictions, gt_patches, weight_floor=WEIGHT_FLOOR, config_hash="", seed=0):
+def report(positions, predictions, truth, weight_floor=WEIGHT_FLOOR, config_hash="", seed=0):
     """Per-sample and stitched metrics plus band energies for amplitude and phase.
 
-    `predictions` is an iterable of (amplitude, phase), one per frame in frame
-    order, read once: each prediction is scored and added to the stitch as it
+    `predictions` is an iterable of (amplitude, phase), one per (y, x) in
+    `positions`, in that order, read once: each prediction is scored against
+    the `dataset.Truth` windows at its position and added to the stitch as it
     arrives, so `iter_infer` keeps one batch of predictions alive, and the
     ground truth is stitched after the last one, so its fields are not held
     while the model runs. The count is checked at the end.
     """
-    if len(gt_patches) != len(frames):
-        raise ValueError("frames, predictions, and ground truth must align")
-    at = ([(f.y, f.x) for f in frames], weight_floor)
-
-    per = {"amplitude": {m: [] for m in METRIC_NAMES},
-           "phase": {m: [] for m in METRIC_NAMES}}
+    per = {kind: {m: [] for m in METRIC_NAMES} for kind in ("amplitude", "phase")}
     predictions = iter(predictions)
 
     def scored():
         count = 0
-        for patch, (amp_hat, phi_hat) in zip(gt_patches, predictions):
-            for kind, gt, pred in (("amplitude", patch.amplitude, amp_hat),
-                                   ("phase", patch.phase, phi_hat)):
+        for (y, x), (amp_hat, phi_hat) in zip(positions, predictions):
+            for kind, gt, pred in zip(("amplitude", "phase"), truth.windows(y, x),
+                                      (amp_hat, phi_hat)):
                 for m, v in zip(METRIC_NAMES, metrics(gt, pred, kind)):
                     per[kind][m].append(v)
             count += 1
             yield amp_hat, phi_hat
-        if count != len(frames) or next(predictions, None) is not None:
-            raise ValueError("frames, predictions, and ground truth must align")
+        if count != len(positions) or next(predictions, None) is not None:
+            raise ValueError("positions and predictions must align")
 
-    amp_hat, phi_hat, mask, origin = stitch_amp_phase(scored(), *at)
-    amp_gt, phi_gt, _, _ = stitch_amp_phase(((p.amplitude, p.phase) for p in gt_patches), *at)
+    amp_hat, phi_hat, mask, origin = stitch_amp_phase(scored(), positions, weight_floor)
+    amp_gt, phi_gt, _, _ = stitch_amp_phase((truth.windows(y, x) for y, x in positions),
+                                            positions, weight_floor)
     per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
 
     ys, xs = np.where(mask)

@@ -126,16 +126,17 @@ class TrainResult:
         return [row["val_loss"] for row in self.epoch_log]
 
 
-def _stack_batch(frames, patches, idx):
-    intensity = np.stack([frames[i].intensity for i in idx])[:, None]
-    a = np.stack([patches[i].amplitude for i in idx])[:, None]
-    phi = np.stack([patches[i].phase for i in idx])[:, None]
+def _stack_batch(intensity, table, truth, idx):
+    """The model input and the targets of frames `idx`. The phase is embedded per
+    batch: embedding the scan once would hold two more (N, p, p) stacks."""
+    a, phi = truth.windows(table["y"][idx], table["x"][idx])
+    phi = phi[:, None]
     c, s = circphase.embed(phi)
-    return intensity, a, c, s, phi
+    return intensity[idx][:, None], a[:, None], c, s, phi
 
 
-def _batch_loss(frames, patches, idx, params, cfg, weights):
-    intensity, a, c, s, phi = _stack_batch(frames, patches, idx)
+def _batch_loss(batch, params, cfg, weights):
+    intensity, a, c, s, phi = batch
     out = model.forward(intensity, params, cfg)
     if cfg.variant == "scalar_phase":
         total, bd = losses.scalar_phase_loss(a, out["amp"], phi, out["phase"])
@@ -147,24 +148,23 @@ def _batch_loss(frames, patches, idx, params, cfg, weights):
     return total, bd, ring
 
 
-def _eval_split(frames, patches, idx, params, cfg, weights, batch_size):
+def _eval_split(stack, idx, params, cfg, weights, batch_size):
     tot, ring, n = 0.0, 0.0, 0
     for start in range(0, len(idx), batch_size):
         chunk = idx[start:start + batch_size]
-        total, _, r = _batch_loss(frames, patches, chunk, params, cfg, weights)
+        total, _, r = _batch_loss(stack(chunk), params, cfg, weights)
         tot += total.item() * len(chunk)
         ring += r * len(chunk)
         n += len(chunk)
     return tot / max(n, 1), ring / max(n, 1)
 
 
-def _train_step(frames, patches, batch, params, model_cfg, train_cfg, state, lr, step):
-    """One Adam step on a batch; its loss breakdown and the gradient norm before
-    clipping. The gradients are taken off the parameters and die with this call,
-    so none outlives its step."""
+def _train_step(batch, params, model_cfg, train_cfg, state, lr, step):
+    """One Adam step on a stacked batch; its loss breakdown and the gradient norm
+    before clipping. The gradients are taken off the parameters and die with
+    this call, so none outlives its step."""
     with ad.Tape() as tape:
-        total, bd, _ = _batch_loss(frames, patches, batch, params,
-                                   model_cfg, train_cfg.weights)
+        total, bd, _ = _batch_loss(batch, params, model_cfg, train_cfg.weights)
         if not np.isfinite(total.item()):
             raise FloatingPointError(f"non-finite loss at step {step}")
         ad.backward(tape, total)
@@ -200,17 +200,15 @@ def _minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def compute_i_max(frames, idx=None):
-    """99.5th-percentile intensity over the training split, frozen for SADGS."""
-    if idx is None:
-        idx = range(len(frames))
-    pixels = np.concatenate([frames[i].intensity.ravel() for i in idx])
-    return float(np.percentile(pixels, I_MAX_PERCENTILE))
+def compute_i_max(intensity, idx=slice(None)):
+    """99.5th-percentile intensity over frames `idx` (the training split), frozen for SADGS."""
+    return float(np.percentile(intensity[idx], I_MAX_PERCENTILE))
 
 
-def train(frames, patches, model_cfg, train_cfg, ckpt_dir, config_hash="",
+def train(intensity, table, truth, model_cfg, train_cfg, ckpt_dir, config_hash="",
           log_path=None):
-    """Train with per-epoch seeded shuffling and best-validation checkpointing.
+    """Train on a scan's (N, p, p) intensity stack, table and `Truth`, with
+    per-epoch seeded shuffling and best-validation checkpointing.
 
     Model selection goes through the checkpoint: each epoch whose validation
     loss improves on the best so far overwrites ckpt_dir, and no other copy of
@@ -222,16 +220,19 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir, config_hash="",
     On glibc, training first sets the allocator to keep freed memory mapped
     (`_keep_heap_mapped`); that setting is process-wide and outlives the call.
     """
-    train_idx = [i for i, f in enumerate(frames) if f.split == "train"]
-    val_idx = [i for i, f in enumerate(frames) if f.split == "val"]
-    if not train_idx:
+    train_idx = np.flatnonzero(table["split"] == "train")
+    val_idx = np.flatnonzero(table["split"] == "val")
+    if not len(train_idx):
         raise ValueError("empty training split")
-    if not val_idx:
+    if not len(val_idx):
         raise ValueError("empty validation split: model selection needs val frames "
                          "(set val_fraction > 0)")
 
+    def stack(idx):
+        return _stack_batch(intensity, table, truth, idx)
+
     _keep_heap_mapped()
-    model_cfg.i_max = compute_i_max(frames, train_idx)
+    model_cfg.i_max = compute_i_max(intensity, train_idx)
     params = model.init_params(model_cfg)
     state = AdamState(params)
 
@@ -243,23 +244,22 @@ def train(frames, patches, model_cfg, train_cfg, ckpt_dir, config_hash="",
     step = 0
     for epoch in range(train_cfg.epochs):
         t0, faults0 = time.perf_counter(), _minor_faults()
-        order = np.array(train_idx)
+        order = train_idx.copy()
         np.random.default_rng([train_cfg.seed, epoch]).shuffle(order)
         norms, lrs = [], []
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start:start + train_cfg.batch_size]
             lr = cyclic_lr(step, half_cycle, train_cfg.eta)
-            bd, norm = _train_step(frames, patches, batch, params, model_cfg, train_cfg,
-                                   state, lr, step)
+            bd, norm = _train_step(stack(batch), params, model_cfg, train_cfg, state, lr,
+                                   step)
             log_rows.append([step, lr] + bd.to_row())
             norms.append(norm)
             lrs.append(lr)
             step += 1
         steps_s, faults = time.perf_counter() - t0, _minor_faults() - faults0
 
-        val_loss, ring_dev = _eval_split(frames, patches, val_idx, params,
-                                         model_cfg, train_cfg.weights,
-                                         train_cfg.batch_size)
+        val_loss, ring_dev = _eval_split(stack, val_idx, params, model_cfg,
+                                         train_cfg.weights, train_cfg.batch_size)
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             model.save_checkpoint(ckpt_dir, params, model_cfg, seed=train_cfg.seed,

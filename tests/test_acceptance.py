@@ -85,9 +85,9 @@ def test_criterion_3_epie_oracle():
     amp, phase = dataset.gen_object(160, 160, seed=5)
     probe = physics.make_probe()
     plan = dataset.plan_scan(rows=16, cols=16, step=8, jitter_max=3, seed=5)
-    frames, _ = dataset.make_dataset(amp, phase, probe, plan)
-    positions = [(f.y, f.x) for f in frames]
-    state = epie.epie_reconstruct(frames, positions, probe, iters=300, seed=0)
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, plan)
+    positions = dataset.positions(table)
+    state = epie.epie_reconstruct(intensity, positions, probe, iters=300, seed=0)
     err = state.error_history[-1]
     canvas = state.object_est.shape
     mask = epie.well_lit_mask(positions, probe, canvas, threshold=0.1)
@@ -225,22 +225,20 @@ def test_criterion_8_schedule():
     amp, phase = dataset.gen_object(100, 100, seed=6)
     probe = physics.make_probe()
     plan = dataset.plan_scan(rows=4, cols=4, step=8, jitter_max=3, seed=6)
-    frames, patches = dataset.make_dataset(amp, phase, probe, plan)
-    for f in frames:
-        f.split = "train"
-    mcfg = model.ModelConfig(n_c=4, i_max=train.compute_i_max(frames), seed=0)
+    intensity, table, truth = dataset.make_dataset(amp, phase, probe, plan)
+    mcfg = model.ModelConfig(n_c=4, i_max=train.compute_i_max(intensity), seed=0)
     params = model.init_params(mcfg)
     state = train.AdamState(params)
     tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=0)
     names = sorted(params.tensors)
     worst_norm = 0.0
-    for step, start in enumerate(range(0, len(frames), 8)):
+    for step, start in enumerate(range(0, len(intensity), 8)):
         idx = list(range(start, start + 8))
         for t in params.tensors.values():
             t.zero_grad()
         with ad.Tape() as tape:
-            total, _, _ = train._batch_loss(frames, patches, idx, params, mcfg,
-                                            tcfg.weights)
+            total, _, _ = train._batch_loss(train._stack_batch(intensity, table, truth, idx),
+                                            params, mcfg, tcfg.weights)
             ad.backward(tape, total)
         grads = [params.tensors[n].grad for n in names]
         grads, _ = train.clip_grad_norm(grads, 1.0)
@@ -261,16 +259,16 @@ def test_criterion_9_ablation_direction(tmp_path):
     amp, phase = dataset.gen_object(300, 170, seed=7)
     probe = physics.make_probe()
     plan = dataset.plan_scan(rows=32, cols=16, step=8, jitter_max=3, seed=7)
-    frames, patches = dataset.make_dataset(amp, phase, probe, plan)
-    assert len(frames) == 512
-    dataset.split_rows(frames, rows=32, train_rows=26, test_rows=6,
-                       val_fraction=0.05, seed=0)
+    intensity, table, truth = dataset.make_dataset(amp, phase, probe, plan)
+    assert len(intensity) == 512
+    table["split"] = dataset.split_rows(table["row"], rows=32, train_rows=26, test_rows=6,
+                                        val_fraction=0.05, seed=0)
     # wrap-stress precondition: enough ground-truth pixels near the cut
-    gt = np.concatenate([p.phase.ravel() for p in patches])
+    gt = truth.windows(table["y"], table["x"])[1]
     near_cut = float(np.mean(np.abs(gt) > np.pi - 0.3))
     assert near_cut >= 0.05, f"only {near_cut:.1%} of pixels near the cut"
 
-    test_idx = [i for i, f in enumerate(frames) if f.split == "test"]
+    test_idx = np.flatnonzero(table["split"] == "test")
     wins = 0
     gaps = []
     for seed in range(5):
@@ -279,10 +277,10 @@ def test_criterion_9_ablation_direction(tmp_path):
             mcfg = model.ModelConfig(n_c=8, variant=variant, seed=seed)
             tcfg = train.TrainConfig(epochs=25, batch_size=32, seed=seed)
             ckpt = tmp_path / f"{variant}_{seed}"
-            train.train(frames, patches, mcfg, tcfg, ckpt)
+            train.train(intensity, table, truth, mcfg, tcfg, ckpt)
             params, best_cfg, _ = model.load_checkpoint(ckpt)
-            preds = recon.infer([frames[i] for i in test_idx], params, best_cfg)
-            errs = [circphase.geodesic_dist(patches[i].phase, p)
+            preds = list(recon.iter_infer(intensity[test_idx], params, best_cfg))
+            errs = [circphase.geodesic_dist(gt[i], p)
                     for i, (_, p) in zip(test_idx, preds)]
             maes[variant] = float(np.mean(errs))
         gaps.append(maes["scalar_phase"] - maes["full"])
@@ -352,11 +350,11 @@ def test_criterion_11_end_to_end(tmp_path):
         assert cli.main(argv + flags) == 0, f"stage failed: {argv[0]}"
 
     # rebuild the report in-process and check its invariants
-    frames, patches, _, meta = dataset.load_dataset(data)
+    intensity, table, truth, _, meta = dataset.load_dataset(data)
     params, mcfg, _ = model.load_checkpoint(ckpt)
-    pairs = [(f, p) for f, p in zip(frames, patches) if f.split == "test"]
-    preds = recon.infer([f for f, _ in pairs], params, mcfg)
-    rep = recon.report([f for f, _ in pairs], preds, [p for _, p in pairs],
+    pairs = np.flatnonzero(table["split"] == "test")
+    preds = list(recon.iter_infer(intensity[:][pairs], params, mcfg))
+    rep = recon.report(dataset.positions(table[pairs]), preds, truth,
                        config_hash=meta["config_hash"])
     inv = []
     for kind in ("amplitude", "phase"):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptychokit import cli, gridio, model, recon
+from ptychokit import cli, gridio, model, recon, verify
 
 TINY = ["--set", "rows=4", "--set", "cols=4", "--set", "train_rows=3",
         "--set", "test_rows=1", "--set", "object_size=100",
@@ -248,7 +248,7 @@ def test_epie_without_sweeps_is_one_line_error(pipeline, capsys, tmp_path, iters
     rc = cli.main(["epie", "--data", data, "--out", str(out), "--seed", "1"] + TINY
                   + ["--set", f"epie_iters={iters}"])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: need iters >= 1, got {iters}\n"
+    assert capsys.readouterr().err == f"error: need epie_iters >= 1, got {iters}\n"
     assert not os.path.exists(out)
 
 
@@ -309,7 +309,8 @@ def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
                                  "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan",
-                                 "half_cycle_epochs=0"])
+                                 "half_cycle_epochs=0", "g0=1e9", "g_h=1e9", "epie_beta=0",
+                                 "epie_beta=-1", "epie_beta=1e9", "stitch_weight_floor=-1"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     _, data, _ = pipeline
     rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
@@ -649,6 +650,10 @@ def test_simulate_deterministic(tmp_path):
     assert open(fa, "rb").read() == open(fb, "rb").read()
 
 
-def test_gradcheck_subcommand_runs():
-    # covered in depth by the acceptance suite; here only exit status
-    assert cli.main(["gradcheck"]) == 0
+def test_gradcheck_subcommand_runs(monkeypatch, capsys):
+    # criterion 1 runs the suite itself; here the exit status and the summary
+    # line for a passing and for a failing result
+    for ok, code in ((True, 0), (False, 1)):
+        monkeypatch.setattr(verify, "run_gradcheck", lambda verbose=False: [("op", 0.1, 1.0, ok)])
+        assert cli.main(["gradcheck"]) == code
+        assert capsys.readouterr().out == f"gradcheck: {int(ok)}/1 passed\n"

@@ -45,13 +45,16 @@ def test_make_dataset_shapes_and_gt_alignment():
     amp, phase = dataset.gen_object(100, 100, seed=2)
     probe = physics.make_probe()
     plan = small_plan(seed=2)
-    frames, patches = dataset.make_dataset(amp, phase, probe, plan)
-    assert len(frames) == len(patches) == 36
-    f, p = frames[7], patches[7]
-    assert f.intensity.shape == (32, 32)
-    assert np.array_equal(p.amplitude, amp[f.y:f.y + 32, f.x:f.x + 32])
-    assert np.array_equal(p.phase, phase[f.y:f.y + 32, f.x:f.x + 32])
-    assert not f.noisy
+    intensity, table, truth = dataset.make_dataset(amp, phase, probe, plan)
+    assert intensity.shape == (36, 32, 32) and intensity.dtype == np.float32
+    assert table.tolist() == [(r, c, y, x, False, "train") for r, c, y, x in plan.positions]
+    y, x = table["y"][7], table["x"][7]
+    a, p = truth.windows(y, x)
+    assert np.array_equal(a, amp[y:y + 32, x:x + 32])
+    assert np.array_equal(p, phase[y:y + 32, x:x + 32])
+    stacked = truth.windows(table["y"], table["x"])
+    assert stacked[0].shape == stacked[1].shape == (36, 32, 32)
+    assert np.array_equal(stacked[0][7], a) and np.array_equal(stacked[1][7], p)
 
 
 def reference_intensity(obj, probe, y, x):
@@ -75,14 +78,14 @@ def test_make_dataset_blocks_equal_per_frame_reference():
     assert n > dataset.SIM_BLOCK and n % dataset.SIM_BLOCK != 0
     amp, phase = dataset.gen_object(*plan.required_extent(), seed=3)
     probe = physics.make_probe()
-    frames, _ = dataset.make_dataset(amp, phase, probe, plan)
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, plan)
     obj = amp.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
-    for f in frames:
-        assert np.array_equal(f.intensity, reference_intensity(obj, probe, f.y, f.x))
+    for frame, (y, x) in zip(intensity, dataset.positions(table)):
+        assert np.array_equal(frame, reference_intensity(obj, probe, y, x))
 
 
 def test_make_dataset_peak_memory_on_the_default_plan():
-    # beside the frames it returns and the complex object it cuts windows from,
+    # beside the stack it returns and the complex object it cuts windows from,
     # the simulation holds one block's transients: 1.4 MB at 64 windows a
     # block, 12.5 MB at 256
     amp, phase = dataset.gen_object()
@@ -90,11 +93,11 @@ def test_make_dataset_peak_memory_on_the_default_plan():
     plan = dataset.plan_scan()
     tracemalloc.start()
     try:
-        frames, _ = dataset.make_dataset(amp, phase, probe, plan)
+        intensity, _, _ = dataset.make_dataset(amp, phase, probe, plan)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(frames) == 3721
+    assert len(intensity) == 3721
     assert peak < held + amp.size * 16 + 6e6
 
 
@@ -119,114 +122,118 @@ def test_make_dataset_noise_deterministic():
     amp, phase = dataset.gen_object(100, 100, seed=4)
     probe = physics.make_probe()
     noise = dataset.NoiseConfig(seed=11)
-    f1, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
-    f2, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
-    assert all(np.array_equal(a.intensity, b.intensity) for a, b in zip(f1, f2))
-    assert all(f.noisy for f in f1)
+    i1, table, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
+    i2, _, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
+    assert np.array_equal(i1, i2)
+    assert table["noisy"].all()
 
 
 def test_split_rows():
-    amp, phase = dataset.gen_object(100, 100, seed=5)
-    probe = physics.make_probe()
-    frames, _ = dataset.make_dataset(amp, phase, probe, small_plan(5))
-    dataset.split_rows(frames, rows=6, train_rows=4, test_rows=2,
-                       val_fraction=0.25, seed=0)
-    splits = {s: sum(1 for f in frames if f.split == s) for s in ("train", "val", "test")}
+    frame_rows = np.repeat(np.arange(6), 6)
+    split = dataset.split_rows(frame_rows, rows=6, train_rows=4, test_rows=2,
+                               val_fraction=0.25, seed=0)
+    splits = {s: int(np.sum(split == s)) for s in ("train", "val", "test")}
     assert splits["test"] == 12
     assert splits["val"] == round(0.25 * 24)
     assert splits["train"] == 24 - splits["val"]
-    assert all(f.split == "test" for f in frames if f.row >= 4)
+    assert np.all(split[frame_rows >= 4] == "test")
     with pytest.raises(ValueError):
-        dataset.split_rows(frames, rows=6, train_rows=3, test_rows=2)
+        dataset.split_rows(frame_rows, rows=6, train_rows=3, test_rows=2)
 
 
 def test_save_load_roundtrip(tmp_path):
     amp, phase = dataset.gen_object(100, 100, seed=6)
     probe = physics.make_probe()
-    frames, patches = dataset.make_dataset(amp, phase, probe, small_plan(6),
-                                           dataset.NoiseConfig(seed=1))
-    dataset.split_rows(frames, rows=6, train_rows=4, test_rows=2, seed=0)
+    intensity, table, truth = dataset.make_dataset(amp, phase, probe, small_plan(6),
+                                                   dataset.NoiseConfig(seed=1))
+    table["split"] = dataset.split_rows(table["row"], rows=6, train_rows=4, test_rows=2, seed=0)
     meta = {"config_hash": "abc123", "probe_radius": 13.0}
-    dataset.save_dataset(tmp_path, frames, amp, phase, probe, meta)
+    dataset.save_dataset(tmp_path, intensity, table, amp, phase, probe, meta)
     assert np.array_equal(gridio.read_grid(tmp_path / "object_amplitude.ptg"), amp)
     assert np.array_equal(gridio.read_grid(tmp_path / "object_phase.ptg"), phase)
-    f2, p2, probe2, meta2 = dataset.load_dataset(tmp_path)
+    files, table2, truth2, probe2, meta2 = dataset.load_dataset(tmp_path)
     assert meta2["config_hash"] == "abc123"
     assert probe2.dtype == np.complex64 and np.array_equal(probe2, probe)
-    assert len(f2) == len(frames)
-    for a, b in zip(frames, f2):
-        assert np.array_equal(a.intensity, b.intensity)
-        assert (a.row, a.col, a.y, a.x, a.noisy, a.split) == (b.row, b.col, b.y, b.x, b.noisy, b.split)
-    for a, b in zip(patches, p2):
-        assert np.array_equal(a.amplitude, b.amplitude)
-        assert np.array_equal(a.phase, b.phase)
+    assert len(files) == len(intensity)
+    assert np.array_equal(files[:], intensity)
+    assert table2.dtype == table.dtype and np.array_equal(table2, table)
+    assert truth2.origin == truth.origin and truth2.p == truth.p
+    assert np.array_equal(truth2.amplitude, truth.amplitude)
+    assert np.array_equal(truth2.phase, truth.phase)
 
 
 def saved_dataset(path, seed, noise=None):
     amp, phase = dataset.gen_object(100, 100, seed=seed)
     probe = physics.make_probe()
-    frames, _ = dataset.make_dataset(amp, phase, probe, small_plan(seed), noise)
-    dataset.split_rows(frames, rows=6, train_rows=4, test_rows=2, seed=0)
-    dataset.save_dataset(path, frames, amp, phase, probe, {"config_hash": "abc123"})
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, small_plan(seed), noise)
+    table["split"] = dataset.split_rows(table["row"], rows=6, train_rows=4, test_rows=2, seed=0)
+    dataset.save_dataset(path, intensity, table, amp, phase, probe, {"config_hash": "abc123"})
 
 
 @pytest.mark.parametrize("noise", [None, dataset.NoiseConfig(seed=2)], ids=["clean", "noisy"])
 def test_load_dataset_patches_equal_stored_patch_files(tmp_path, noise):
     saved_dataset(tmp_path, 7, noise)
-    frames, patches, _, _ = dataset.load_dataset(tmp_path)
-    assert all(f.noisy == (noise is not None) for f in frames)
-    assert len(patches) == 36
-    for i, patch in enumerate(patches):
-        for kind in ("amplitude", "phase"):
+    _, table, truth, _, _ = dataset.load_dataset(tmp_path)
+    assert np.all(table["noisy"] == (noise is not None))
+    assert len(table) == 36
+    stacks = truth.windows(table["y"], table["x"])
+    for i, (y, x) in enumerate(dataset.positions(table)):
+        for kind, window, stack in zip(("amplitude", "phase"), truth.windows(y, x), stacks):
             stored = gridio.read_grid(tmp_path / "frames" / f"{i:05d}_{kind}.ptg")
-            got = getattr(patch, kind)
-            assert got.dtype == stored.dtype and got.tobytes() == stored.tobytes()
+            for got in (window, stack[i]):
+                assert got.dtype == stored.dtype and got.tobytes() == stored.tobytes()
 
 
 def test_load_dataset_patches_are_read_only_views(tmp_path):
     saved_dataset(tmp_path, 8)
-    frames, patches, _, _ = dataset.load_dataset(tmp_path, split="test")
-    a, b = patches[0], patches[1]
-    assert (frames[0].row, frames[1].col) == (frames[1].row, frames[0].col + 1)
-    for arr in (a.amplitude, a.phase, b.amplitude, b.phase):
+    _, table, truth, _, _ = dataset.load_dataset(tmp_path, split="test")
+    (r0, c0, y0, x0), (r1, c1, y1, x1) = table[["row", "col", "y", "x"]][:2].tolist()
+    assert (r0, c1) == (r1, c0 + 1)
+    a, b = truth.windows(y0, x0), truth.windows(y1, x1)
+    for arr in a + b:
         assert arr.base is not None and not arr.flags.writeable
-    # horizontal neighbours overlap, so their windows share the object's memory
-    assert np.shares_memory(a.amplitude, b.amplitude) and np.shares_memory(a.phase, b.phase)
+    # horizontal neighbours overlap, so their windows share the box's memory
+    assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
     with pytest.raises(ValueError):
-        a.amplitude[0, 0] = 0.0
+        a[0][0, 0] = 0.0
 
 
 @pytest.mark.parametrize("split", [None, "test"], ids=["all", "test"])
 def test_load_dataset_keeps_the_covered_box_and_its_patches_are_the_full_grids_windows(
         tmp_path, split):
     saved_dataset(tmp_path, 10)
-    frames, patches, probe, _ = dataset.load_dataset(tmp_path, split=split)
+    _, table, truth, probe, _ = dataset.load_dataset(tmp_path, split=split)
     full = {kind: gridio.read_grid(tmp_path / f"object_{kind}.ptg")
             for kind in ("amplitude", "phase")}
     p = probe.shape[0]
-    for f, patch in zip(frames, patches):
-        for kind, grid in full.items():
-            got = getattr(patch, kind)
-            assert got.tobytes() == grid[f.y:f.y + p, f.x:f.x + p].tobytes()
-    box = (max(f.y for f in frames) + p - min(f.y for f in frames),
-           max(f.x for f in frames) + p - min(f.x for f in frames))
-    assert patches[0].amplitude.base.shape == patches[0].phase.base.shape == box
+    for y, x in dataset.positions(table):
+        for grid, got in zip(full.values(), truth.windows(y, x)):
+            assert got.tobytes() == grid[y:y + p, x:x + p].tobytes()
+    origin = (table["y"].min(), table["x"].min())
+    box = (table["y"].max() + p - origin[0], table["x"].max() + p - origin[1])
+    assert truth.origin == origin and truth.p == p
+    assert truth.amplitude.shape == truth.phase.shape == box
     assert box != full["amplitude"].shape
 
 
-def test_streamed_frames_read_their_files_when_used(tmp_path):
+def test_streamed_frames_read_their_files_when_used(tmp_path, monkeypatch):
     saved_dataset(tmp_path, 11)
-    eager, _, _ = dataset.load_frames(tmp_path, split="test")
-    streamed, _, _ = dataset.load_frames(tmp_path, split="test", stream=True)
-    assert [(f.row, f.col, f.y, f.x, f.noisy, f.split) for f in streamed] == \
-        [(f.row, f.col, f.y, f.x, f.noisy, f.split) for f in eager]
-    assert all(np.array_equal(a.intensity, b.intensity) for a, b in zip(eager, streamed))
-    # the checks of an eager load apply when a streamed frame is read
+    read = []
+    real_read = gridio.read_grid
+    monkeypatch.setattr(gridio, "read_grid", lambda path: read.append(path) or real_read(path))
+    files, table, _, _ = dataset.load_frames(tmp_path, split="test")
+    assert len(files) == len(table) == 12 and read == [str(tmp_path / "probe.ptg")]
+    part = files[2:5]
+    assert part.shape == (3, 32, 32) and part.dtype == np.float32
+    assert read[1:] == files.paths[2:5]
+    for frame, path in zip(part, read[1:]):
+        assert np.array_equal(frame, real_read(path))
+    # each file is checked when it is read
     path = tmp_path / "frames" / "00035_intensity.ptg"
-    gridio.write_grid(path, -gridio.read_grid(path))
-    streamed, _, _ = dataset.load_frames(tmp_path, split="test", stream=True)
+    gridio.write_grid(path, -real_read(path))
+    assert files[:-1].shape == (11, 32, 32)
     with pytest.raises(ValueError, match=f"{path}: negative intensity"):
-        streamed[-1].intensity
+        files[:]
 
 
 def test_load_dataset_rejects_window_outside_object(tmp_path):

@@ -10,12 +10,11 @@ def make_scan(seed=0, rows=8, cols=8, size=110, step=8, jitter=3):
     amp, phase = dataset.gen_object(size, size, seed=seed)
     probe = physics.make_probe()
     plan = dataset.plan_scan(rows=rows, cols=cols, step=step, jitter_max=jitter, seed=seed)
-    frames, _ = dataset.make_dataset(amp, phase, probe, plan)
-    positions = [(f.y, f.x) for f in frames]
-    return amp, phase, probe, frames, positions
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, plan)
+    return amp, phase, probe, intensity, dataset.positions(table)
 
 
-def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
+def reference_epie(intensity, positions, probe, iters, beta=0.9, seed=0):
     """ePIE visiting one position at a time, each window read right after the previous write,
     in the module's precision: complex64 canvas, probe, gain and FFTs, float32 magnitudes,
     and float64 error terms."""
@@ -25,8 +24,8 @@ def reference_epie(frames, positions, probe, iters, beta=0.9, seed=0):
     obj = np.ones((max(y for y, _ in positions) + p, max(x for _, x in positions) + p),
                   dtype=np.complex64)
     gain = (beta * np.conj(probe) / float(np.max(np.abs(probe) ** 2))).astype(np.complex64)
-    sqrt_i = [np.sqrt(f.intensity.astype(np.float32)) for f in frames]
-    den = [float(np.sum(np.sqrt(f.intensity.astype(np.float64)) ** 2)) for f in frames]
+    sqrt_i = [np.sqrt(f.astype(np.float32)) for f in intensity]
+    den = [float(np.sum(np.sqrt(f.astype(np.float64)) ** 2)) for f in intensity]
     history = []
     for sweep in range(iters):
         err_num, err_den = 0.0, 0.0

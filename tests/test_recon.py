@@ -97,11 +97,10 @@ def test_infer_does_not_depend_on_batch_size():
     cfg = model.ModelConfig(n_c=4, seed=3)
     params = model.init_params(cfg)
     rng = np.random.default_rng(3)
-    frames = [dataset.DiffractionFrame(intensity=rng.uniform(0, 50, (32, 32)).astype(np.float32),
-                                       row=0, col=i, y=0, x=i) for i in range(70)]
-    want = recon.infer(frames, params, cfg, batch_size=64)
+    intensity = rng.uniform(0, 50, (70, 32, 32)).astype(np.float32)
+    want = list(recon.iter_infer(intensity, params, cfg, batch_size=64))
     for batch_size in (8, 32):
-        got = recon.infer(frames, params, cfg, batch_size=batch_size)
+        got = list(recon.iter_infer(intensity, params, cfg, batch_size=batch_size))
         assert len(got) == len(want)
         for (a, phi), (a_ref, phi_ref) in zip(got, want):
             assert np.allclose(a, a_ref, rtol=0, atol=1e-6)
@@ -109,40 +108,38 @@ def test_infer_does_not_depend_on_batch_size():
 
 
 def _scan(n_side=20, step=2, p=32, seed=4):
-    """Frames on an n_side^2 grid, their ground truth as views of one object, and
-    a fresh generator of slightly perturbed (amplitude, phase) predictions."""
+    """Positions on an n_side^2 grid, their ground truth (the object as the box of
+    a `dataset.Truth` at (0, 0)), and a fresh generator of slightly perturbed
+    (amplitude, phase) predictions."""
     rng = np.random.default_rng(seed)
     size = (n_side - 1) * step + p
     amp = rng.uniform(0.1, 1.0, (size, size)).astype(np.float32)
     phase = rng.uniform(-np.pi, np.pi, (size, size)).astype(np.float32)
-    blank = np.zeros((p, p), dtype=np.float32)
-    frames = [dataset.DiffractionFrame(intensity=blank, row=r, col=c, y=r * step, x=c * step)
-              for r in range(n_side) for c in range(n_side)]
-    gt = [dataset.ObjectPatch(amplitude=amp[f.y:f.y + p, f.x:f.x + p],
-                              phase=phase[f.y:f.y + p, f.x:f.x + p]) for f in frames]
+    positions = [(r * step, c * step) for r in range(n_side) for c in range(n_side)]
+    truth = dataset.Truth(amp, phase, (0, 0), p)
 
     def predictions():
-        for i, patch in enumerate(gt):
+        for i, (y, x) in enumerate(positions):
+            a, phi = truth.windows(y, x)
             noise = np.random.default_rng(i).normal(0.0, 0.05, (p, p))
-            yield ((patch.amplitude + noise).astype(np.float32),
-                   circphase.wrapped_diff(patch.phase + noise, 0.0))
-    return frames, gt, predictions
+            yield (a + noise).astype(np.float32), circphase.wrapped_diff(phi + noise, 0.0)
+    return positions, truth, predictions
 
 
 def test_report_streams_predictions():
-    frames, gt, predictions = _scan()
-    n, p = len(frames), gt[0].amplitude.shape[0]
-    canvas_bytes = (frames[-1].y + p) * (frames[-1].x + p) * 8
+    positions, gt, predictions = _scan()
+    n, p = len(positions), gt.p
+    canvas_bytes = (positions[-1][0] + p) * (positions[-1][1] + p) * 8
     tracemalloc.start()
     try:
-        rep = recon.report(frames, predictions(), gt)
+        rep = recon.report(positions, predictions(), gt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # Holding every float64 phase prediction alone would take n * p^2 * 8 bytes;
     # the blends, stitched fields and spectra take some 16 canvases at most.
     assert peak < n * p * p * 8 + 16 * canvas_bytes
-    want = recon.report(frames, list(predictions()), gt)
+    want = recon.report(positions, list(predictions()), gt)
     for name, field in want.fields.items():
         assert np.array_equal(rep.fields[name], field)
     for kind in ("amplitude", "phase"):
@@ -151,23 +148,22 @@ def test_report_streams_predictions():
 
 
 def test_report_checks_prediction_count():
-    frames, gt, predictions = _scan(n_side=3)
+    positions, gt, predictions = _scan(n_side=3)
     preds = list(predictions())
     for wrong in (preds[:-1], preds + preds[:1], []):
         with pytest.raises(ValueError, match="align"):
-            recon.report(frames, iter(wrong), gt)
+            recon.report(positions, iter(wrong), gt)
 
 
 def test_written_psd_is_that_of_the_covered_box(tmp_path):
     # frames in the lower rows only leave the canvas's top uncovered: the PSD
     # curves written are those of the covered box, from which the bands come
-    frames, gt, predictions = _scan(n_side=8)
-    keep = [i for i, f in enumerate(frames) if f.row >= 4]
+    positions, gt, predictions = _scan(n_side=8)
+    keep = [i for i, (y, _) in enumerate(positions) if y >= 4 * 2]
     preds = list(predictions())
-    rep = recon.report([frames[i] for i in keep], [preds[i] for i in keep],
-                       [gt[i] for i in keep])
+    rep = recon.report([positions[i] for i in keep], [preds[i] for i in keep], gt)
     recon.write_report(str(tmp_path), rep)
-    assert rep.origin == (frames[keep[0]].y, 0)
+    assert rep.origin == (positions[keep[0]][0], 0)
     ys, xs = np.where(rep.fields["mask"])
     for kind, name in (("amplitude", "amp_hat"), ("phase", "phase_hat")):
         crop = rep.fields[name][ys.min():ys.max() + 1, xs.min():xs.max() + 1]
@@ -180,25 +176,25 @@ def test_written_psd_is_that_of_the_covered_box(tmp_path):
 
 
 def _part_of_scan(keep, n_side=20, step=24):
-    """`_scan`'s frames, ground truth and predictions for the frames `keep` takes."""
-    frames, gt, predictions = _scan(n_side=n_side, step=step)
-    kept = [i for i, f in enumerate(frames) if keep(f)]
+    """`_scan`'s positions, ground truth and predictions for the scan (row, col)s
+    that `keep` takes."""
+    positions, gt, predictions = _scan(n_side=n_side, step=step)
+    kept = [i for i, (y, x) in enumerate(positions) if keep(y // step, x // step)]
     preds = list(predictions())
-    return [frames[i] for i in kept], [gt[i] for i in kept], [preds[i] for i in kept]
+    return [positions[i] for i in kept], gt, [preds[i] for i in kept]
 
 
 def test_report_fields_are_the_scan_box_and_written_on_the_full_canvas(tmp_path):
-    frames, gt, preds = _part_of_scan(lambda f: f.row >= 15 and f.col >= 15)
-    p = gt[0].amplitude.shape[0]
-    rep = recon.report(frames, preds, gt)
-    origin = (frames[0].y, frames[0].x)
-    full = (frames[-1].y + p, frames[-1].x + p)
+    positions, gt, preds = _part_of_scan(lambda row, col: row >= 15 and col >= 15)
+    p = gt.p
+    rep = recon.report(positions, preds, gt)
+    origin = positions[0]
+    full = (positions[-1][0] + p, positions[-1][1] + p)
     assert origin == (15 * 24, 15 * 24) and rep.origin == origin
     for field in rep.fields.values():
         assert field.shape == (full[0] - origin[0], full[1] - origin[1])
     recon.write_report(str(tmp_path / "rep"), rep)
-    positions = [(f.y, f.x) for f in frames]
-    for name, pairs in (("hat", preds), ("gt", [(g.amplitude, g.phase) for g in gt])):
+    for name, pairs in (("hat", preds), ("gt", [gt.windows(y, x) for y, x in positions])):
         amp, mask = recon.stitch([a for a, _ in pairs], positions, full)
         phase, _ = recon.stitch_phase([phi for _, phi in pairs], positions, full)
         for kind, want in (("amp", amp), ("phase", phase)):
@@ -213,12 +209,12 @@ def test_report_peak_memory_scales_with_the_scan_box():
     # a scan of the last row only: each blend holds four canvases at once (three
     # channel sums and the weight), so a peak below four full canvases shows the
     # blends, the fields and the metrics work on the scan's box
-    frames, gt, preds = _part_of_scan(lambda f: f.row == 19)
-    p = gt[0].amplitude.shape[0]
-    canvas_bytes = (frames[-1].y + p) * (frames[-1].x + p) * 8
+    positions, gt, preds = _part_of_scan(lambda row, col: row == 19)
+    p = gt.p
+    canvas_bytes = (positions[-1][0] + p) * (positions[-1][1] + p) * 8
     tracemalloc.start()
     try:
-        recon.report(frames, iter(preds), gt)
+        recon.report(positions, iter(preds), gt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

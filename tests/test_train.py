@@ -17,10 +17,10 @@ def tiny_data(seed=0, rows=4, cols=4):
     amp, phase = dataset.gen_object(100, 100, seed=seed)
     probe = physics.make_probe()
     plan = dataset.plan_scan(rows=rows, cols=cols, step=8, jitter_max=3, seed=seed)
-    frames, patches = dataset.make_dataset(amp, phase, probe, plan)
-    dataset.split_rows(frames, rows=rows, train_rows=rows - 1, test_rows=1,
-                       val_fraction=0.2, seed=0)
-    return frames, patches
+    intensity, table, truth = dataset.make_dataset(amp, phase, probe, plan)
+    table["split"] = dataset.split_rows(table["row"], rows=rows, train_rows=rows - 1,
+                                        test_rows=1, val_fraction=0.2, seed=0)
+    return intensity, table, truth
 
 
 def test_cyclic_lr_endpoints_and_peaks():
@@ -81,29 +81,33 @@ def test_adam_converges_on_quadratic():
 
 
 def test_compute_i_max_percentile():
-    frames, _ = tiny_data(seed=1)
-    i_max = train.compute_i_max(frames)
-    pixels = np.concatenate([f.intensity.ravel() for f in frames])
-    assert i_max == pytest.approx(float(np.percentile(pixels, 99.5)))
-    assert i_max < pixels.max()
+    intensity, _, _ = tiny_data(seed=1)
+    i_max = train.compute_i_max(intensity)
+    assert i_max == pytest.approx(float(np.percentile(intensity.ravel(), 99.5)))
+    assert i_max < intensity.max()
+    assert train.compute_i_max(intensity, [3, 1]) == np.percentile(intensity[[1, 3]], 99.5)
 
 
 def test_stack_batch_embeds_phase_like_each_patch():
-    frames, patches = tiny_data(seed=2)
+    stack, table, truth = tiny_data(seed=2)
     idx = [5, 0, 11]
-    intensity, a, c, s, phi = train._stack_batch(frames, patches, idx)
+    intensity, a, c, s, phi = train._stack_batch(stack, table, truth, idx)
     assert intensity.shape == a.shape == c.shape == s.shape == phi.shape == (3, 1, 32, 32)
     assert c.dtype == s.dtype == np.float32
-    per_patch = [circphase.embed(patches[i].phase) for i in idx]
+    windows = [truth.windows(table["y"][i], table["x"][i]) for i in idx]
+    assert np.array_equal(intensity[:, 0], stack[idx])
+    assert np.array_equal(a[:, 0], np.stack([w[0] for w in windows]))
+    assert np.array_equal(phi[:, 0], np.stack([w[1] for w in windows]))
+    per_patch = [circphase.embed(w[1]) for w in windows]
     assert np.array_equal(c, np.stack([cp for cp, _ in per_patch])[:, None])
     assert np.array_equal(s, np.stack([sp for _, sp in per_patch])[:, None])
 
 
 def test_train_smoke_loss_decreases(tmp_path):
-    frames, patches = tiny_data(seed=2)
+    data = tiny_data(seed=2)
     mcfg = model.ModelConfig(n_c=4, seed=0)
     tcfg = train.TrainConfig(epochs=3, batch_size=8, seed=0)
-    res = train.train(frames, patches, mcfg, tcfg,
+    res = train.train(*data, mcfg, tcfg,
                       ckpt_dir=tmp_path / "ckpt", config_hash="h",
                       log_path=tmp_path / "log.csv")
     assert len(res.val_history) == 3
@@ -121,11 +125,11 @@ def test_train_smoke_loss_decreases(tmp_path):
 
 def test_train_deterministic(tmp_path):
     # the best epoch's model is the checkpoint's: load it from each run's directory
-    frames, patches = tiny_data(seed=3)
+    data = tiny_data(seed=3)
     tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=1)
     runs = []
     for tag in ("a", "b"):
-        res = train.train(frames, patches, model.ModelConfig(n_c=4, seed=1), tcfg,
+        res = train.train(*data, model.ModelConfig(n_c=4, seed=1), tcfg,
                           tmp_path / tag)
         params, cfg, manifest = model.load_checkpoint(tmp_path / tag)
         assert manifest["epoch"] == res.best_epoch and cfg.i_max > 0
@@ -137,11 +141,10 @@ def test_train_deterministic(tmp_path):
 
 
 def test_train_requires_train_split(tmp_path):
-    frames, patches = tiny_data(seed=4)
-    for f in frames:
-        f.split = "test"
+    intensity, table, truth = tiny_data(seed=4)
+    table["split"] = "test"
     with pytest.raises(ValueError):
-        train.train(frames, patches, model.ModelConfig(n_c=4),
+        train.train(intensity, table, truth, model.ModelConfig(n_c=4),
                     train.TrainConfig(epochs=1), tmp_path / "ckpt")
 
 
@@ -149,12 +152,13 @@ def _train_peak(n_c, ckpt_dir):
     """The traced peak of one epoch at n_c on 68 training frames (batch 32)."""
     amp, phase = dataset.gen_object(120, 120, seed=0)
     plan = dataset.plan_scan(rows=10, cols=10, step=8, jitter_max=3, seed=0)
-    frames, patches = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
-    dataset.split_rows(frames, rows=10, train_rows=9, test_rows=1, val_fraction=0.25, seed=0)
-    assert sum(f.split == "train" for f in frames) == 68
+    intensity, table, truth = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+    table["split"] = dataset.split_rows(table["row"], rows=10, train_rows=9, test_rows=1,
+                                        val_fraction=0.25, seed=0)
+    assert np.sum(table["split"] == "train") == 68
     tracemalloc.start()
     try:
-        train.train(frames, patches, model.ModelConfig(n_c=n_c, seed=0),
+        train.train(intensity, table, truth, model.ModelConfig(n_c=n_c, seed=0),
                     train.TrainConfig(epochs=1, seed=0), ckpt_dir)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -191,7 +195,8 @@ def test_model_config_and_loss_weights_validate():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(n_c=0), dict(n_c=-2), dict(alpha=nan), dict(alpha=-1.0),
                 dict(alpha=0.0), dict(alpha=inf), dict(i_sat=nan), dict(i_sat=inf),
-                dict(g0=nan), dict(g0=inf), dict(g_l=nan), dict(g_h=-inf)):
+                dict(g0=nan), dict(g0=inf), dict(g_l=nan), dict(g_h=-inf),
+                dict(g0=1024.0), dict(g_h=1e9)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             model.ModelConfig(**bad)
     for bad in (dict(lam_s=nan), dict(w_b=inf), dict(w_p=-0.1), dict(lam_g=-inf)):
@@ -257,7 +262,15 @@ def _run_fresh(script, **env):
     return run.stdout.strip()
 
 
-@pytest.mark.parametrize("batch", [32, 11])
+# 29 and 31 are the batch sizes of 1-32 whose weight gradients differ in their
+# last bits between 1 and 2 OpenBLAS threads (ROADMAP item 2); a mend turns
+# their xfail into a failure that asks for the mark to go
+BLAS_MISMATCH = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 9 weight gradients "
+                                  "of the 4 x 4 layers differ between 1 and 2 threads")
+
+
+@pytest.mark.parametrize("batch", [32, 11, pytest.param(29, marks=BLAS_MISMATCH),
+                                   pytest.param(31, marks=BLAS_MISMATCH)])
 def test_gradient_bitwise_equal_across_blas_threads(batch):
     # 11 is the last, partial batch of each criterion-9 epoch (395 frames)
     script = _GRAD_HASH.replace("BATCH", str(batch))
@@ -272,10 +285,11 @@ from ptychokit import dataset, model, physics, train
 
 amp, phase = dataset.gen_object(120, 120, seed=0)
 plan = dataset.plan_scan(rows=10, cols=10, step=8, jitter_max=3, seed=0)
-frames, patches = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
-dataset.split_rows(frames, rows=10, train_rows=9, test_rows=1, val_fraction=0.25, seed=0)
+intensity, table, truth = dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+table["split"] = dataset.split_rows(table["row"], rows=10, train_rows=9, test_rows=1,
+                                    val_fraction=0.25, seed=0)
 with tempfile.TemporaryDirectory() as ckpt:
-    res = train.train(frames, patches, model.ModelConfig(n_c=8, seed=0),
+    res = train.train(intensity, table, truth, model.ModelConfig(n_c=8, seed=0),
                       train.TrainConfig(epochs=3, seed=0), ckpt)
 print(json.dumps([row["faults_per_step"] for row in res.epoch_log]))
 """
@@ -292,9 +306,9 @@ def test_training_steps_do_not_fault_memory_back_in():
 
 
 def test_train_log_has_one_row_per_epoch(tmp_path):
-    frames, patches = tiny_data(seed=5)
+    data = tiny_data(seed=5)
     tcfg = train.TrainConfig(epochs=2, batch_size=8, seed=0, clip_norm=1e-6)
-    res = train.train(frames, patches, model.ModelConfig(n_c=4, seed=0), tcfg,
+    res = train.train(*data, model.ModelConfig(n_c=4, seed=0), tcfg,
                       tmp_path / "ckpt", log_path=tmp_path / "loss_log.csv")
     lines = (tmp_path / "train_log.csv").read_text().splitlines()
     assert lines[0].split(",") == list(train.TRAIN_LOG_FIELDS)
