@@ -104,6 +104,7 @@ PRED_FIELDS = ["index", "row", "col", "y", "x", "split"]
 
 
 def cmd_infer(args):
+    _build_config(args)
     params, mcfg, manifest, (intensity, table, _probe, _meta) = _load_ckpt_and_data(
         args, dataset.load_frames)
     os.makedirs(os.path.join(args.out, "pred"), exist_ok=True)
@@ -169,6 +170,7 @@ def cmd_evaluate(args):
 
 
 def cmd_spectrum(args):
+    _build_config(args)
     grid = gridio.read_grid(args.grid)
     side = min(grid.shape)
     radii, curve, bands = recon.radial_psd(grid[:side, :side])
@@ -200,11 +202,12 @@ def cmd_epie(args):
         for e in state.error_history:
             fh.write(f"{e:.10g}\n")
     print(f"epie: final data error {state.error_history[-1]:.3e} "
-          f"after {state.iterations} sweeps")
+          f"after {len(state.error_history)} sweeps")
     return 0
 
 
 def cmd_gradcheck(args):
+    _build_config(args)
     results = verify.run_gradcheck(verbose=True)
     failed = [r for r in results if not r[3]]
     print(f"gradcheck: {len(results) - len(failed)}/{len(results)} passed")
@@ -281,7 +284,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, FloatingPointError, NonFiniteError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, FloatingPointError,
+            NonFiniteError) as exc:
         # str() of a KeyError is the repr of its message: print the message itself
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

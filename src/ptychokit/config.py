@@ -107,9 +107,6 @@ class RunConfig:
         for k in SEED_KEYS:
             self.values[k] = int(seed)
 
-    def config_hash(self):
-        return _digest(self.values)
-
     def data_hash(self):
         """Hash over only the keys that define the dataset."""
         return _digest({k: self.values[k] for k in DATA_KEYS})
@@ -151,12 +148,12 @@ class RunConfig:
         return self._build(train.TrainConfig, weights=self._build(losses.LossWeights))
 
     def noise_cfg(self):
+        """`make_dataset`'s noise keywords, or None without noise."""
         v = self.values
         if not v["noise"]:
             return None
-        read_sigma = None if v["read_sigma"] < 0 else v["read_sigma"]
-        return dataset.NoiseConfig(peak_photons=v["peak_photons"], read_sigma=read_sigma,
-                                   seed=v["noise_seed"])
+        return {"peak_photons": v["peak_photons"], "seed": v["noise_seed"],
+                "read_sigma": None if v["read_sigma"] < 0 else v["read_sigma"]}
 
     def make_probe(self):
         v = self.values

@@ -37,7 +37,6 @@ class ScanPlan:
     step: int
     jitter_max: int
     probe_size: int
-    seed: int
     positions: list = field(default_factory=list)  # (row, col, y_px, x_px)
 
     def required_extent(self):
@@ -79,13 +78,6 @@ def _box(table, p):
 def positions(table):
     """The table's window positions, as (y, x) pairs of ints."""
     return list(zip(table["y"].tolist(), table["x"].tolist()))
-
-
-@dataclass
-class NoiseConfig:
-    peak_photons: float = physics.NOISE_PEAK_PHOTONS
-    read_sigma: float = None  # None -> 1% of dataset max
-    seed: int = 0
 
 
 def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
@@ -145,7 +137,7 @@ def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
             raise ValueError(f"need {key} >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     plan = ScanPlan(rows=rows, cols=cols, step=step, jitter_max=jitter_max,
-                    probe_size=probe_size, seed=seed)
+                    probe_size=probe_size)
     for r in range(rows):
         for c in range(cols):
             jy = int(rng.integers(-jitter_max, jitter_max + 1)) if jitter_max else 0
@@ -158,6 +150,8 @@ def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
 def make_dataset(amplitude, phase, probe, plan, noise=None):
     """Simulate a scan: its float32 (N, p, p) intensity stack, its table (every
     frame in the train split) and its `Truth`, whose box is a view of the object.
+    `noise`, if given, is a dict of `physics.add_noise`'s peak_photons, read_sigma
+    and seed, applied to each frame against the scan's maximum intensity.
 
     Frames are simulated SIM_BLOCK windows at a time; each frame's intensity
     is bitwise the same as simulating it alone.
@@ -184,9 +178,7 @@ def make_dataset(amplitude, phase, probe, plan, noise=None):
     if noise is not None:
         ref_max = float(intensity.max())
         for i, clean in enumerate(intensity):
-            intensity[i] = physics.add_noise(
-                clean, peak_photons=noise.peak_photons, read_sigma=noise.read_sigma,
-                seed=noise.seed, frame_index=i, ref_max=ref_max)
+            intensity[i] = physics.add_noise(clean, **noise, frame_index=i, ref_max=ref_max)
     box = _box(table, p)
     return intensity, table, Truth(amplitude[box], phase[box], (box[0].start, box[1].start), p)
 

@@ -42,7 +42,6 @@ MAG_GUARD = 1e-12
 @dataclass
 class EpieState:
     object_est: np.ndarray  # complex64 canvas
-    iterations: int
     error_history: list = field(default_factory=list)
 
 
@@ -74,7 +73,9 @@ def _disjoint_runs(ys, xs, order, p):
 
 def epie_reconstruct(intensity, positions, probe, iters=300, beta=0.9, seed=0):
     """Object-only updates on a 1+0i canvas that just covers every scan window,
-    from an (N, p, p) float32 intensity stack measured at the N (y, x) `positions`."""
+    from an (N, p, p) float32 intensity stack measured at the N (y, x) `positions`.
+    The state's `error_history` has one entry per sweep, so its length is the
+    sweep count."""
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     if not (0 < beta <= 1):
@@ -98,7 +99,7 @@ def epie_reconstruct(intensity, positions, probe, iters=300, beta=0.9, seed=0):
     # so writing them through this overlapping view is safe
     windows = sliding_window_view(obj, (p, p), writeable=True)
     ys_arr, xs_arr = np.array(ys), np.array(xs)
-    state = EpieState(object_est=obj, iterations=0)
+    state = EpieState(object_est=obj)
     for sweep in range(iters):
         order = np.random.default_rng([seed, sweep]).permutation(n).tolist()
         err_num, err_den = 0.0, 0.0
@@ -116,7 +117,6 @@ def epie_reconstruct(intensity, positions, probe, iters=300, beta=0.9, seed=0):
             psi2 = np.fft.ifft2(fourier_magnitude_project(psi_f, meas), norm="ortho")
             windows[at] = window + update_gain * (psi2 - psi)
         state.error_history.append(err_num / max(err_den, 1e-300))
-        state.iterations = sweep + 1
     return state
 
 

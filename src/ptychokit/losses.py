@@ -10,9 +10,8 @@ gradient is computed. `scalar_phase_loss` is one node over the scalar_phase
 variant's two heads, built from the MSE kernel; `ssim` and `circular_loss` are
 one node over one kernel each, whose thunk runs when a backward reaches it, and
 `ssim_value` and `circular_loss_value` are kernel values for evaluation. SSIM is
-written once (`_ssim_terms`); its gradient is Wang & Simoncelli's (2008)."""
+written once (`_ssim`); its gradient is Wang & Simoncelli's (2008)."""
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -110,18 +109,18 @@ def _consistency(c, s):
     return np.mean(dev * dev), lambda: (dev * c * (4.0 / dev.size), dev * s * (4.0 / dev.size))
 
 
-@functools.cache
 def _blur_matrix(n):
     """((n - 10) x n) valid-mode blur by the normalised 1-D Gaussian window (11 taps).
 
     The 2-D window of Wang et al. is the outer product of this one, so the
-    windowed mean of a grid X is B_h @ X @ B_w^T. Every row sums to 1.
+    windowed mean of a grid X is B_h @ X @ B_w^T. Every row sums to 1. Built on
+    each call, in microseconds, so no field-sized matrix outlives its SSIM.
     """
     half = SSIM_WINDOW // 2
     g = np.exp(-np.arange(-half, half + 1.0) ** 2 / (2.0 * SSIM_SIGMA ** 2))
+    rows = np.arange(n - 2 * half)[:, None]
     b = np.zeros((n - 2 * half, n))
-    for i in range(n - 2 * half):
-        b[i, i:i + SSIM_WINDOW] = g / g.sum()
+    b[rows, rows + np.arange(SSIM_WINDOW)] = g / g.sum()
     return b
 
 
@@ -131,36 +130,29 @@ def _blur(v, bh, bw):
     return np.matmul(bh, (v.reshape(m * h, w) @ bw.T).reshape(m, h, -1))
 
 
-def _ssim_terms(x, y):
-    """SSIM of two (M, H, W) float64 stacks over the valid windows (Wang et al.
-    2004) as (mu_x, mu_y, a1, a2, b1, b2), SSIM = a1 a2 / (b1 b2): a1 = 2 mu_x
-    mu_y + C1, a2 = 2 cov + C2, b1 = mu_x^2 + mu_y^2 + C1, b2 = var_x + var_y + C2."""
-    if x.ndim != 3 or min(x.shape[1:]) < SSIM_WINDOW:
-        raise ValueError(f"need grids of at least the SSIM window, got {x.shape}")
-    bh, bw = _blur_matrix(x.shape[1]), _blur_matrix(x.shape[2])
-    mu_x, mu_y = _blur(x, bh, bw), _blur(y, bh, bw)
-    a1 = 2 * mu_x * mu_y + SSIM_C1
-    a2 = 2 * (_blur(x * y, bh, bw) - mu_x * mu_y) + SSIM_C2
-    b1 = mu_x ** 2 + mu_y ** 2 + SSIM_C1
-    b2 = _blur(x * x, bh, bw) - mu_x ** 2 + _blur(y * y, bh, bw) - mu_y ** 2 + SSIM_C2
-    return mu_x, mu_y, a1, a2, b1, b2
-
-
 def _ssim(x, y):
     """1 - mean SSIM of y against x over the valid 11x11 Gaussian windows (data
-    range 1) of each H x W grid, as mean(((b1 - a1) b2 + a1 (b2 - a2)) / (b1 b2)),
-    precise near SSIM = 1; y gradient in Wang & Simoncelli's (2008) closed form."""
+    range 1) of each H x W grid (Wang et al. 2004), as mean(((b1 - a1) b2 + a1
+    (b2 - a2)) / (b1 b2)), precise near SSIM = 1: a1 = 2 mu_x mu_y + C1, a2 = 2
+    cov + C2, b1 = mu_x^2 + mu_y^2 + C1, b2 = var_x + var_y + C2; y gradient in
+    Wang & Simoncelli's (2008) closed form."""
     xs, ys = (v.reshape((-1,) + v.shape[-2:]) for v in (x, y))
-    mu_x, mu_y, a1, a2, b1, b2 = _ssim_terms(xs, ys)
+    if xs.ndim != 3 or min(xs.shape[1:]) < SSIM_WINDOW:
+        raise ValueError(f"need grids of at least the SSIM window, got {xs.shape}")
+    bh, bw = _blur_matrix(xs.shape[1]), _blur_matrix(xs.shape[2])
+    mu_x, mu_y = _blur(xs, bh, bw), _blur(ys, bh, bw)
+    a1 = 2 * mu_x * mu_y + SSIM_C1
+    a2 = 2 * (_blur(xs * ys, bh, bw) - mu_x * mu_y) + SSIM_C2
+    b1 = mu_x ** 2 + mu_y ** 2 + SSIM_C1
+    b2 = _blur(xs * xs, bh, bw) - mu_x ** 2 + _blur(ys * ys, bh, bw) - mu_y ** 2 + SSIM_C2
     den = b1 * b2
 
     def grad():
         # -(B^T a + x B^T b + y B^T c) / (number of windows), B^T the adjoint blur
-        s, k = a1 * a2 / den, -1.0 / a1.size
-        bh, bw = _blur_matrix(xs.shape[1]).T, _blur_matrix(xs.shape[2]).T
-        g = _blur(k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2)), bh, bw)
-        g += xs * _blur(k * 2 * a1 / den, bh, bw)  # summed in place: the same bits, one
-        g += ys * _blur(k * -2 * s / b2, bh, bw)   # grid-sized array fewer
+        s, k, bht, bwt = a1 * a2 / den, -1.0 / a1.size, bh.T, bw.T
+        g = _blur(k * (2 * mu_x * (a2 - a1) / den - 2 * mu_y * s * (1 / b1 - 1 / b2)), bht, bwt)
+        g += xs * _blur(k * 2 * a1 / den, bht, bwt)  # summed in place: the same bits, one
+        g += ys * _blur(k * -2 * s / b2, bht, bwt)   # grid-sized array fewer
         return (g.reshape(y.shape),)
 
     return np.mean(((b1 - a1) * b2 + a1 * (b2 - a2)) / den), grad

@@ -46,8 +46,9 @@ class ModelConfig:
         for need, ok in (("n_c >= 1", self.n_c >= 1), ("i_max > 0", self.i_max > 0),
                          ("finite i_sat > 0", 0 < self.i_sat < math.inf),
                          ("finite alpha > 0", 0 < self.alpha < math.inf),
-                         # gain_factor's 2.0 ** g overflows from g = 1024 on
-                         ("finite g0 < 1024", -math.inf < self.g0 < 1024),
+                         # gain_factor's 2.0 ** g overflows from g = 1024 on; the
+                         # mirrored bound keeps 2.0 ** g0 (0.0 from -1075 down) > 0
+                         ("-1024 < g0 < 1024", -1024 < self.g0 < 1024),
                          ("finite g_l < g_h < 1024", -math.inf < self.g_l < self.g_h < 1024)):
             if not ok:
                 raise ValueError(f"need {need}")
@@ -56,9 +57,6 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     tensors: dict
-
-    def count(self):
-        return sum(t.size for t in self.tensors.values())
 
     def named(self):
         return self.tensors.items()

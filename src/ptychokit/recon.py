@@ -1,6 +1,5 @@
 """Inference, weighted stitching, image metrics, and spectral analysis."""
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -49,7 +48,6 @@ def iter_infer(intensity, params, cfg, batch_size=32):
             yield amps[i].copy(), phases[i].copy()
 
 
-@functools.cache
 def stitch_kernel(patch, weight_floor):
     """Radially decaying weight (1 - d/d_max)^2 + floor; d_max = center-to-corner."""
     center = (patch - 1) / 2.0
@@ -201,9 +199,10 @@ def report(positions, predictions, truth, weight_floor=WEIGHT_FLOOR, config_hash
     `predictions` is an iterable of (amplitude, phase), one per (y, x) in
     `positions`, in that order, read once: each prediction is scored against
     the `dataset.Truth` windows at its position and added to the stitch as it
-    arrives, so `iter_infer` keeps one batch of predictions alive, and the
-    ground truth is stitched after the last one, so its fields are not held
-    while the model runs. The count is checked at the end.
+    arrives, so `iter_infer` keeps one batch of predictions alive. The count is
+    checked at the end. The stitched ground truth is the truth's grids on the
+    stitch's box, 0 off its coverage mask: every window blends one value per
+    pixel.
     """
     per = {kind: {m: [] for m in METRIC_NAMES} for kind in ("amplitude", "phase")}
     predictions = iter(predictions)
@@ -221,8 +220,8 @@ def report(positions, predictions, truth, weight_floor=WEIGHT_FLOOR, config_hash
             raise ValueError("positions and predictions must align")
 
     amp_hat, phi_hat, mask, origin = stitch_amp_phase(scored(), positions, weight_floor)
-    amp_gt, phi_gt, _, _ = stitch_amp_phase((truth.windows(y, x) for y, x in positions),
-                                            positions, weight_floor)
+    at = tuple(slice(o - t, o - t + n) for o, t, n in zip(origin, truth.origin, mask.shape))
+    amp_gt, phi_gt = (np.where(mask, grid[at], 0.0) for grid in (truth.amplitude, truth.phase))
     per = {k: {m: np.asarray(v) for m, v in d.items()} for k, d in per.items()}
 
     ys, xs = np.where(mask)

@@ -67,12 +67,14 @@ def cyclic_lr(step, steps_per_half_cycle, eta):
 
 def clip_grad_norm(grads, max_norm=1.0):
     """Scale all grads in place by max_norm/norm when their global L2 norm exceeds
-    max_norm; returns the same arrays and the norm before clipping."""
+    max_norm; returns the same arrays and the norm before clipping. A non-finite
+    gradient makes the float64 sum of squares non-finite: a finite float32 value
+    always squares to a finite float64."""
     total = 0.0
     for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
         total += float(np.sum(g.astype(np.float64) ** 2))
+    if not math.isfinite(total):
+        raise FloatingPointError("non-finite gradient")
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = np.float32(max_norm / norm)
@@ -120,10 +122,6 @@ class TrainResult:
     best_epoch: int
     log_rows: list
     epoch_log: list  # one dict per epoch, keyed by TRAIN_LOG_FIELDS
-
-    @property
-    def val_history(self):
-        return [row["val_loss"] for row in self.epoch_log]
 
 
 def _stack_batch(intensity, table, truth, idx):

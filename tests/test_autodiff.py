@@ -424,8 +424,11 @@ def test_finite_diff_check_flags_wrong_gradient():
     assert err > 1e-2
 
 
-def test_every_tape_op_has_a_gradient_check():
-    # each public function that makes tape nodes is checked under its name
+def test_every_tape_op_has_a_gradient_check(monkeypatch):
+    # each public function that makes tape nodes is checked under its name; only
+    # the names are needed, so no check runs (criterion 1 runs them all)
+    monkeypatch.setattr(verify, "finite_diff_check", lambda *a, **k: 0.0)
+    monkeypatch.setattr(verify, "model_gradcheck", lambda **k: [])
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and not name.startswith("_")
            and "_make" in inspect.unwrap(fn).__code__.co_names}

@@ -309,8 +309,9 @@ def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
                                  "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan",
-                                 "half_cycle_epochs=0", "g0=1e9", "g_h=1e9", "epie_beta=0",
-                                 "epie_beta=-1", "epie_beta=1e9", "stitch_weight_floor=-1"])
+                                 "half_cycle_epochs=0", "g0=1e9", "g0=-1e9", "g_h=1e9",
+                                 "epie_beta=0", "epie_beta=-1", "epie_beta=1e9",
+                                 "stitch_weight_floor=-1"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
     _, data, _ = pipeline
     rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run"), "--seed", "1"]
@@ -515,6 +516,35 @@ def test_bad_set_syntax(capsys, tmp_path):
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--set", "rows"])
     assert rc == 1
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,named", [(["--set", "bogus=1"], "'bogus'"),
+                                         (["--config", "missing.cfg"], "missing.cfg")],
+                         ids=["set", "config"])
+@pytest.mark.parametrize("stage", ["infer", "spectrum", "gradcheck"])
+def test_every_stage_checks_its_config(pipeline, monkeypatch, capsys, tmp_path, stage, flags,
+                                       named):
+    # with valid inputs otherwise, the bad flag alone ends the stage, before it writes
+    _, data, run = pipeline
+    # a stage that skipped the check would run this stub, not the whole suite
+    monkeypatch.setattr(verify, "run_gradcheck", lambda verbose=False: [("op", 0.1, 1.0, True)])
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    args = {"infer": ["--ckpt", os.path.join(run, "checkpoint"), "--data", data] + out,
+            "spectrum": ["--grid", os.path.join(data, "object_phase.ptg")] + out,
+            "gradcheck": []}[stage]
+    assert cli.main([stage] + args + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_failed_allocation_is_one_line_error(capsys, tmp_path):
+    # the object grid would take exabytes: numpy refuses it before allocating
+    rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--set", "object_size=1e9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
 def test_stitch_without_predictions_is_one_line_error(capsys, tmp_path):

@@ -121,7 +121,7 @@ def test_make_dataset_rejects_negative_position():
 def test_make_dataset_noise_deterministic():
     amp, phase = dataset.gen_object(100, 100, seed=4)
     probe = physics.make_probe()
-    noise = dataset.NoiseConfig(seed=11)
+    noise = {"seed": 11}
     i1, table, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
     i2, _, _ = dataset.make_dataset(amp, phase, probe, small_plan(4), noise)
     assert np.array_equal(i1, i2)
@@ -145,7 +145,7 @@ def test_save_load_roundtrip(tmp_path):
     amp, phase = dataset.gen_object(100, 100, seed=6)
     probe = physics.make_probe()
     intensity, table, truth = dataset.make_dataset(amp, phase, probe, small_plan(6),
-                                                   dataset.NoiseConfig(seed=1))
+                                                   {"seed": 1})
     table["split"] = dataset.split_rows(table["row"], rows=6, train_rows=4, test_rows=2, seed=0)
     meta = {"config_hash": "abc123", "probe_radius": 13.0}
     dataset.save_dataset(tmp_path, intensity, table, amp, phase, probe, meta)
@@ -170,7 +170,7 @@ def saved_dataset(path, seed, noise=None):
     dataset.save_dataset(path, intensity, table, amp, phase, probe, {"config_hash": "abc123"})
 
 
-@pytest.mark.parametrize("noise", [None, dataset.NoiseConfig(seed=2)], ids=["clean", "noisy"])
+@pytest.mark.parametrize("noise", [None, {"seed": 2}], ids=["clean", "noisy"])
 def test_load_dataset_patches_equal_stored_patch_files(tmp_path, noise):
     saved_dataset(tmp_path, 7, noise)
     _, table, truth, _, _ = dataset.load_dataset(tmp_path)

@@ -40,7 +40,7 @@ def expected_param_count(n, variant="full"):
 def test_param_count_matches_independent_tally(variant):
     c = cfg(variant=variant)
     params = model.init_params(c)
-    assert params.count() == expected_param_count(4, variant)
+    assert sum(t.size for t in params.tensors.values()) == expected_param_count(4, variant)
 
 
 def test_config_validation():

@@ -110,9 +110,10 @@ def test_train_smoke_loss_decreases(tmp_path):
     res = train.train(*data, mcfg, tcfg,
                       ckpt_dir=tmp_path / "ckpt", config_hash="h",
                       log_path=tmp_path / "log.csv")
-    assert len(res.val_history) == 3
-    assert res.best_val == min(res.val_history)
-    assert res.best_val < res.val_history[0] or res.best_epoch == 0
+    val_history = [row["val_loss"] for row in res.epoch_log]
+    assert len(val_history) == 3
+    assert res.best_val == min(val_history)
+    assert res.best_val < val_history[0] or res.best_epoch == 0
     per_epoch = len(res.log_rows) // 3
     first = np.mean([r[-1] for r in res.log_rows[:per_epoch]])
     last = np.mean([r[-1] for r in res.log_rows[-per_epoch:]])
@@ -137,7 +138,7 @@ def test_train_deterministic(tmp_path):
     (r1, p1), (r2, p2) = runs
     for name in sorted(p1.tensors):
         assert np.array_equal(p1.tensors[name].data, p2.tensors[name].data)
-    assert r1.val_history == r2.val_history
+    assert [row["val_loss"] for row in r1.epoch_log] == [row["val_loss"] for row in r2.epoch_log]
 
 
 def test_train_requires_train_split(tmp_path):
@@ -196,7 +197,7 @@ def test_model_config_and_loss_weights_validate():
     for bad in (dict(n_c=0), dict(n_c=-2), dict(alpha=nan), dict(alpha=-1.0),
                 dict(alpha=0.0), dict(alpha=inf), dict(i_sat=nan), dict(i_sat=inf),
                 dict(g0=nan), dict(g0=inf), dict(g_l=nan), dict(g_h=-inf),
-                dict(g0=1024.0), dict(g_h=1e9)):
+                dict(g0=1024.0), dict(g0=-1e9), dict(g_h=1e9)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             model.ModelConfig(**bad)
     for bad in (dict(lam_s=nan), dict(w_b=inf), dict(w_p=-0.1), dict(lam_g=-inf)):
@@ -314,7 +315,8 @@ def test_train_log_has_one_row_per_epoch(tmp_path):
     assert lines[0].split(",") == list(train.TRAIN_LOG_FIELDS)
     rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
     assert [r["epoch"] for r in rows] == [0, 1]
-    assert [r["val_loss"] for r in rows] == pytest.approx(res.val_history, rel=1e-7)
+    assert [r["val_loss"] for r in rows] == pytest.approx(
+        [row["val_loss"] for row in res.epoch_log], rel=1e-7)
     lrs = [r[1] for r in res.log_rows]
     half = len(lrs) // 2
     for row, epoch_lrs in zip(rows, (lrs[:half], lrs[half:])):
