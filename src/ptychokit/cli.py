@@ -214,14 +214,16 @@ def cmd_gradcheck(args):
     return 1 if failed else 0
 
 
-def _add_common(sp):
+def _add_common(sp, force=False):
+    """--config, --set and --seed; --force only for a stage that checks config hashes."""
     sp.add_argument("--config", help="config file (key = value lines)")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override one config key")
     sp.add_argument("--seed", type=int,
                     help="master seed for all stages; an explicit --set *_seed=... wins")
-    sp.add_argument("--force", action="store_true",
-                    help="proceed despite config-hash mismatch")
+    if force:
+        sp.add_argument("--force", action="store_true",
+                        help="proceed despite config-hash mismatch")
 
 
 def build_parser():
@@ -234,13 +236,13 @@ def build_parser():
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("train", help="dataset -> checkpoint + loss log + epoch record")
-    _add_common(sp)
+    _add_common(sp, force=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("infer", help="checkpoint + frames -> predicted patches")
-    _add_common(sp)
+    _add_common(sp, force=True)
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
@@ -254,7 +256,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_stitch)
 
     sp = sub.add_parser("evaluate", help="predictions vs ground truth -> report")
-    _add_common(sp)
+    _add_common(sp, force=True)
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
@@ -268,7 +270,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("epie", help="frames + probe -> iterative reference recon")
-    _add_common(sp)
+    _add_common(sp, force=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_epie)

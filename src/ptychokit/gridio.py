@@ -1,4 +1,5 @@
-"""PTGRID v1 file format: one JSON header line + raw little-endian f32 payload,
+"""PTGRID v1 file format: one JSON header line + raw little-endian f32 payload
+(a 1-D grid may hold several arrays back to back: `write_parts`, `read_parts`),
 and the one writer of each other file kind beside the grids: CSV tables and
 JSON objects, with the checked reader of the JSON objects and the reader of
 UTF-8 text that the JSON, CSV and config readers share.
@@ -28,49 +29,90 @@ def write_grid(path, grid):
     """Write `grid` as a PTGRID file. A C-contiguous little-endian float32 array
     is written from its own buffer; any other array is converted once."""
     arr = np.ascontiguousarray(grid, dtype="<f4")
-    if not np.all(np.isfinite(arr)):
+    _write(path, arr.shape, [arr])
+
+
+def write_parts(path, parts):
+    """Write arrays back to back as one 1-D PTGRID grid, each as `write_grid`
+    writes its array, so no concatenation is built."""
+    arrs = [np.ascontiguousarray(part, dtype="<f4") for part in parts]
+    _write(path, (sum(a.size for a in arrs),), arrs)
+
+
+def _write(path, shape, arrs):
+    if not all(np.all(np.isfinite(a)) for a in arrs):
         raise ValueError("refusing to write non-finite grid")
     header = {
         "magic": MAGIC,
         "version": VERSION,
-        "shape": list(arr.shape),
+        "shape": list(shape),
         "dtype": "f32le",
         "order": "row-major",
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(arr.data)
+        for a in arrs:
+            fh.write(a.data)
 
 
-def read_grid(path):
-    """A grid file's array. The header must be a JSON object whose shape is a
-    non-empty list of positive ints, and the file's size must match that shape
-    before any of the payload is read."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GridFormatError(f"{path}: malformed header") from exc
-        if not isinstance(header, dict):
-            raise GridFormatError(f"{path}: header is not a JSON object")
-        if header.get("magic") != MAGIC or header.get("version") != VERSION:
-            raise GridFormatError(f"{path}: bad magic/version")
-        if header.get("dtype") != "f32le" or header.get("order") != "row-major":
-            raise GridFormatError(f"{path}: unsupported dtype/order")
-        shape = header.get("shape")
-        if (not isinstance(shape, list) or not shape
-                or not all(_has_type(s, int) and s > 0 for s in shape)):
-            raise GridFormatError(f"{path}: bad shape {shape!r}")
-        size = math.prod(shape) * 4
-        found = os.fstat(fh.fileno()).st_size - len(line)
-        if found != size:
-            raise GridFormatError(f"{path}: payload size {found} != {size}")
-        payload = fh.read(size)
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+def _read_header(fh, path):
+    """The shape in an open grid file's header. The header must be a JSON object
+    whose shape is a non-empty list of positive ints, and the file's size must
+    match that shape before any of the payload is read."""
+    line = fh.readline()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GridFormatError(f"{path}: malformed header") from exc
+    if not isinstance(header, dict):
+        raise GridFormatError(f"{path}: header is not a JSON object")
+    if header.get("magic") != MAGIC or header.get("version") != VERSION:
+        raise GridFormatError(f"{path}: bad magic/version")
+    if header.get("dtype") != "f32le" or header.get("order") != "row-major":
+        raise GridFormatError(f"{path}: unsupported dtype/order")
+    shape = header.get("shape")
+    if (not isinstance(shape, list) or not shape
+            or not all(_has_type(s, int) and s > 0 for s in shape)):
+        raise GridFormatError(f"{path}: bad shape {shape!r}")
+    size = math.prod(shape) * 4
+    found = os.fstat(fh.fileno()).st_size - len(line)
+    if found != size:
+        raise GridFormatError(f"{path}: payload size {found} != {size}")
+    return shape
+
+
+def _check_finite(arr, path):
     if not np.all(np.isfinite(arr)):
         raise GridFormatError(f"{path}: non-finite values")
     return arr
+
+
+def read_grid(path):
+    """A grid file's array, its header and size checked by `_read_header`."""
+    with open(path, "rb") as fh:
+        shape = _read_header(fh, path)
+        payload = fh.read(math.prod(shape) * 4)
+    return _check_finite(np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), path)
+
+
+def read_parts(path, shapes, source):
+    """The arrays that `write_parts` wrote, one per shape in `shapes`, each read
+    from the file straight into its own array. The grid must be 1-D and hold
+    exactly their values; otherwise one GridFormatError names the file and
+    `source`, what the shapes came from."""
+    shapes = list(shapes)
+    total = sum(math.prod(s) for s in shapes)
+    with open(path, "rb") as fh:
+        shape = _read_header(fh, path)
+        if shape != [total]:
+            raise GridFormatError(f"{path}: holds a grid of shape {shape}, not the "
+                                  f"{total} values that {source} needs")
+        arrs = []
+        for s in shapes:
+            arr = np.empty(s, dtype="<f4")
+            fh.readinto(arr)
+            arrs.append(_check_finite(arr, path))
+    return arrs
 
 
 def write_complex_grid(path, grid):

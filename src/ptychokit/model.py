@@ -63,7 +63,13 @@ class ModelParams:
 
 
 def gain_factor(cfg, g):
-    return cfg.i_sat * cfg.alpha / (2.0 ** cfg.g0 * cfg.i_max) * 2.0 ** g
+    """The factor of the gain branch with exponent g; one that is not finite and
+    > 0 is refused here, where `i_max` is known."""
+    gain = cfg.i_sat * cfg.alpha / (2.0 ** cfg.g0 * cfg.i_max) * 2.0 ** g
+    if not 0 < gain < math.inf:
+        raise ValueError(f"gain factor {gain} for g0={cfg.g0} and a branch exponent of {g} "
+                         f"(g_l={cfg.g_l}, g_h={cfg.g_h}): need finite and > 0")
+    return gain
 
 
 def _gain_branch(intensity, cfg, g):
@@ -124,16 +130,29 @@ def layer_defs(cfg):
     return defs
 
 
+def param_shapes(cfg):
+    """Each parameter's name and shape, layer by layer in `layer_defs` order and
+    the weight before the bias: the order `init_params` makes them in and a
+    checkpoint stores them in."""
+    shapes = {}
+    for name, (cout, cin, k, has_bias) in layer_defs(cfg).items():
+        shapes[name + ".w"] = (cout, cin, k, k)
+        if has_bias:
+            shapes[name + ".b"] = (cout,)
+    return shapes
+
+
 def init_params(cfg):
     """Fan-in uniform weights in [-sqrt(6/fan_in), +sqrt(6/fan_in)], zero biases."""
     rng = np.random.default_rng(cfg.seed)
     tensors = {}
-    for name, (cout, cin, k, has_bias) in layer_defs(cfg).items():
-        bound = np.sqrt(6.0 / (cin * k * k))
-        w = rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(np.float32)
-        tensors[name + ".w"] = Tensor(w, requires_grad=True)
-        if has_bias:
-            tensors[name + ".b"] = Tensor(np.zeros(cout, np.float32), requires_grad=True)
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".b"):
+            data = np.zeros(shape, np.float32)
+        else:
+            bound = np.sqrt(6.0 / math.prod(shape[1:]))
+            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(tensors=tensors)
 
 
@@ -216,32 +235,41 @@ def forward(intensity, params, cfg):
 
 def save_checkpoint(ckpt_dir, params, cfg, seed=0, epoch=0, val_loss=float("nan"),
                     config_hash=""):
-    os.makedirs(os.path.join(ckpt_dir, "params"), exist_ok=True)
-    for name, t in params.named():
-        gridio.write_grid(os.path.join(ckpt_dir, "params", name + ".ptg"), t.data)
+    """Write `manifest.json` and `params.ptg`, every parameter back to back in
+    `param_shapes(cfg)` order, each from its own buffer."""
+    shapes = param_shapes(cfg)
+    if {name: t.shape for name, t in params.named()} != shapes:
+        raise ValueError(f"parameters do not match the {cfg.variant} layers at n_c={cfg.n_c}")
+    os.makedirs(ckpt_dir, exist_ok=True)
+    gridio.write_parts(os.path.join(ckpt_dir, "params.ptg"),
+                       [params.tensors[name].data for name in shapes])
     # JSON has no NaN: a non-finite val_loss is written as null
     manifest = {"cfg": asdict(cfg), "seed": seed, "epoch": epoch,
                 "val_loss": val_loss if math.isfinite(val_loss) else None,
-                "config_hash": config_hash,
-                "param_names": sorted(params.tensors)}
+                "config_hash": config_hash}
     gridio.write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
 
 
 MANIFEST_TYPES = {"cfg": dict, "seed": int, "epoch": int, "val_loss": (float, type(None)),
-                  "config_hash": str, "param_names": list}
+                  "config_hash": str}
 
 
 def load_checkpoint(ckpt_dir):
+    """The parameters, model config and manifest of a checkpoint. Each
+    parameter's name and shape come from the manifest's cfg, and `params.ptg`
+    must hold exactly their values."""
+    params_path = os.path.join(ckpt_dir, "params.ptg")
+    if os.path.isdir(os.path.join(ckpt_dir, "params")) and not os.path.exists(params_path):
+        raise ValueError(f"{params_path}: missing; a params/ directory beside it is the old "
+                         "checkpoint layout, which is not read")
     path = os.path.join(ckpt_dir, "manifest.json")
-    manifest = gridio.read_json(path, MANIFEST_TYPES, required=("cfg", "param_names"))
+    manifest = gridio.read_json(path, MANIFEST_TYPES, required=("cfg",))
     if manifest.get("val_loss") is None:
         manifest["val_loss"] = float("nan")
     types = {f.name: f.type for f in fields(ModelConfig)}
     cfg = ModelConfig(**gridio.check_fields(manifest["cfg"], types, types, f"{path}: cfg"))
-    if not all(isinstance(name, str) for name in manifest["param_names"]):
-        raise ValueError(f"{path}: 'param_names' must be a list of str")
-    tensors = {}
-    for name in manifest["param_names"]:
-        arr = gridio.read_grid(os.path.join(ckpt_dir, "params", name + ".ptg"))
-        tensors[name] = Tensor(arr, requires_grad=True)
-    return ModelParams(tensors=tensors), cfg, manifest
+    shapes = param_shapes(cfg)
+    arrays = gridio.read_parts(params_path, shapes.values(), f"the cfg in {path}")
+    return (ModelParams(tensors={name: Tensor(arr, requires_grad=True)
+                                 for name, arr in zip(shapes, arrays)}),
+            cfg, manifest)

@@ -309,7 +309,7 @@ def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("bad", ["batch_size=0", "eta=nan", "clip_norm=inf", "rows=4.7",
                                  "n_c=0", "alpha=nan", "alpha=-1", "lam_s=nan",
-                                 "half_cycle_epochs=0", "g0=1e9", "g0=-1e9", "g_h=1e9",
+                                 "half_cycle_epochs=0", "g0=1e9", "g0=-1e9", "g0=-1023", "g_h=1e9",
                                  "epie_beta=0", "epie_beta=-1", "epie_beta=1e9",
                                  "stitch_weight_floor=-1"])
 def test_bad_value_is_one_line_error(pipeline, capsys, tmp_path, bad):
@@ -610,7 +610,7 @@ READ_FILES = {
     "frame_grid": ("infer", "data/frames/00000_intensity.ptg"),
     "probe_grid": ("infer", "data/probe.ptg"),
     "object_grid": ("evaluate", "data/object_amplitude.ptg"),
-    "parameter_grid": ("infer", "checkpoint/params/dec_amp_b1c1.w.ptg"),
+    "parameter_grid": ("infer", "checkpoint/params.ptg"),
     "prediction_grid": ("stitch", "pred/pred/00000_amp.ptg"),
     "meta_json": ("infer", "data/meta.json"),
     "checkpoint_manifest_json": ("infer", "checkpoint/manifest.json"),
@@ -631,11 +631,47 @@ DAMAGES = {
 # a config file has no header, and an empty one is a valid config (the
 # defaults), so it takes the damages that leave it invalid, and an unknown key
 CONFIG_DAMAGES = ("truncated", "non_utf8_header", "unknown_key")
+
+
+def _one_value_short(path):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    shape = json.loads(header)["shape"]
+    path.write_bytes(header.replace(json.dumps(shape).encode(),
+                                    json.dumps([shape[0] - 1]).encode())
+                     + b"\n" + payload[:-4])
+
+
+def _n_c_changed(path):
+    manifest = json.loads(path.read_text())
+    manifest["cfg"]["n_c"] += 1
+    path.write_text(json.dumps(manifest))
+
+
+def _old_layout(path):
+    # a checkpoint as written before params.ptg: one grid per parameter under
+    # params/, and their names in the manifest
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    params, _, _ = model.load_checkpoint(path.parent)
+    os.remove(path)
+    os.mkdir(path.parent / "params")
+    for name, t in params.named():
+        gridio.write_grid(path.parent / "params" / f"{name}.ptg", t.data)
+    manifest_path.write_text(json.dumps({**manifest, "param_names": sorted(params.tensors)}))
+
+
+# (kind, damage) -> the damage done to the file at its path, for damages that
+# only one kind of file takes
+KIND_DAMAGES = {
+    ("parameter_grid", "one_value_short"): _one_value_short,
+    ("parameter_grid", "old_layout"): _old_layout,
+    ("checkpoint_manifest_json", "n_c_changed"): _n_c_changed,
+}
 READ_CASES = [(kind, damage) for kind in READ_FILES for damage in DAMAGES
               if (damage in CONFIG_DAMAGES if kind == "config" else damage != "unknown_key")]
 
 
-@pytest.mark.parametrize("kind,damage", READ_CASES)
+@pytest.mark.parametrize("kind,damage", READ_CASES + list(KIND_DAMAGES))
 def test_damaged_input_file_is_one_line_error_naming_it(predicted, capsys, tmp_path, kind,
                                                         damage):
     _, data, run, pred = predicted
@@ -645,7 +681,10 @@ def test_damaged_input_file_is_one_line_error_naming_it(predicted, capsys, tmp_p
     (tmp_path / "run.cfg").write_text(TINY_CONFIG)
     stage, target = READ_FILES[kind]
     path = tmp_path / target
-    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    if (kind, damage) in KIND_DAMAGES:
+        KIND_DAMAGES[kind, damage](path)
+    else:
+        path.write_bytes(DAMAGES[damage](path.read_bytes()))
     out = ["--out", str(tmp_path / "out")]
     if stage == "stitch":
         args = ["stitch", "--pred", str(tmp_path / "pred"), "--config", str(tmp_path / "run.cfg")]
@@ -678,6 +717,16 @@ def test_simulate_deterministic(tmp_path):
     fa = os.path.join(a, "frames", "00005_intensity.ptg")
     fb = os.path.join(b, "frames", "00005_intensity.ptg")
     assert open(fa, "rb").read() == open(fb, "rb").read()
+
+
+@pytest.mark.parametrize("stage", ["simulate", "stitch", "spectrum", "gradcheck"])
+def test_force_is_refused_by_a_stage_that_checks_no_hash(capsys, tmp_path, stage):
+    args = {"simulate": ["--out", str(tmp_path)], "stitch": ["--pred", "p", "--out", "o"],
+            "spectrum": ["--grid", "g", "--out", "o"], "gradcheck": []}[stage]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([stage, *args, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_gradcheck_subcommand_runs(monkeypatch, capsys):

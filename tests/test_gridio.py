@@ -53,6 +53,37 @@ def test_write_grid_writes_a_float32_array_from_its_own_buffer(tmp_path):
         assert (tmp_path / "other.ptg").read_bytes() == written
 
 
+def test_parts_are_written_and_read_without_a_concatenation(tmp_path):
+    # write_parts writes each part from its own buffer and read_parts reads each
+    # straight into its own array: the traced peaks stay below 1.5x one part on
+    # write and 1.5x the parts on read (the finiteness check takes a quarter of
+    # a part), where a concatenation or a read through bytes would double them
+    rng = np.random.default_rng(4)
+    parts = [rng.uniform(0, 1, shape).astype(np.float32) for shape in ((128, 64, 3, 3), (128,))]
+    path = tmp_path / "parts.ptg"
+    tracemalloc.start()
+    try:
+        gridio.write_parts(path, parts)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = gridio.read_parts(path, [p.shape for p in parts], "the test's shapes")
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 1.5 * parts[0].nbytes
+    assert read_peak < 1.5 * sum(p.nbytes for p in parts)
+    assert all(np.array_equal(a, b) and b.flags.owndata for a, b in zip(parts, back))
+    # the file is one 1-D grid of the parts back to back
+    assert np.array_equal(gridio.read_grid(path), np.concatenate([p.ravel() for p in parts]))
+    with pytest.raises(gridio.GridFormatError, match="the test's shapes"):
+        gridio.read_parts(path, [parts[0].shape], "the test's shapes")
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    with pytest.raises(gridio.GridFormatError, match="non-finite"):
+        gridio.read_parts(path, [p.shape for p in parts], "the test's shapes")
+    with pytest.raises(ValueError):
+        gridio.write_parts(path, [parts[0], np.array([np.nan])])
+
+
 def test_rejects_nonfinite(tmp_path):
     with pytest.raises(ValueError):
         gridio.write_grid(tmp_path / "bad.ptg", np.array([[np.inf]]))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_sadgs_clipping_and_monotonicity():
     assert np.all(hi >= lo - 1e-7)
     with pytest.raises(ValueError):
         model.sadgs(-np.ones((4, 4)), c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sadgs_refuses_a_gain_that_is_not_finite():
+    # at g0 = -1023, 2 ** g0 is subnormal and the gain overflows to inf, which
+    # would make a zero-intensity pixel NaN (inf * 0); the error names g0
+    with pytest.raises(ValueError, match="g0"):
+        model.sadgs(np.array([[0.0, 1.0]]), cfg(g0=-1023))
 
 
 def test_sadgs_constructed_clip_example():
@@ -151,17 +160,32 @@ def test_init_deterministic_in_seed():
     assert not np.array_equal(p1.tensors[name].data, p3.tensors[name].data)
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    c = cfg(seed=3)
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_checkpoint_roundtrip(tmp_path, variant):
+    c = cfg(seed=3, variant=variant)
     params = model.init_params(c)
-    model.save_checkpoint(tmp_path, params, c, seed=3, epoch=4, val_loss=0.5,
+    model.save_checkpoint(tmp_path / "a", params, c, seed=3, epoch=4, val_loss=0.5,
                           config_hash="deadbeef")
-    p2, c2, manifest = model.load_checkpoint(tmp_path)
+    assert sorted(os.listdir(tmp_path / "a")) == ["manifest.json", "params.ptg"]
+    p2, c2, manifest = model.load_checkpoint(tmp_path / "a")
     assert manifest["config_hash"] == "deadbeef"
     assert manifest["epoch"] == 4
     assert c2 == c
+    assert list(p2.tensors) == list(params.tensors)
     for name, t in params.named():
         assert np.array_equal(t.data, p2.tensors[name].data)
+    # save, load and save again: the same bytes
+    model.save_checkpoint(tmp_path / "b", p2, c2, seed=3, epoch=4, val_loss=0.5,
+                          config_hash="deadbeef")
+    for name in ("manifest.json", "params.ptg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_save_checkpoint_refuses_parameters_of_other_layers(tmp_path):
+    params = model.init_params(cfg(n_c=4))
+    with pytest.raises(ValueError, match="n_c=8"):
+        model.save_checkpoint(tmp_path, params, cfg(n_c=8))
+    assert not os.path.exists(tmp_path / "params.ptg")
 
 
 def test_checkpoint_manifest_is_strict_json(tmp_path):
