@@ -100,7 +100,6 @@ def read_parts(path, shapes, source):
     from the file straight into its own array. The grid must be 1-D and hold
     exactly their values; otherwise one GridFormatError names the file and
     `source`, what the shapes came from."""
-    shapes = list(shapes)
     total = sum(math.prod(s) for s in shapes)
     with open(path, "rb") as fh:
         shape = _read_header(fh, path)
