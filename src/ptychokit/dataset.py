@@ -218,21 +218,26 @@ META_TYPES = {"config_hash": str, "rows": int, "cols": int, "step": int, "jitter
 
 def save_dataset(outdir, intensity, table, amplitude, phase, probe, meta):
     """Object grids, probe, meta, manifest and per-frame files: each frame's
-    intensity and the object's amplitude and phase windows at its (y, x),
-    which `load_dataset` cuts from the object grids instead of reading."""
-    os.makedirs(os.path.join(outdir, "frames"), exist_ok=True)
+    intensity in frames/, and the object's amplitude and phase windows at its
+    (y, x) in amplitude/ and phase/, which `load_dataset` cuts from the object
+    grids instead of reading. The three kinds are written at the same time,
+    one thread and one directory each: creating files in one directory takes
+    turns in the kernel."""
+    kinds = {"intensity": "frames", "amplitude": "amplitude", "phase": "phase"}
+    for folder in kinds.values():
+        os.makedirs(os.path.join(outdir, folder), exist_ok=True)
     gridio.write_grid(os.path.join(outdir, "object_amplitude.ptg"), amplitude)
     gridio.write_grid(os.path.join(outdir, "object_phase.ptg"), phase)
     p = intensity.shape[-1]
-    rows = []
-    for i, (frame, (r, c, y, x, noisy, split)) in enumerate(zip(intensity, table.tolist())):
-        window = (slice(y, y + p), slice(x, x + p))
-        names = {k: f"frames/{i:05d}_{k}.ptg" for k in ("intensity", "amplitude", "phase")}
-        gridio.write_grid(os.path.join(outdir, names["intensity"]), frame)
-        gridio.write_grid(os.path.join(outdir, names["amplitude"]), amplitude[window])
-        gridio.write_grid(os.path.join(outdir, names["phase"]), phase[window])
-        rows.append([i, names["intensity"], names["amplitude"], names["phase"], r, c, y, x,
-                     int(noisy), split])
+    names = {k: [f"{folder}/{i:05d}_{k}.ptg" for i in range(len(table))]
+             for k, folder in kinds.items()}
+    windows = [(slice(y, y + p), slice(x, x + p)) for y, x in positions(table)]
+    grids = {"intensity": intensity, "amplitude": (amplitude[w] for w in windows),
+             "phase": (phase[w] for w in windows)}
+    gridio.write_grids([([os.path.join(outdir, n) for n in names[k]], grids[k])
+                        for k in kinds])
+    rows = [[i, *(names[k][i] for k in kinds), r, c, y, x, int(noisy), split]
+            for i, (r, c, y, x, noisy, split) in enumerate(table.tolist())]
     gridio.write_csv(os.path.join(outdir, "manifest.csv"), MANIFEST_FIELDS, rows)
     gridio.write_complex_grid(os.path.join(outdir, "probe.ptg"), probe)
     gridio.write_json(os.path.join(outdir, "meta.json"), meta)

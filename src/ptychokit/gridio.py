@@ -1,5 +1,6 @@
 """PTGRID v1 file format: one JSON header line + raw little-endian f32 payload
-(a 1-D grid may hold several arrays back to back: `write_parts`, `read_parts`),
+(a 1-D grid may hold several arrays back to back: `write_parts`, `read_parts`;
+many grid files are written on one thread per job: `write_grids`),
 and the one writer of each other file kind beside the grids: CSV tables and
 JSON objects, with the checked reader of the JSON objects and the reader of
 UTF-8 text that the JSON, CSV and config readers share.
@@ -14,6 +15,7 @@ complex64 as well (see `physics`).
 import json
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -28,20 +30,46 @@ class GridFormatError(ValueError):
 def write_grid(path, grid):
     """Write `grid` as a PTGRID file. A C-contiguous little-endian float32 array
     is written from its own buffer; any other array is converted once."""
-    arr = np.ascontiguousarray(grid, dtype="<f4")
-    _write(path, arr.shape, [arr])
+    _write_each([path], [grid])
+
+
+def write_grids(jobs):
+    """Write many grid files, each as `write_grid` writes it: a job is a list of
+    paths and an iterable of as many same-shaped grids, and each job runs on a
+    thread of its own, so files in different directories are created at the
+    same time. Every thread is joined before the first job's error, if any, is
+    raised. The threads call only this module's private helpers: a public
+    function may be wrapped by a tracer that is not safe across threads."""
+    errors = [None] * len(jobs)
+
+    def run(i, paths, grids):
+        try:
+            _write_each(paths, grids)
+        except Exception as exc:  # raised in the caller's thread after the join
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i, (paths, grids) in enumerate(jobs):
+            thread = threading.Thread(target=run, args=(i, paths, grids))
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def write_parts(path, parts):
     """Write arrays back to back as one 1-D PTGRID grid, each as `write_grid`
     writes its array, so no concatenation is built."""
     arrs = [np.ascontiguousarray(part, dtype="<f4") for part in parts]
-    _write(path, (sum(a.size for a in arrs),), arrs)
+    _write(path, _header((sum(a.size for a in arrs),)), arrs)
 
 
-def _write(path, shape, arrs):
-    if not all(np.all(np.isfinite(a)) for a in arrs):
-        raise ValueError("refusing to write non-finite grid")
+def _header(shape):
     header = {
         "magic": MAGIC,
         "version": VERSION,
@@ -49,8 +77,24 @@ def _write(path, shape, arrs):
         "dtype": "f32le",
         "order": "row-major",
     }
+    return json.dumps(header).encode("utf-8") + b"\n"
+
+
+def _write_each(paths, grids):
+    """Write each grid to its path; the header of each shape is formatted once."""
+    headers = {}
+    for path, grid in zip(paths, grids, strict=True):
+        arr = np.ascontiguousarray(grid, dtype="<f4")
+        if arr.shape not in headers:
+            headers[arr.shape] = _header(arr.shape)
+        _write(path, headers[arr.shape], [arr])
+
+
+def _write(path, header, arrs):
+    if not all(np.all(np.isfinite(a)) for a in arrs):
+        raise ValueError(f"{path}: refusing to write non-finite grid")
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(header)
         for a in arrs:
             fh.write(a.data)
 
@@ -88,11 +132,12 @@ def _check_finite(arr, path):
 
 
 def read_grid(path):
-    """A grid file's array, its header and size checked by `_read_header`."""
+    """A grid file's array, its header and size checked by `_read_header`, read
+    from the file straight into the array."""
     with open(path, "rb") as fh:
-        shape = _read_header(fh, path)
-        payload = fh.read(math.prod(shape) * 4)
-    return _check_finite(np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), path)
+        arr = np.empty(_read_header(fh, path), dtype="<f4")
+        fh.readinto(arr)
+    return _check_finite(arr, path)
 
 
 def read_parts(path, shapes, source):

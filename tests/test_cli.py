@@ -3,11 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ptychokit import cli, gridio, model, recon, verify
+from ptychokit import cli, dataset, gridio, model, recon, verify
+from ptychokit.config import RunConfig
 
 TINY = ["--set", "rows=4", "--set", "cols=4", "--set", "train_rows=3",
         "--set", "test_rows=1", "--set", "object_size=100",
@@ -30,6 +32,51 @@ def test_simulate_outputs(pipeline):
     meta = json.load(open(os.path.join(data, "meta.json")))
     assert len(meta["config_hash"]) == 12
     assert b"\r" not in open(os.path.join(data, "manifest.csv"), "rb").read()
+
+
+def test_simulate_writes_each_frame_file_as_write_grid_does(tmp_path):
+    # the three kinds of frame file are written on a thread each, into a
+    # directory each; every file holds the bytes write_grid writes of the array
+    # simulated anew here, and the tree holds only the files the manifest names
+    # and the fixed ones
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--out", str(data), "--seed", "1"] + TINY) == 0
+    cfg = RunConfig.from_file(data / "config.txt")
+    v = cfg.values
+    amp, phase = dataset.gen_object(v["object_size"], v["object_size"], v["object_seed"])
+    plan = dataset.plan_scan(v["rows"], v["cols"], v["step"], v["jitter_max"],
+                             v["probe_size"], v["scan_seed"])
+    intensity, _, _ = dataset.make_dataset(amp, phase, cfg.make_probe(), plan, cfg.noise_cfg())
+    rows = dataset.read_table(data / "manifest.csv", dataset.MANIFEST_FIELDS,
+                              dataset.MANIFEST_INT_FIELDS)
+    p, want, named = intensity.shape[-1], tmp_path / "want.ptg", set()
+    for i, row in enumerate(rows):
+        window = (slice(row["y"], row["y"] + p), slice(row["x"], row["x"] + p))
+        for kind, folder, grid in (("intensity", "frames", intensity[i]),
+                                   ("amplitude", "amplitude", amp[window]),
+                                   ("phase", "phase", phase[window])):
+            assert row[kind] == f"{folder}/{i:05d}_{kind}.ptg"
+            gridio.write_grid(want, grid)
+            assert (data / row[kind]).read_bytes() == want.read_bytes()
+            named.add(row[kind])
+    fixed = {"config.txt", "manifest.csv", "meta.json", "object_amplitude.ptg",
+             "object_phase.ptg", "probe.ptg"}
+    found = {os.path.relpath(os.path.join(root, name), data)
+             for root, _, names in os.walk(data) for name in names}
+    assert len(named) == 3 * 16 and found == named | fixed
+
+
+def test_simulate_failing_to_write_a_frame_file_is_one_line_error(capsys, tmp_path):
+    # the error of a writing thread ends the command once every thread has ended
+    data = tmp_path / "data"
+    blocker = data / "amplitude" / "00003_amplitude.ptg"
+    blocker.mkdir(parents=True)
+    threads = threading.active_count()
+    assert cli.main(["simulate", "--out", str(data), "--seed", "1"] + TINY) == 1
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(blocker) in err
 
 
 def test_train_outputs(pipeline):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,16 +171,37 @@ def saved_dataset(path, seed, noise=None):
     dataset.save_dataset(path, intensity, table, amp, phase, probe, {"config_hash": "abc123"})
 
 
-@pytest.mark.parametrize("noise", [None, {"seed": 2}], ids=["clean", "noisy"])
-def test_load_dataset_patches_equal_stored_patch_files(tmp_path, noise):
+def to_old_layout(path):
+    """Move a saved dataset's amplitude and phase windows into frames/, where
+    they lay before they had directories of their own, and name them so in
+    the manifest."""
+    for kind in ("amplitude", "phase"):
+        for window in (path / kind).iterdir():
+            window.rename(path / "frames" / window.name)
+        (path / kind).rmdir()
+    manifest = path / "manifest.csv"
+    manifest.write_text(re.sub(r",(amplitude|phase)/", ",frames/", manifest.read_text()))
+
+
+@pytest.mark.parametrize("noise,layout", [(None, "amplitude/"), ({"seed": 2}, "amplitude/"),
+                                          (None, "frames/")],
+                         ids=["clean", "noisy", "old_layout"])
+def test_load_dataset_patches_equal_stored_patch_files(tmp_path, noise, layout):
+    # the windows are read from the manifest's paths, which in the old layout
+    # name files in frames/
     saved_dataset(tmp_path, 7, noise)
+    if layout == "frames/":
+        to_old_layout(tmp_path)
     _, table, truth, _, _ = dataset.load_dataset(tmp_path)
+    rows = dataset.read_table(tmp_path / "manifest.csv", dataset.MANIFEST_FIELDS,
+                              dataset.MANIFEST_INT_FIELDS)
     assert np.all(table["noisy"] == (noise is not None))
-    assert len(table) == 36
+    assert len(table) == len(rows) == 36
+    assert rows[5]["amplitude"] == f"{layout}00005_amplitude.ptg"
     stacks = truth.windows(table["y"], table["x"])
-    for i, (y, x) in enumerate(dataset.positions(table)):
+    for i, ((y, x), row) in enumerate(zip(dataset.positions(table), rows)):
         for kind, window, stack in zip(("amplitude", "phase"), truth.windows(y, x), stacks):
-            stored = gridio.read_grid(tmp_path / "frames" / f"{i:05d}_{kind}.ptg")
+            stored = gridio.read_grid(tmp_path / row[kind])
             for got in (window, stack[i]):
                 assert got.dtype == stored.dtype and got.tobytes() == stored.tobytes()
 

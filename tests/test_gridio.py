@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,46 @@ def test_parts_are_written_and_read_without_a_concatenation(tmp_path):
         gridio.read_parts(path, [p.shape for p in parts], "the test's shapes")
     with pytest.raises(ValueError):
         gridio.write_parts(path, [parts[0], np.array([np.nan])])
+
+
+def test_read_grid_reads_into_the_array_without_a_copy(tmp_path):
+    # read straight into the array, a read holds the grid once, plus the
+    # finiteness check's bool array (a quarter); read through a bytes object it
+    # held the grid twice (a traced peak of 2.26x)
+    arr = np.random.default_rng(5).uniform(0, 1, (270, 273)).astype(np.float32)
+    path = tmp_path / "grid.ptg"
+    gridio.write_grid(path, arr)
+    tracemalloc.start()
+    try:
+        back = gridio.read_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * arr.nbytes
+    assert np.array_equal(back, arr) and back.flags.owndata and back.flags.writeable
+
+
+def test_write_grids_runs_every_job_to_its_end_then_raises_the_first_jobs_error(tmp_path):
+    # job a meets a directory at its second path and job b a non-finite third
+    # grid; each stops there, job c writes every file as write_grid does, and
+    # job a's error is raised once all three threads have ended
+    grids = [np.full((3, 4), k, np.float32) for k in range(3)]
+    damaged = grids[:2] + [np.full((3, 4), np.inf, np.float32)]
+    paths = {job: [tmp_path / job / f"{k}.ptg" for k in range(3)] for job in "abc"}
+    for job in "abc":
+        (tmp_path / job).mkdir()
+    paths["a"][1].mkdir()
+    threads = threading.active_count()
+    with pytest.raises(IsADirectoryError, match="1.ptg"):
+        gridio.write_grids([(paths["a"], grids), (paths["b"], damaged),
+                            (paths["c"], iter(grids))])
+    assert threading.active_count() == threads
+    assert [p.is_file() for p in paths["a"]] == [True, False, False]
+    assert [p.is_file() for p in paths["b"]] == [True, True, False]
+    gridio.write_grid(tmp_path / "want.ptg", grids[2])
+    assert paths["c"][2].read_bytes() == (tmp_path / "want.ptg").read_bytes()
+    with pytest.raises(ValueError, match=f"{paths['b'][2]}: refusing to write non-finite"):
+        gridio.write_grids([(paths["b"], damaged)])
 
 
 def test_rejects_nonfinite(tmp_path):
