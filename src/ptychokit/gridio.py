@@ -91,12 +91,17 @@ def _write_each(paths, grids):
 
 
 def _write(path, header, arrs):
+    """The header and each array from its own buffer, in one system call and
+    with no Python file object, whose set-up would be most of the Python work
+    of writing a small grid."""
     if not all(np.all(np.isfinite(a)) for a in arrs):
         raise ValueError(f"{path}: refusing to write non-finite grid")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for a in arrs:
-            fh.write(a.data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        if os.writev(fd, [header, *arrs]) != len(header) + sum(a.nbytes for a in arrs):
+            raise OSError(f"{path}: short write (is the disk full?)")
+    finally:
+        os.close(fd)
 
 
 def _read_header(fh, path):
