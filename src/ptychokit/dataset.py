@@ -3,7 +3,7 @@
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,22 +28,6 @@ BACKGROUND_PHASE = 0.0
 # 256 peaked at 34.4 MB, and one stack of all 3,721 windows would double the
 # simulation's peak RSS. 64 is no slower than 256 (0.10 against 0.12 s)
 SIM_BLOCK = 64
-
-
-@dataclass
-class ScanPlan:
-    rows: int
-    cols: int
-    step: int
-    jitter_max: int
-    probe_size: int
-    positions: list = field(default_factory=list)  # (row, col, y_px, x_px)
-
-    def required_extent(self):
-        """(rows, cols) object extent needed for the jittered scan."""
-        def need(n):
-            return (n - 1) * self.step + self.probe_size + 2 * self.jitter_max
-        return need(self.rows), need(self.cols)
 
 
 # A scan's table: one entry per frame, in frame order; a split is a mask of it
@@ -78,6 +62,17 @@ def _box(table, p):
 def positions(table):
     """The table's window positions, as (y, x) pairs of ints."""
     return list(zip(table["y"].tolist(), table["x"].tolist()))
+
+
+def _check_inside(table, p, shape, where):
+    """Refuse a table with a p x p window that is not inside an object of
+    `shape`: a negative y or x would index from the object's far edge."""
+    h, w = shape
+    ys, xs = table["y"], table["x"]
+    outside = np.flatnonzero((ys < 0) | (xs < 0) | (ys > h - p) | (xs > w - p))
+    if outside.size:
+        y, x = table[["y", "x"]][outside[0]].tolist()
+        raise ValueError(f"{where}: frame at ({y}, {x}) lies outside the {h} x {w} object")
 
 
 def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
@@ -129,46 +124,40 @@ def gen_object(height=DEFAULT_OBJECT_SIZE, width=DEFAULT_OBJECT_SIZE, seed=0):
 
 
 def plan_scan(rows=DEFAULT_ROWS, cols=DEFAULT_COLS, step=DEFAULT_STEP,
-              jitter_max=DEFAULT_JITTER, probe_size=physics.PROBE_SIZE, seed=0):
-    """Regular grid plus integer per-axis jitter uniform in [-jitter_max, +jitter_max]."""
+              jitter_max=DEFAULT_JITTER, seed=0):
+    """The scan's table, row by row: a regular grid plus integer per-axis jitter
+    uniform in [-jitter_max, +jitter_max]; every frame clean and in train."""
     for key, value, least in (("rows", rows, 1), ("cols", cols, 1), ("step", step, 1),
                               ("jitter_max", jitter_max, 0)):
         if value < least:
             raise ValueError(f"need {key} >= {least}, got {value}")
     rng = np.random.default_rng(seed)
-    plan = ScanPlan(rows=rows, cols=cols, step=step, jitter_max=jitter_max,
-                    probe_size=probe_size)
+    entries = []
     for r in range(rows):
         for c in range(cols):
             jy = int(rng.integers(-jitter_max, jitter_max + 1)) if jitter_max else 0
             jx = int(rng.integers(-jitter_max, jitter_max + 1)) if jitter_max else 0
-            plan.positions.append((r, c, jitter_max + r * step + jy,
-                                   jitter_max + c * step + jx))
-    return plan
+            entries.append((r, c, jitter_max + r * step + jy, jitter_max + c * step + jx,
+                            False, "train"))
+    return np.array(entries, dtype=TABLE)
 
 
-def make_dataset(amplitude, phase, probe, plan, noise=None):
-    """Simulate a scan: its float32 (N, p, p) intensity stack, its table (every
-    frame in the train split) and its `Truth`, whose box is a view of the object.
-    `noise`, if given, is a dict of `physics.add_noise`'s peak_photons, read_sigma
-    and seed, applied to each frame against the scan's maximum intensity.
+def make_dataset(amplitude, phase, probe, table, noise=None):
+    """Simulate a scan of `table`'s windows: its float32 (N, p, p) intensity stack,
+    a copy of the table with `noisy` set, and its `Truth`, whose box is a view of
+    the object. `noise`, if given, is a dict of `physics.add_noise`'s peak_photons,
+    read_sigma and seed, applied to each frame against the scan's maximum intensity.
 
     Frames are simulated SIM_BLOCK windows at a time; each frame's intensity
     is bitwise the same as simulating it alone.
     """
     amplitude = np.asarray(amplitude, dtype=np.float32)
     phase = np.asarray(phase, dtype=np.float32)
-    h, w = amplitude.shape
-    p = plan.probe_size
-    need_h, need_w = plan.required_extent()
-    if need_h > h or need_w > w:
-        raise ValueError(f"scan extent {(need_h, need_w)} exceeds object {amplitude.shape}")
-
-    table = np.array([(r, c, y, x, noise is not None, "train") for r, c, y, x in plan.positions],
-                     dtype=TABLE)
+    p = probe.shape[0]
+    _check_inside(table, p, amplitude.shape, "scan")
+    table = table.copy()
+    table["noisy"] = noise is not None
     ys, xs = table["y"], table["x"]
-    if np.any(ys < 0) or np.any(xs < 0):  # a negative index would wrap around
-        raise ValueError("scan position outside the object (negative y or x)")
     obj = amplitude.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
     windows = sliding_window_view(obj, (p, p))  # windows[y, x] is the p x p window at (y, x)
     intensity = np.empty((len(table), p, p), dtype=np.float32)
@@ -356,11 +345,8 @@ def load_dataset(indir, split=None):
         grid = gridio.read_grid(os.path.join(indir, f"object_{kind}.ptg"))
         if grid.ndim != 2 or grid.shape != (shape or grid.shape):
             raise ValueError(f"{indir}: object_{kind}.ptg has shape {grid.shape}")
-        (h, w) = shape = grid.shape
-        outside = np.flatnonzero((table["y"] > h - p) | (table["x"] > w - p))
-        if outside.size:
-            y, x = table[["y", "x"]][outside[0]].tolist()
-            raise ValueError(f"{indir}: frame at ({y}, {x}) lies outside the {h} x {w} object")
+        shape = grid.shape
+        _check_inside(table, p, shape, indir)
         grids.append(grid[box].copy())
         grids[-1].flags.writeable = False
         del grid  # before the next grid is read

@@ -150,7 +150,8 @@ def read_parts(path, shapes, source):
     """The arrays that `write_parts` wrote, one per shape in `shapes`, each read
     from the file straight into its own array. The grid must be 1-D and hold
     exactly their values; otherwise one GridFormatError names the file and
-    `source`, what the shapes came from."""
+    `source`, what the shapes came from. Views of one array of the whole grid
+    raised the `reconstruct` benchmark's peak RSS from 69.9-70.4 to 74.3-74.6 MB."""
     total = sum(math.prod(s) for s in shapes)
     with open(path, "rb") as fh:
         shape = _read_header(fh, path)

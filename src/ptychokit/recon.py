@@ -9,6 +9,9 @@ from . import circphase, gridio, losses, model
 
 PSNR_CAP_DB = 300.0
 WEIGHT_FLOOR = 1e-6
+# frames per model call in `iter_infer`: the training batch. At 64 a frame takes
+# longer (n_c=32, row-tap convs: 4.1-4.6 against 3.7-4.0 ms per frame on 2 cores)
+INFER_BATCH = 32
 
 
 @dataclass
@@ -26,18 +29,16 @@ class ReconReport:
         return {kind: bands for kind, (_, _, bands) in self.spectra.items()}
 
 
-def iter_infer(intensity, params, cfg, batch_size=32):
+def iter_infer(intensity, params, cfg):
     """Per-frame (amplitude, phase) predictions in frame order; deterministic.
 
     A generator over an (N, p, p) intensity stack, or anything sliceable with a
-    length, such as `dataset.IntensityFiles`: it slices `batch_size` frames and
+    length, such as `dataset.IntensityFiles`: it slices INFER_BATCH frames and
     runs the model on them when the previous batch has been consumed, so only
     one batch of predictions is alive, and files are read one batch at a time.
-    The default batch is the training batch: at 64 frames a frame takes longer
-    (n_c=32, row-tap convs: 4.1-4.6 against 3.7-4.0 ms per frame on 2 cores).
     """
-    for start in range(0, len(intensity), batch_size):
-        res = model.forward(intensity[start:start + batch_size][:, None], params, cfg)
+    for start in range(0, len(intensity), INFER_BATCH):
+        res = model.forward(intensity[start:start + INFER_BATCH][:, None], params, cfg)
         amps = res["amp"].data[:, 0]
         if cfg.variant == "scalar_phase":
             phases = res["phase"].data[:, 0].astype(np.float64)

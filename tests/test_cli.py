@@ -44,8 +44,7 @@ def test_simulate_writes_each_frame_file_as_write_grid_does(tmp_path):
     cfg = RunConfig.from_file(data / "config.txt")
     v = cfg.values
     amp, phase = dataset.gen_object(v["object_size"], v["object_size"], v["object_seed"])
-    plan = dataset.plan_scan(v["rows"], v["cols"], v["step"], v["jitter_max"],
-                             v["probe_size"], v["scan_seed"])
+    plan = dataset.plan_scan(v["rows"], v["cols"], v["step"], v["jitter_max"], v["scan_seed"])
     intensity, _, _ = dataset.make_dataset(amp, phase, cfg.make_probe(), plan, cfg.noise_cfg())
     rows = dataset.read_table(data / "manifest.csv", dataset.MANIFEST_FIELDS,
                               dataset.MANIFEST_INT_FIELDS)
@@ -340,17 +339,21 @@ def test_simulate_refuses_bad_scan(capsys, tmp_path, bad):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", ["object_size=10", "probe_size=0", "probe_size=-4",
+@pytest.mark.parametrize("bad", ["object_size=10", "step=1e9", "jitter_max=1e9",
+                                 "probe_size=0", "probe_size=-4",
                                  "probe_radius=0", "probe_sigma=0", "probe_sigma=-1",
                                  "probe_sigma=1e-3", "object_seed=-5", "noise=7"])
 def test_simulate_refuses_bad_object_or_probe(capsys, tmp_path, bad):
-    # one error line naming the key; a numpy warning would be an error here
+    # one error line naming the key; a numpy warning would be an error here. A
+    # scan that any seed could place outside the object names object_size
     rc = cli.main(["simulate", "--out", str(tmp_path / "d"), "--seed", "1"] + TINY
                   + ["--set", bad])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need ") and err.count("\n") == 1, err
     assert bad.split("=")[0] in err
+    if bad.split("=")[0] in ("object_size", "step", "jitter_max"):
+        assert err.startswith("error: need object_size >= "), err
     assert not os.path.exists(tmp_path / "d")
 
 

@@ -34,12 +34,18 @@ def test_gen_object_deterministic():
 
 
 def test_plan_scan_jitter_bounds():
-    plan = small_plan(seed=1)
-    for r, c, y, x in plan.positions:
-        assert abs(y - (plan.jitter_max + r * plan.step)) <= plan.jitter_max
-        assert abs(x - (plan.jitter_max + c * plan.step)) <= plan.jitter_max
-    assert len(plan.positions) == 36
-    assert plan.required_extent() == (3 + 5 * 8 + 32 + 3,) * 2
+    table = small_plan(seed=1)
+    assert table.dtype == dataset.TABLE and len(table) == 36
+    assert np.abs(table["y"] - (3 + table["row"] * 8)).max() <= 3
+    assert np.abs(table["x"] - (3 + table["col"] * 8)).max() <= 3
+
+
+def test_plan_scan_positions_are_pinned():
+    # the jitter is drawn row by row, y before x: any other order moves these
+    table = dataset.plan_scan(rows=2, cols=3, step=8, jitter_max=3, seed=5)
+    assert table.tolist() == [(0, 0, 4, 5, False, "train"), (0, 1, 0, 13, False, "train"),
+                              (0, 2, 3, 19, False, "train"), (1, 0, 12, 2, False, "train"),
+                              (1, 1, 14, 8, False, "train"), (1, 2, 9, 18, False, "train")]
 
 
 def test_make_dataset_shapes_and_gt_alignment():
@@ -48,7 +54,7 @@ def test_make_dataset_shapes_and_gt_alignment():
     plan = small_plan(seed=2)
     intensity, table, truth = dataset.make_dataset(amp, phase, probe, plan)
     assert intensity.shape == (36, 32, 32) and intensity.dtype == np.float32
-    assert table.tolist() == [(r, c, y, x, False, "train") for r, c, y, x in plan.positions]
+    assert table.tolist() == plan.tolist()
     y, x = table["y"][7], table["x"][7]
     a, p = truth.windows(y, x)
     assert np.array_equal(a, amp[y:y + 32, x:x + 32])
@@ -75,9 +81,10 @@ def reference_intensity(obj, probe, y, x):
 
 def test_make_dataset_blocks_equal_per_frame_reference():
     plan = small_plan(seed=3, rows=17, cols=17)
-    n = len(plan.positions)
+    n = len(plan)
     assert n > dataset.SIM_BLOCK and n % dataset.SIM_BLOCK != 0
-    amp, phase = dataset.gen_object(*plan.required_extent(), seed=3)
+    size = 16 * 8 + 32 + 2 * 3  # the largest object any seed's 17 x 17 scan needs
+    amp, phase = dataset.gen_object(size, size, seed=3)
     probe = physics.make_probe()
     intensity, table, _ = dataset.make_dataset(amp, phase, probe, plan)
     obj = amp.astype(np.float64) * np.exp(1j * phase.astype(np.float64))
@@ -105,18 +112,48 @@ def test_make_dataset_peak_memory_on_the_default_plan():
 def test_make_dataset_rejects_small_object():
     amp, phase = dataset.gen_object(70, 70, seed=3)
     probe = physics.make_probe()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lies outside the 70 x 70 object"):
         dataset.make_dataset(amp, phase, probe, small_plan())
 
 
 def test_make_dataset_rejects_negative_position():
-    # a hand-made plan bypasses plan_scan's checks; the refusal is no assert,
+    # an edited table bypasses plan_scan's checks; the refusal is no assert,
     # so it holds under python -O too
     amp, phase = dataset.gen_object(100, 100, seed=3)
     plan = small_plan(rows=2, cols=2)
-    plan.positions[1] = (0, 1, 4, -1)
-    with pytest.raises(ValueError, match="negative"):
+    plan["x"][1] = -1
+    with pytest.raises(ValueError, match=r"frame at \(\d+, -1\) lies outside"):
         dataset.make_dataset(amp, phase, physics.make_probe(), plan)
+
+
+@pytest.mark.parametrize("y,x", [(4, -1), (-2, 3), (69, 4), (4, 69)],
+                         ids=["negative_x", "negative_y", "beyond_y", "beyond_x"])
+def test_make_and_load_dataset_refuse_a_window_outside_with_one_message(tmp_path, y, x):
+    # a 32 x 32 window at (y, x) in a 100 x 100 object
+    amp, phase = dataset.gen_object(100, 100, seed=3)
+    probe = physics.make_probe()
+    plan = small_plan(rows=2, cols=2)
+    plan[["y", "x"]][3] = (y, x)
+    message = f"frame at ({y}, {x}) lies outside the 100 x 100 object"
+    with pytest.raises(ValueError) as made:
+        dataset.make_dataset(amp, phase, probe, plan)
+    assert str(made.value) == f"scan: {message}"
+    # saved from a table inside the object, then given the window in the manifest
+    intensity, table, _ = dataset.make_dataset(amp, phase, probe, small_plan(rows=2, cols=2))
+    dataset.save_dataset(tmp_path, intensity, table, amp, phase, probe, {})
+    rows = dataset.read_table(tmp_path / "manifest.csv", dataset.MANIFEST_FIELDS,
+                              dataset.MANIFEST_INT_FIELDS)
+    rows[3].update(y=y, x=x)
+    gridio.write_csv(tmp_path / "manifest.csv", dataset.MANIFEST_FIELDS,
+                     [[row[k] for k in dataset.MANIFEST_FIELDS] for row in rows])
+    with pytest.raises(ValueError) as loaded:
+        dataset.load_dataset(tmp_path)
+    if min(y, x) < 0:  # the manifest's reader refuses a negative position first
+        key = "y" if y < 0 else "x"
+        assert str(loaded.value) == (f"{tmp_path / 'manifest.csv'}:5: '{key}' must be >= 0, "
+                                     f"got {min(y, x)}")
+    else:
+        assert str(loaded.value) == f"{tmp_path}: {message}"
 
 
 def test_make_dataset_noise_deterministic():
@@ -271,13 +308,17 @@ def test_load_dataset_rejects_window_outside_object(tmp_path):
 
 
 def test_adjacent_windows_overlap_without_jitter():
-    plan = dataset.plan_scan(rows=3, cols=3, step=8, jitter_max=0)
-    (_, _, y0, x0), (_, _, y1, x1) = plan.positions[0], plan.positions[1]
+    (y0, x0), (y1, x1) = dataset.positions(dataset.plan_scan(rows=3, cols=3, step=8,
+                                                             jitter_max=0))[:2]
     assert (y0, abs(x1 - x0)) == (0, 8)
     overlap = (32 - 8) * 32 / (32 * 32)
     assert overlap >= 0.75
 
 
 def test_default_object_accommodates_default_scan():
-    plan = dataset.plan_scan()
-    assert max(plan.required_extent()) <= dataset.DEFAULT_OBJECT_SIZE
+    # the bound `simulate` checks, which holds for every seed of the default scan
+    size, p = dataset.DEFAULT_OBJECT_SIZE, physics.PROBE_SIZE
+    side = (max(dataset.DEFAULT_ROWS, dataset.DEFAULT_COLS) - 1) * dataset.DEFAULT_STEP
+    assert side + p + 2 * dataset.DEFAULT_JITTER <= size
+    table = dataset.plan_scan()
+    assert max(table["y"].max(), table["x"].max()) + p <= size

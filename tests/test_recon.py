@@ -93,14 +93,16 @@ def test_radial_psd_low_frequency_image():
     assert bands[0] > 95.0
 
 
-def test_infer_does_not_depend_on_batch_size():
+def test_infer_does_not_depend_on_batch_size(monkeypatch):
     cfg = model.ModelConfig(n_c=4, seed=3)
     params = model.init_params(cfg)
     rng = np.random.default_rng(3)
     intensity = rng.uniform(0, 50, (70, 32, 32)).astype(np.float32)
-    want = list(recon.iter_infer(intensity, params, cfg, batch_size=64))
+    monkeypatch.setattr(recon, "INFER_BATCH", 64)
+    want = list(recon.iter_infer(intensity, params, cfg))
     for batch_size in (8, 32):
-        got = list(recon.iter_infer(intensity, params, cfg, batch_size=batch_size))
+        monkeypatch.setattr(recon, "INFER_BATCH", batch_size)
+        got = list(recon.iter_infer(intensity, params, cfg))
         assert len(got) == len(want)
         for (a, phi), (a_ref, phi_ref) in zip(got, want):
             assert np.allclose(a, a_ref, rtol=0, atol=1e-6)
